@@ -15,192 +15,20 @@ exactly at solvability thresholds — and provides:
 * ``cli``: reproducible experiment suites with manifest and report tooling.
 """
 
-from qbsde.core import (
-    TimeGrid,
-    PathEnsemble,
-    PathFunctionals,
-    HittingClock,
-    build_grid,
-    default_gap,
-    sample_paths,
-    save_ensemble,
-    load_ensemble,
-    ito_integral,
-    stoch_exponential,
-    two_time_ratio,
-    girsanov_weights,
-    hitting_time,
-    exit_time_exp_moment,
-)
-from qbsde.catalog import (
-    KINDS,
-    MprSpec,
-    MprFunctionals,
-    SigmaSampler,
-    kq_threshold,
-    mpr_zero,
-    mpr_constant,
-    mpr_reverting,
-    mpr_nosol,
-    mpr_alpha_arccos,
-    mpr_sigma_gamma,
-    mpr_tilde,
-    mpr_scaled,
-    scaled_params,
-    spec_to_kv,
-    spec_from_kv,
-    alpha_from_w_half,
-    evaluate_mpr,
-    evaluate_tilde_under_tilted,
-    mvt_terminal,
-)
-from qbsde.heavytail import (
-    DivergenceEvidence,
-    hill_estimator,
-    growth_ratio,
-    divergence_verdict,
-)
-from qbsde.solver import (
-    OpportunityEstimate,
-    SolutionTriple,
-    MultRepResult,
-    ResidualReport,
-    OptimizerPaths,
-    DriverProps,
-    bsde_drift,
-    lemma_driver,
-    default_eps0,
-    lambda_at_nodes,
-    psi_unconditional,
-    psi_conditional_halfT,
-    psi_conditional_profile,
-    psi_path,
-    constant_closed_form_triple,
-    mult_rep,
-    continuum,
-    driver_residual,
-    martingale_check,
-    optimizers,
-    driver_props,
-)
-from qbsde.bmo import (
-    BOUNDED,
-    UNBOUNDED,
-    NO_SOLUTION,
-    NormEstimate,
-    DynMoment,
-    CriticalExponent,
-    JnCheck,
-    RhCheck,
-    AprioriCheck,
-    BmoReport,
-    Classification,
-    kq_numeric,
-    kq_curve,
-    scaled_tilted_order,
-    reverting_rh_lower,
-    sigma_cut_lower_bound,
-    bmo_norm,
-    dyn_exp_moment,
-    critical_exponent,
-    john_nirenberg_check,
-    reverse_holder,
-    apriori_bound,
-    bmo_report,
-    classify,
-)
+from qbsde import bmo, catalog, core, heavytail, solver
+from qbsde.core import *  # noqa: F403
+from qbsde.catalog import *  # noqa: F403
+from qbsde.heavytail import *  # noqa: F403
+from qbsde.solver import *  # noqa: F403
+from qbsde.bmo import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    # core
-    "TimeGrid",
-    "PathEnsemble",
-    "PathFunctionals",
-    "HittingClock",
-    "build_grid",
-    "default_gap",
-    "sample_paths",
-    "save_ensemble",
-    "load_ensemble",
-    "ito_integral",
-    "stoch_exponential",
-    "two_time_ratio",
-    "girsanov_weights",
-    "hitting_time",
-    "exit_time_exp_moment",
-    # catalog
-    "KINDS",
-    "MprSpec",
-    "MprFunctionals",
-    "SigmaSampler",
-    "kq_threshold",
-    "mpr_zero",
-    "mpr_constant",
-    "mpr_reverting",
-    "mpr_nosol",
-    "mpr_alpha_arccos",
-    "mpr_sigma_gamma",
-    "mpr_tilde",
-    "mpr_scaled",
-    "scaled_params",
-    "spec_to_kv",
-    "spec_from_kv",
-    "alpha_from_w_half",
-    "evaluate_mpr",
-    "evaluate_tilde_under_tilted",
-    "mvt_terminal",
-    # heavytail
-    "DivergenceEvidence",
-    "hill_estimator",
-    "growth_ratio",
-    "divergence_verdict",
-    # solver
-    "OpportunityEstimate",
-    "SolutionTriple",
-    "MultRepResult",
-    "ResidualReport",
-    "OptimizerPaths",
-    "DriverProps",
-    "bsde_drift",
-    "lemma_driver",
-    "default_eps0",
-    "lambda_at_nodes",
-    "psi_unconditional",
-    "psi_conditional_halfT",
-    "psi_conditional_profile",
-    "psi_path",
-    "constant_closed_form_triple",
-    "mult_rep",
-    "continuum",
-    "driver_residual",
-    "martingale_check",
-    "optimizers",
-    "driver_props",
-    # bmo
-    "BOUNDED",
-    "UNBOUNDED",
-    "NO_SOLUTION",
-    "NormEstimate",
-    "DynMoment",
-    "CriticalExponent",
-    "JnCheck",
-    "RhCheck",
-    "AprioriCheck",
-    "BmoReport",
-    "Classification",
-    "kq_numeric",
-    "kq_curve",
-    "scaled_tilted_order",
-    "reverting_rh_lower",
-    "sigma_cut_lower_bound",
-    "bmo_norm",
-    "dyn_exp_moment",
-    "critical_exponent",
-    "john_nirenberg_check",
-    "reverse_holder",
-    "apriori_bound",
-    "bmo_report",
-    "classify",
+    *core.__all__,
+    *catalog.__all__,
+    *heavytail.__all__,
+    *solver.__all__,
+    *bmo.__all__,
     "__version__",
 ]

@@ -27,6 +27,7 @@ from scipy import optimize
 
 from qbsde.core import DEFAULT_DV, PathEnsemble, philox_stream
 from qbsde.catalog import (
+    TRAITS,
     MprFunctionals,
     MprSpec,
     evaluate_mpr,
@@ -37,6 +38,7 @@ from qbsde.heavytail import (
     GROWTH_FLOOR,
     HILL_CEILING,
     HILL_FAST_PATH,
+    MIN_SAMPLES,
     DivergenceEvidence,
     divergence_verdict,
     growth_ratio,
@@ -86,8 +88,6 @@ def _spec_record(spec: MprSpec) -> dict:
     """Compact spec serialization for JSON evidence records."""
     return {k: v for k, v in asdict(spec).items() if v is not None}
 
-_CLOCK_KINDS = ("nosol", "alpha_arccos", "sigma_gamma", "tilde", "scaled")
-_PROFILE_KINDS = ("alpha_arccos", "sigma_gamma", "tilde", "scaled")
 
 #: Minimum samples per conditional bin.
 MIN_BIN = 200
@@ -306,6 +306,15 @@ def _require_nodes(fn: MprFunctionals) -> None:
         raise ValueError("family cells need node tracks; evaluate with need_nodes=True")
 
 
+def _entry_stat(spec: MprSpec, fn: MprFunctionals) -> tuple[np.ndarray | None, str]:
+    """The construction's midpoint statistic and its label, or ``(None, "none")``."""
+    entry = TRAITS[spec.kind].entry
+    if entry is None:
+        return None, "none"
+    attr, label = entry
+    return getattr(fn, attr), label
+
+
 def _exposure_cells(
     spec: MprSpec,
     ensemble: PathEnsemble,
@@ -332,7 +341,7 @@ def _exposure_cells(
         return _cells_from_stat("t=0", "none", None, total, 0.0,
                                 min_bin=min_bin, max_bins=max_bins)
 
-    if spec.kind in ("constant", "reverting"):
+    if not TRAITS[spec.kind].clock:
         _require_nodes(fn)
         for k in _grid_member_indices(ensemble, stop_family):
             t = float(grid.nodes[k])
@@ -348,12 +357,7 @@ def _exposure_cells(
     cells.extend(_cells_from_stat("t=0", "none", None, total, 0.0,
                                   min_bin=min_bin, max_bins=max_bins))
     half_t = grid.T / 2.0
-    if spec.kind in ("alpha_arccos", "tilde", "scaled"):
-        entry_stat, entry_name = fn.alpha, "arccos-scale"
-    elif spec.kind == "sigma_gamma":
-        entry_stat, entry_name = fn.u_sigma, "cut-clock"
-    else:
-        entry_stat, entry_name = None, "none"
+    entry_stat, entry_name = _entry_stat(spec, fn)
     cells.extend(_cells_from_stat(
         f"t={half_t:.4g} (entry)", entry_name, entry_stat, total, half_t,
         min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
@@ -380,6 +384,10 @@ def _exposure_cells(
     return cells
 
 
+#: Bootstrap resamples drawn and reduced per chunk in :func:`_bootstrap_upper`.
+_BOOT_CHUNK = 256
+
+
 def _bootstrap_upper(samples: np.ndarray, rng: np.random.Generator,
                      *, level: float = 0.999, n_boot: int = 4000) -> float:
     """Upper confidence value for a cell mean.
@@ -394,8 +402,13 @@ def _bootstrap_upper(samples: np.ndarray, rng: np.random.Generator,
         from scipy.special import ndtri
 
         return mean + float(ndtri(level)) * se
-    idx = rng.integers(0, n, size=(n_boot, n))
-    means = samples[idx].mean(axis=1)
+    # Resamples are drawn in row chunks: the index matrix and its gathered
+    # copy would take 16 n_boot n bytes at once.  Row chunks read the same
+    # stream in the same order, so the means match a one-shot draw exactly.
+    means = np.concatenate([
+        samples[rng.integers(0, n, size=(min(_BOOT_CHUNK, n_boot - i), n))].mean(axis=1)
+        for i in range(0, n_boot, _BOOT_CHUNK)
+    ])
     return float(np.quantile(means, level))
 
 
@@ -660,27 +673,7 @@ def dyn_exp_moment(
             )
         else:
             raise ValueError(f"unknown measure {measure!r}")
-        if fn.node_int2 is None:
-            # Entry-time and t=0 members only (tilted functionals carry no
-            # node tracks; the full exposure dominates the tail decision).
-            cs2 = spec.c_scale * spec.c_scale
-            total = cs2 * fn.int_lam2
-            if spec.kind in ("alpha_arccos", "tilde", "scaled"):
-                stat, name = fn.alpha, "arccos-scale"
-            elif spec.kind == "sigma_gamma":
-                stat, name = fn.u_sigma, "cut-clock"
-            else:
-                stat, name = None, "none"
-            big_bin = max(min_bin, ensemble.n_paths // (2 * n_bins))
-            exp_cells = _cells_from_stat("t=0", "none", None, total, 0.0,
-                                         min_bin=big_bin, max_bins=n_bins)
-            exp_cells += _cells_from_stat(
-                f"t={ensemble.grid.T / 2:.4g} (entry)", name, stat, total,
-                ensemble.grid.T / 2.0, min_bin=big_bin, max_bins=n_bins,
-                add_edges=True,
-            )
-        else:
-            exp_cells = _dyn_cells(spec, ensemble, fn, n_bins=n_bins, min_bin=min_bin)
+        exp_cells = _dyn_cells(spec, ensemble, fn, n_bins=n_bins, min_bin=min_bin)
     else:
         exp_cells = _cells
 
@@ -699,7 +692,7 @@ def dyn_exp_moment(
                        count=c.count, mean=m, se=se, time=c.time, samples=vals)
         out_cells.append(cell)
         sup = max(sup, m)
-        if c.count >= 120:
+        if c.count >= MIN_SAMPLES:
             ev = _bin_divergence(vals, edge=c.statistic.endswith("-edge"))
             if clipped:
                 ev = DivergenceEvidence(
@@ -791,16 +784,12 @@ def critical_exponent(
         fn = functionals if functionals is not None else evaluate_mpr(
             spec, ensemble, dv=dv, need_nodes=True
         )
-    if fn.node_int2 is not None:
-        # The critical order is set by the full remaining exposure; later
-        # members condition on survival and can only be lighter.  Keeping
-        # the t <= T/2 members concentrates the samples where the decision
-        # lives and avoids noise-driven flips in near-threshold cells.
-        cells = [c for c in _dyn_cells(spec, ensemble, fn, n_bins=n_bins,
-                                       min_bin=MIN_BIN)
-                 if c.time <= ensemble.grid.T / 2.0 + 1e-12]
-    else:
-        cells = None  # assembled per-call by dyn_exp_moment
+    # The critical order is set by the full remaining exposure; later
+    # members condition on survival and can only be lighter.  Keeping the
+    # t <= T/2 members concentrates the samples where the decision lives and
+    # avoids noise-driven flips in near-threshold cells.
+    cells = [c for c in _dyn_cells(spec, ensemble, fn, n_bins=n_bins, min_bin=MIN_BIN)
+             if c.time <= ensemble.grid.T / 2.0 + 1e-12]
 
     probes: dict[float, DynMoment] = {}
 
@@ -998,7 +987,7 @@ def _rh_cells(
         r2 = i2_T - cs * cs * fn.node_int2[:, k]
         return np.exp(np.minimum(-q * r1 - 0.5 * q * r2, 700.0))
 
-    if spec.kind in ("zero", "constant", "reverting"):
+    if not TRAITS[spec.kind].clock:
         for k in _grid_member_indices(ensemble, None):
             t = float(grid.nodes[k])
             stat = None if k == 0 else ensemble.wiener[:, k]
@@ -1010,12 +999,7 @@ def _rh_cells(
 
     # Clock kinds: the midpoint entry carries the whole exposure.
     half_t = grid.T / 2.0
-    if spec.kind in ("alpha_arccos", "tilde", "scaled"):
-        entry_stat, entry_name = fn.alpha, "arccos-scale"
-    elif spec.kind == "sigma_gamma":
-        entry_stat, entry_name = fn.u_sigma, "cut-clock"
-    else:
-        entry_stat, entry_name = None, "none"
+    entry_stat, entry_name = _entry_stat(spec, fn)
     cells.extend(_cells_from_stat(
         f"t={half_t:.4g} (entry)", entry_name, entry_stat,
         fn.summand_power(q), half_t, min_bin=min_bin, max_bins=max_bins,
@@ -1073,7 +1057,7 @@ def reverse_holder(
     best = max(cells, key=lambda c: c.mean)
 
     # (i) tail divergence of the strongest cell.
-    top_ev = divergence_verdict(best.samples) if best.count >= 120 else None
+    top_ev = divergence_verdict(best.samples) if best.count >= MIN_SAMPLES else None
     top_fires = bool(top_ev is not None and top_ev.diverged)
 
     # (ii) growth along the conditioning-state grid (extreme over median bin,
@@ -1460,7 +1444,7 @@ def classify(
         )
 
     grows = False
-    if spec.kind in _PROFILE_KINDS:
+    if TRAITS[spec.kind].entry is not None:
         grows, detail = _profile_growth(spec, q, n_inner=n_inner,
                                         seed=profile_seed, dv=dv)
         evidence.append({

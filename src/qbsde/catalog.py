@@ -42,7 +42,6 @@ on the raw time grid.
 from __future__ import annotations
 
 import math
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -61,6 +60,8 @@ from qbsde.core import (
 
 __all__ = [
     "KINDS",
+    "TRAITS",
+    "KindTraits",
     "MprSpec",
     "MprFunctionals",
     "SigmaSampler",
@@ -73,34 +74,50 @@ __all__ = [
     "mpr_tilde",
     "mpr_scaled",
     "scaled_params",
-    "spec_to_kv",
-    "spec_from_kv",
     "alpha_from_w_half",
+    "clock_coefficients",
     "evaluate_mpr",
     "evaluate_tilde_under_tilted",
-    "lambda_reverting",
-    "lambda_nosol",
-    "lambda_alpha",
-    "lambda_sigma",
-    "lambda_tilde",
-    "lambda_scaled",
     "mvt_terminal",
     "kq_threshold",
 ]
 
-KINDS = (
-    "zero",
-    "constant",
-    "reverting",
-    "nosol",
-    "alpha_arccos",
-    "sigma_gamma",
-    "tilde",
-    "scaled",
-)
 
-_NEEDS_Q = {"nosol", "alpha_arccos", "sigma_gamma", "scaled"}
-_CLOCK_KINDS = {"nosol", "alpha_arccos", "sigma_gamma", "tilde", "scaled"}
+@dataclass(frozen=True)
+class KindTraits:
+    """The facts about one catalog kind that more than one module reads.
+
+    ``fields`` names the spec fields the kind requires; ``clock`` is set when
+    the exposure lives in the exposure clock after ``T/2`` rather than on the
+    time grid; ``entry`` is the midpoint statistic conditioning the
+    construction, as ``(MprFunctionals attribute, label)``, or ``None``;
+    ``drifted`` marks the drifted-clock kinds; ``bounded`` marks a
+    pathwise-bounded quadratic exposure.
+    """
+
+    fields: tuple[str, ...]
+    clock: bool
+    entry: tuple[str, str] | None
+    drifted: bool
+    bounded: bool
+
+
+_ARCCOS = ("alpha", "arccos-scale")
+_CUT = ("u_sigma", "cut-clock")
+
+TRAITS: dict[str, KindTraits] = {
+    # kind                     fields           clock  entry     drifted bounded
+    "zero": KindTraits(        (),              False, None,     False,  True),
+    "constant": KindTraits(    ("level",),      False, None,     False,  True),
+    "reverting": KindTraits(   (),              False, None,     False,  False),
+    "nosol": KindTraits(       ("q",),          True,  None,     False,  False),
+    "alpha_arccos": KindTraits(("q",),          True,  _ARCCOS,  False,  False),
+    "sigma_gamma": KindTraits( ("q",),          True,  _CUT,     False,  False),
+    "tilde": KindTraits(       ("b",),          True,  _ARCCOS,  True,   False),
+    "scaled": KindTraits(      ("q", "a", "b"), True,  _ARCCOS,  True,   False),
+}
+
+KINDS = tuple(TRAITS)
 
 
 def kq_threshold(q: float) -> float:
@@ -134,16 +151,17 @@ class MprSpec:
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
         if not (math.isfinite(self.c_scale)):
             raise ValueError(f"c_scale must be finite, got {self.c_scale!r}")
-        if self.kind in _NEEDS_Q:
+        fields = TRAITS[self.kind].fields
+        if "q" in fields:
             if self.q is None or not (math.isfinite(self.q) and self.q < 0.0):
                 raise ValueError(f"kind {self.kind!r} requires q < 0, got {self.q!r}")
-        if self.kind == "constant":
+        if "level" in fields:
             if self.level is None or not math.isfinite(self.level):
                 raise ValueError("constant kind requires a finite level")
-        if self.kind in ("tilde", "scaled"):
+        if "b" in fields:
             if self.b is None or not math.isfinite(self.b):
                 raise ValueError(f"kind {self.kind!r} requires a finite drift slope b")
-        if self.kind == "scaled":
+        if "a" in fields:
             if self.a is None or not (math.isfinite(self.a) and self.a > 0.0):
                 raise ValueError(f"scaled kind requires a > 0, got {self.a!r}")
 
@@ -222,53 +240,6 @@ def scaled_params(
         b = math.sqrt(2.0 * kq / (a * a) - 2.0)
         return a, b
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Key-value serialization
-# ---------------------------------------------------------------------------
-
-_KV_FIELDS = ("kind", "T", "q", "level", "a", "b", "c_scale")
-
-
-def spec_to_kv(spec: MprSpec, seed: int | None = None) -> str:
-    """Serialize a spec (and optionally a seed) as ``key = value`` lines."""
-    lines = [f"kind = {spec.kind}"]
-    lines.append(f"T = {spec.T!r}")
-    for name in ("q", "level", "a", "b"):
-        value = getattr(spec, name)
-        if value is not None:
-            lines.append(f"{name} = {value!r}")
-    if spec.c_scale != 1.0:
-        lines.append(f"c_scale = {spec.c_scale!r}")
-    if seed is not None:
-        lines.append(f"seed = {int(seed)}")
-    return "\n".join(lines) + "\n"
-
-
-def spec_from_kv(text: str) -> tuple[MprSpec, int | None]:
-    """Parse :func:`spec_to_kv` output; unknown keys are rejected."""
-    fields: dict[str, object] = {}
-    seed: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)", line)
-        if m is None:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = m.group(1), m.group(2).strip()
-        if key == "seed":
-            seed = int(value)
-        elif key == "kind":
-            fields["kind"] = value
-        elif key in _KV_FIELDS:
-            fields[key] = float(value)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if "kind" not in fields:
-        raise ValueError("missing required key 'kind'")
-    return MprSpec(**fields), seed  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +335,24 @@ def alpha_from_w_half(w_half: np.ndarray, T: float) -> np.ndarray:
     return (2.0 / math.pi) * np.arccos(np.sqrt(phi))
 
 
+def clock_coefficients(
+    spec: MprSpec, alpha: float | np.ndarray = 1.0, cs: float = 1.0
+) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+    """Clock coefficient and clock drift ``(coeff, drift)`` of a clock kind.
+
+    In the exposure clock ``integral lambda dW = coeff * B_H`` and
+    ``integral lambda^2 dt = coeff^2 * H``, with ``cs`` the premium scale and
+    ``alpha`` the arccos scale (1 for the unscaled kinds).  The drifted
+    kinds' clock line carries the drift ``b * pi alpha / sqrt(8)``; the
+    other kinds return ``drift = None``.
+    """
+    if not TRAITS[spec.kind].drifted:
+        return cs * math.pi * alpha / (2.0 * math.sqrt(-spec.q)), None
+    unit_coeff = math.pi * alpha / math.sqrt(8.0)
+    coeff = unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff
+    return cs * coeff, spec.b * unit_coeff
+
+
 # ---------------------------------------------------------------------------
 # Evaluated functionals
 # ---------------------------------------------------------------------------
@@ -425,7 +414,7 @@ class MprFunctionals:
 
     def tilt_weights(self) -> np.ndarray:
         """``dPtilde/dP`` weights ``E(-b lambda~ . W)_T`` for the drifted kinds."""
-        if self.spec.kind not in ("tilde", "scaled"):
+        if not TRAITS[self.spec.kind].drifted:
             raise ValueError("tilt weights exist only for the drifted-clock kinds")
         b = self.spec.b
         # Tilt is driven by the *unit-scale* drifted premium lambda~.
@@ -505,24 +494,12 @@ def evaluate_mpr(
             node_int2=None if nodes is None else nodes.copy(),
         )
 
-    if spec.kind == "constant":
-        level = spec.level
-        pf = ito_integral(ensemble, np.full(grid.n_intervals, level))
-        return MprFunctionals(
-            spec=spec,
-            ensemble=ensemble,
-            int_lam_dw=pf.terminal_int_dw,
-            int_lam2=pf.terminal_quad_var,
-            w_half=w_half,
-            node_int_dw=pf.int_dw if need_nodes else None,
-            node_int2=pf.quad_var if need_nodes else None,
-            pathfun=pf,
+    if not TRAITS[spec.kind].clock:
+        integrand = (
+            np.full(grid.n_intervals, spec.level) if spec.kind == "constant"
+            else lambda t, w: -np.sign(w) * np.sqrt(np.abs(w))
         )
-
-    if spec.kind == "reverting":
-        pf = ito_integral(
-            ensemble, lambda t, w: -np.sign(w) * np.sqrt(np.abs(w))
-        )
+        pf = ito_integral(ensemble, integrand)
         return MprFunctionals(
             spec=spec,
             ensemble=ensemble,
@@ -536,22 +513,16 @@ def evaluate_mpr(
 
     # --- clock kinds ------------------------------------------------------
     checkpoints = _node_clock_images(ensemble) if need_nodes else None
-
-    alpha: np.ndarray | None = None
+    entry = TRAITS[spec.kind].entry
+    alpha = alpha_from_w_half(w_half, grid.T) if entry == _ARCCOS else None
     sigma = u_sigma = None
-    drift: np.ndarray | None = None
+    if entry == _CUT:
+        sigma, u_sigma = SigmaSampler(grid.T).from_w_half(w_half)
+    coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
+    if alpha is None:
+        coeff = np.full(n, coeff)
 
-    if spec.kind == "nosol":
-        coeff = np.full(n, math.pi / (2.0 * math.sqrt(-spec.q)))
-        exits = _driftless_exits(ensemble, dv, checkpoints)
-    elif spec.kind == "alpha_arccos":
-        alpha = alpha_from_w_half(w_half, grid.T)
-        coeff = math.pi * alpha / (2.0 * math.sqrt(-spec.q))
-        exits = _driftless_exits(ensemble, dv, checkpoints)
-    elif spec.kind == "sigma_gamma":
-        sampler = SigmaSampler(grid.T)
-        sigma, u_sigma = sampler.from_w_half(w_half)
-        coeff = np.full(n, math.pi / (2.0 * math.sqrt(-spec.q)))
+    if u_sigma is not None:
         exits = simulate_two_sided_exit(
             n,
             dv=dv,
@@ -561,11 +532,7 @@ def evaluate_mpr(
             stop_u=u_sigma,
             checkpoints=checkpoints,
         )
-    elif spec.kind in ("tilde", "scaled"):
-        alpha = alpha_from_w_half(w_half, grid.T)
-        unit_coeff = math.pi * alpha / math.sqrt(8.0)
-        drift = spec.b * unit_coeff
-        coeff = unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff
+    elif drift is not None:
         exits = simulate_two_sided_exit(
             n,
             dv=dv,
@@ -575,8 +542,8 @@ def evaluate_mpr(
             drift=drift,
             checkpoints=checkpoints,
         )
-    else:  # pragma: no cover
-        raise AssertionError(spec.kind)
+    else:
+        exits = _driftless_exits(ensemble, dv, checkpoints)
 
     u_kill = exits.u_exit
     # Brownian-part state at the kill time: the engine's state minus the
@@ -627,13 +594,10 @@ def evaluate_tilde_under_tilted(
     against that Brownian motion and means of functions of them estimate
     tilted-measure expectations directly.
     """
-    if spec.kind not in ("tilde", "scaled"):
+    if not TRAITS[spec.kind].drifted:
         raise ValueError("tilted evaluation exists only for the drifted-clock kinds")
-    grid = ensemble.grid
-    n = ensemble.n_paths
-    alpha = alpha_from_w_half(ensemble.w_half, grid.T)
-    unit_coeff = math.pi * alpha / math.sqrt(8.0)
-    coeff = unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff
+    alpha = alpha_from_w_half(ensemble.w_half, ensemble.grid.T)
+    coeff, _ = clock_coefficients(spec, alpha)
     exits = _driftless_exits(ensemble, dv, None)
     u_kill = exits.u_exit
     return MprFunctionals(
@@ -651,66 +615,6 @@ def evaluate_tilde_under_tilted(
         coeff=coeff,
         measure="tilted",
     )
-
-
-# ---------------------------------------------------------------------------
-# Spec-facing constructors (catalog entry points)
-# ---------------------------------------------------------------------------
-
-
-def lambda_reverting(ensemble: PathEnsemble, *, need_nodes: bool = False) -> MprFunctionals:
-    """Mean-reverting unbounded premium ``-sign(W) sqrt(|W|)``."""
-    return evaluate_mpr(mpr_reverting(ensemble.grid.T), ensemble, need_nodes=need_nodes)
-
-
-def lambda_nosol(
-    ensemble: PathEnsemble, q: float, *, dv: float = DEFAULT_DV, need_nodes: bool = False
-) -> MprFunctionals:
-    """Exactly-critical clock premium (no solution at power ``q``)."""
-    return evaluate_mpr(mpr_nosol(q, ensemble.grid.T), ensemble, dv=dv, need_nodes=need_nodes)
-
-
-def lambda_alpha(
-    ensemble: PathEnsemble, q: float, *, dv: float = DEFAULT_DV, need_nodes: bool = False
-) -> MprFunctionals:
-    """Per-path arccos-scaled clock premium (solvable, unbounded solution)."""
-    return evaluate_mpr(
-        mpr_alpha_arccos(q, ensemble.grid.T), ensemble, dv=dv, need_nodes=need_nodes
-    )
-
-
-def lambda_sigma(
-    ensemble: PathEnsemble, q: float, *, dv: float = DEFAULT_DV, need_nodes: bool = False
-) -> tuple[MprFunctionals, SigmaSampler]:
-    """Density-cut critical premium plus its cut-time sampler."""
-    fn = evaluate_mpr(
-        mpr_sigma_gamma(q, ensemble.grid.T), ensemble, dv=dv, need_nodes=need_nodes
-    )
-    return fn, SigmaSampler(ensemble.grid.T)
-
-
-def lambda_tilde(
-    ensemble: PathEnsemble, b: float, *, dv: float = DEFAULT_DV, need_nodes: bool = False
-) -> MprFunctionals:
-    """Drifted-clock premium with pathwise-bounded combined integral."""
-    return evaluate_mpr(mpr_tilde(b, ensemble.grid.T), ensemble, dv=dv, need_nodes=need_nodes)
-
-
-def lambda_scaled(
-    ensemble: PathEnsemble,
-    q: float,
-    k: float | None = None,
-    mode: str = "auto",
-    *,
-    dv: float = DEFAULT_DV,
-    need_nodes: bool = False,
-) -> tuple[MprFunctionals, float, float]:
-    """Scaled drifted-clock premium solved for the requested threshold mode."""
-    a, b = scaled_params(q, k=k, mode=mode)
-    fn = evaluate_mpr(
-        mpr_scaled(q, a, b, ensemble.grid.T), ensemble, dv=dv, need_nodes=need_nodes
-    )
-    return fn, a, b
 
 
 def mvt_terminal(

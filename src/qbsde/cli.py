@@ -73,26 +73,21 @@ import numpy as np
 from qbsde import __version__
 from qbsde.bmo import classify, kq_curve
 from qbsde.catalog import (
+    KINDS,
+    TRAITS,
     MprSpec,
     kq_threshold,
     mpr_alpha_arccos,
     mpr_constant,
     mpr_nosol,
-    mpr_reverting,
-    mpr_scaled,
     mpr_sigma_gamma,
-    mpr_tilde,
     mpr_zero,
 )
 from qbsde.core import build_grid, sample_paths
+from qbsde.heavytail import MIN_SAMPLES
 from qbsde.solver import continuum, driver_residual, martingale_check
 
 SUITES = ("figure-kq", "table2", "continuum", "classify")
-
-_SPEC_KINDS = (
-    "zero", "constant", "reverting", "nosol", "alpha_arccos",
-    "sigma_gamma", "tilde", "scaled",
-)
 
 #: Residual tolerance factor: the continuum triple's discrete residual is
 #: dominated by the largest late grid step (the crossing usually lands
@@ -258,7 +253,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if parser.has_section("ensemble"):
         cfg.n_paths = raw.get(
             "ensemble", "n_paths", int,
-            lambda v: None if v >= 100 else "need at least 100 paths",
+            lambda v: None if v >= MIN_SAMPLES
+            else f"need at least {MIN_SAMPLES} paths",
             default=cfg.n_paths)
         cfg.seed = raw.get(
             "ensemble", "seed", int,
@@ -300,7 +296,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             default=cfg.b_offsets)
         cfg.continuum_kind = raw.get(
             "continuum", "kind", str,
-            lambda v: None if v in ("zero", "constant")
+            lambda v: None if v in TRAITS and TRAITS[v].bounded
             else "continuum needs a pathwise-bounded-exposure kind "
                  "(zero or constant)",
             default=cfg.continuum_kind)
@@ -313,8 +309,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 f"{path}:1: suite classify requires a [spec] section")
         cfg.spec_kind = raw.get(
             "spec", "kind", str,
-            lambda v: None if v in _SPEC_KINDS
-            else f"unknown kind (choose from {', '.join(_SPEC_KINDS)})")
+            lambda v: None if v in KINDS
+            else f"unknown kind (choose from {', '.join(KINDS)})")
         cfg.spec_q = raw.get(
             "spec", "q", float,
             lambda v: None if v < 1 else "classification covers q < 1")
@@ -329,39 +325,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def _validate_spec_params(raw: _Raw, cfg: ExperimentConfig) -> None:
     kind, q = cfg.spec_kind, cfg.spec_q
-    if kind in ("nosol", "alpha_arccos", "sigma_gamma", "scaled") and q >= 0:
+    fields = TRAITS[kind].fields
+    if "q" in fields and q >= 0:
         raise raw._err("spec", "q", f"kind {kind} needs q < 0")
-    if kind == "constant" and cfg.spec_level is None:
-        raise raw._err("spec", "level", "constant kind needs a level")
-    if kind == "tilde" and cfg.spec_b is None:
-        raise raw._err("spec", "b", "tilde kind needs the drift offset b")
-    if kind == "scaled":
+    if "level" in fields and cfg.spec_level is None:
+        raise raw._err("spec", "level", f"{kind} kind needs a level")
+    if "a" in fields:
         if cfg.spec_a is None or cfg.spec_b is None:
-            raise raw._err("spec", "a", "scaled kind needs both a and b")
+            raise raw._err("spec", "a", f"{kind} kind needs both a and b")
         if not 0.0 < cfg.spec_a:
             raise raw._err("spec", "a", "need a > 0")
+    elif "b" in fields and cfg.spec_b is None:
+        raise raw._err("spec", "b", f"{kind} kind needs the drift offset b")
 
 
 def build_spec(cfg: ExperimentConfig) -> MprSpec:
     """Construct the catalog spec described by the [spec] section."""
-    kind, T, c = cfg.spec_kind, cfg.T, cfg.spec_c
-    if kind == "zero":
-        spec = mpr_zero(T)
-    elif kind == "constant":
-        spec = mpr_constant(cfg.spec_level, T)
-    elif kind == "reverting":
-        spec = mpr_reverting(T)
-    elif kind == "nosol":
-        spec = mpr_nosol(cfg.spec_q, T)
-    elif kind == "alpha_arccos":
-        spec = mpr_alpha_arccos(cfg.spec_q, T)
-    elif kind == "sigma_gamma":
-        spec = mpr_sigma_gamma(cfg.spec_q, T)
-    elif kind == "tilde":
-        spec = mpr_tilde(cfg.spec_b, T)
-    else:
-        spec = mpr_scaled(cfg.spec_q, cfg.spec_a, cfg.spec_b, T)
-    return spec.with_scale(c) if c != 1.0 else spec
+    own = {name: float(getattr(cfg, f"spec_{name}"))
+           for name in TRAITS[cfg.spec_kind].fields}
+    spec = MprSpec(kind=cfg.spec_kind, T=cfg.T, **own)
+    return spec.with_scale(cfg.spec_c) if cfg.spec_c != 1.0 else spec
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +657,8 @@ def run_command(args: argparse.Namespace) -> int:
             cfg.seed = args.seed
             cfg.seeds = tuple(args.seed + i for i in range(len(cfg.seeds)))
         if args.paths is not None:
-            if args.paths < 100:
-                raise ConfigError("--paths: need at least 100 paths")
+            if args.paths < MIN_SAMPLES:
+                raise ConfigError(f"--paths: need at least {MIN_SAMPLES} paths")
             cfg.n_paths = args.paths
         if args.out is not None:
             cfg.out = Path(args.out)

@@ -533,7 +533,6 @@ def simulate_two_sided_exit(
     drift: float | np.ndarray = 0.0,
     stop_u: np.ndarray | None = None,
     checkpoints: np.ndarray | None = None,
-    weight_fn: Callable[[float], float] | None = None,
     block_size: int = _BLOCK_SIZE,
 ) -> ClockExits:
     """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
@@ -547,10 +546,7 @@ def simulate_two_sided_exit(
 
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
     down to the step grid) if it has not exited earlier.  ``checkpoints``
-    records the state at fixed clock times; with ``weight_fn`` the engine also
-    accumulates ``sum weight_fn(u_mid) * dB`` per checkpoint interval (the
-    Brownian part only), which callers use to reconstruct time-grid Wiener
-    increments from the clock path.
+    records the state at fixed clock times.
     """
     if dv > DEFAULT_DV * (1.0 + 1e-12):
         raise ValueError(f"clock step dv={dv!r} violates the dv <= 1e-3 contract")
@@ -578,9 +574,6 @@ def simulate_two_sided_exit(
     endpoint_detected = np.zeros(n_paths, dtype=bool)
     ckpt_pos = np.full((n_ck, n_paths), np.nan) if n_ck else None
     ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
-    ckpt_wsum = (
-        np.zeros((n_ck + 1, n_paths)) if (n_ck and weight_fn is not None) else None
-    )
 
     sq = math.sqrt(dv)
     for blk_start in range(0, n_paths, block_size):
@@ -631,10 +624,6 @@ def simulate_two_sided_exit(
             bridge_up = bridge & (uc < pu)
             ex = hit | bridge
 
-            if ckpt_wsum is not None:
-                slot = int(np.searchsorted(ck_steps, k, side="right"))
-                ckpt_wsum[slot, blk_start + ia] += weight_fn((k + 0.5) * dv) * sq * z
-
             if ex.any():
                 s = np.where(up | bridge_up, 1.0, -1.0)
                 denom = np.where(step == 0.0, np.inf, step)
@@ -681,7 +670,6 @@ def simulate_two_sided_exit(
         ckpt_u=ck_u,
         ckpt_pos=ckpt_pos,
         ckpt_alive=ckpt_alive,
-        ckpt_wsum=ckpt_wsum,
     )
 
 
@@ -704,11 +692,14 @@ def simulate_line_hit(
     The deterministic drift is ``drift_slope * v`` plus (optionally) an exact
     cumulative term ``drift_cum(v)`` evaluated at step boundaries, so the
     deterministic part carries no Euler error.  Same bridge correction,
-    blocking, checkpoint and weight-accumulation semantics as
-    :func:`simulate_two_sided_exit`.  ``x_exit`` is snapped to the level for
-    detected crossings; ``raw_end`` keeps the raw end-of-step state, and for
-    censored paths ``x_exit`` is the running state at ``v_max`` (callers use
-    it for analytic closure of first-passage transforms).
+    blocking and checkpoint semantics as :func:`simulate_two_sided_exit`;
+    with ``weight_fn`` the engine also accumulates ``sum weight_fn(v_mid) *
+    dB`` per checkpoint interval (the Brownian part only), which callers use
+    to reconstruct time-grid Wiener increments from the clock path.
+    ``x_exit`` is snapped to the level for detected crossings; ``raw_end``
+    keeps the raw end-of-step state, and for censored paths ``x_exit`` is the
+    running state at ``v_max`` (callers use it for analytic closure of
+    first-passage transforms).
     """
     if dv > DEFAULT_DV * (1.0 + 1e-12):
         raise ValueError(f"clock step dv={dv!r} violates the dv <= 1e-3 contract")

@@ -32,6 +32,7 @@ __all__ = [
     "HILL_FAST_PATH",
     "HILL_CEILING",
     "GROWTH_FLOOR",
+    "MIN_SAMPLES",
     "DivergenceEvidence",
     "hill_estimator",
     "growth_ratio",
@@ -50,6 +51,12 @@ HILL_CEILING = 1.10
 #: heaviest convergent catalog cells (growth <= 1.08): 1.22 splits the
 #: band with margin on both sides.
 GROWTH_FLOOR = 1.22
+
+#: Smallest anchor block of :func:`growth_ratio`, which needs three blocks.
+_MIN_BLOCK = 50
+
+#: Fewest samples a divergence verdict can be reached on: three anchor blocks.
+MIN_SAMPLES = 3 * _MIN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,7 @@ def growth_ratio(samples: np.ndarray, anchor_block: int | None = None) -> float:
     x = x[np.isfinite(x)]
     n = x.size
     if anchor_block is None:
-        anchor_block = max(n // 100, 50)
+        anchor_block = max(n // 100, _MIN_BLOCK)
     nb = n // anchor_block
     if nb < 3:
         raise ValueError("too few samples for a block anchor")

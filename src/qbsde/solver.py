@@ -32,18 +32,22 @@ from scipy import special
 from qbsde.core import (
     DEFAULT_DV,
     PathEnsemble,
+    default_gap,
     philox_stream,
     simulate_line_hit,
     simulate_two_sided_exit,
 )
 from qbsde.catalog import (
+    KINDS,
+    TRAITS,
     MprFunctionals,
     MprSpec,
     SigmaSampler,
     alpha_from_w_half,
+    clock_coefficients,
     evaluate_mpr,
 )
-from qbsde.heavytail import DivergenceEvidence, divergence_verdict
+from qbsde.heavytail import MIN_SAMPLES, DivergenceEvidence, divergence_verdict
 
 __all__ = [
     "OpportunityEstimate",
@@ -68,10 +72,6 @@ __all__ = [
     "optimizers",
     "driver_props",
 ]
-
-_HALF_T_KINDS = ("alpha_arccos", "sigma_gamma", "tilde", "scaled")
-_GRID_KINDS = ("zero", "constant", "reverting")
-_BOUNDED_QV_KINDS = ("zero", "constant")
 
 
 # ---------------------------------------------------------------------------
@@ -411,30 +411,24 @@ def _conditional_values(
     the construction allows it (undrifted exits), so profiles across a state
     grid are monotone up to shared-noise fluctuations only.
     """
+    entry = TRAITS[spec.kind].entry
+    if entry is None:
+        halft_kinds = tuple(k for k in KINDS if TRAITS[k].entry is not None)
+        raise ValueError(
+            f"kind {spec.kind!r} has no midpoint factorization; conditional "
+            f"estimates exist for kinds {halft_kinds}"
+        )
+    if q < 0.0 and n_inner < MIN_SAMPLES:
+        raise ValueError(
+            f"n_inner={n_inner!r}: a divergence verdict needs at least "
+            f"{MIN_SAMPLES} inner paths"
+        )
     T = spec.T
     cs = spec.c_scale
-    u_max = math.log(2.0**19)  # matches the default grid's clock depth scale
-    if spec.kind == "alpha_arccos":
-        alpha = alpha_from_w_half(w_half, T)
-        coeff = cs * math.pi * alpha / (2.0 * math.sqrt(-spec.q))
-        exits = simulate_two_sided_exit(
-            n_inner, dv=dv, u_max=u_max, seed=seed, stream=("cond-exit",)
-        )
-        expo = (
-            -q * coeff[:, None] * exits.x_exit[None, :]
-            - 0.5 * q * (coeff[:, None] ** 2) * exits.u_exit[None, :]
-        )
-        lb = None
-        if cs == 1.0:
-            lb = (
-                -math.pi * math.sqrt(-q) / 2.0
-                - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / T) * w_half))
-            ) / (1.0 - q)
-        return np.exp(expo), lb
-    if spec.kind == "sigma_gamma":
-        sampler = SigmaSampler(T)
-        _, u_sigma = sampler.from_w_half(w_half)
-        coeff = cs * math.pi / (2.0 * math.sqrt(-spec.q))
+    u_max = math.log((T / 2.0) / default_gap(T))  # the default grid's clock depth
+    if entry[0] == "u_sigma":
+        _, u_sigma = SigmaSampler(T).from_w_half(w_half)
+        coeff, _ = clock_coefficients(spec, cs=cs)
         ck = np.unique(u_sigma)
         exits = simulate_two_sided_exit(
             n_inner, dv=dv, u_max=u_max, seed=seed, stream=("cond-exit",),
@@ -447,13 +441,11 @@ def _conditional_values(
             u_eff = np.minimum(exits.u_exit, us)
             values[i] = np.exp(-q * coeff * x_at - 0.5 * q * coeff**2 * u_eff)
         return values, None
-    if spec.kind in ("tilde", "scaled"):
-        alpha = alpha_from_w_half(w_half, T)
-        unit_coeff = math.pi * alpha / math.sqrt(8.0)
-        coeff = cs * (unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff)
+    coeff, drift = clock_coefficients(spec, alpha_from_w_half(w_half, T), cs)
+    if drift is not None:
         values = np.empty((w_half.size, n_inner))
         for i in range(w_half.size):
-            mu = spec.b * unit_coeff[i]
+            mu = drift[i]
             exits = simulate_two_sided_exit(
                 n_inner, dv=dv, u_max=u_max, seed=seed,
                 stream=("cond-exit-drift", mu), drift=mu,
@@ -463,10 +455,20 @@ def _conditional_values(
                 -q * coeff[i] * bm - 0.5 * q * coeff[i] ** 2 * exits.u_exit
             )
         return values, None
-    raise ValueError(
-        f"kind {spec.kind!r} has no midpoint factorization; conditional "
-        f"estimates exist for kinds {_HALF_T_KINDS}"
+    exits = simulate_two_sided_exit(
+        n_inner, dv=dv, u_max=u_max, seed=seed, stream=("cond-exit",)
     )
+    expo = (
+        -q * coeff[:, None] * exits.x_exit[None, :]
+        - 0.5 * q * (coeff[:, None] ** 2) * exits.u_exit[None, :]
+    )
+    lb = None
+    if cs == 1.0:
+        lb = (
+            -math.pi * math.sqrt(-q) / 2.0
+            - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / T) * w_half))
+        ) / (1.0 - q)
+    return np.exp(expo), lb
 
 
 def psi_conditional_halfT(
@@ -634,7 +636,7 @@ def psi_path(
     value = np.exp(-q * (i1_T - node_i1) - 0.5 * q * (i2_T - node_i2))
 
     wiener = ensemble.wiener
-    clock_kind = spec.kind not in _GRID_KINDS
+    clock_kind = TRAITS[spec.kind].clock
     u_nodes = None
     if clock_kind:
         t_nodes = grid.nodes
@@ -698,7 +700,7 @@ def constant_closed_form_triple(
     Gaussian moment, the log opportunity process is deterministic and linear
     in time, and the martingale representation carries no ``dW`` term.
     """
-    if spec.kind not in ("constant", "zero"):
+    if not TRAITS[spec.kind].bounded:
         raise ValueError("closed-form triple exists for the constant and zero kinds")
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
@@ -762,8 +764,8 @@ def mult_rep(
     # obstruction rejects any c strictly below it.
     if c < xi_val:
         raise ValueError(
-            f"c={c!r} is below E[xi]={xi_val!r} - 3 SE: no supermartingale "
-            "representation exists for c < E[xi]"
+            f"c={c!r} is below E[xi]={xi_val!r} (exact for a constant xi): no "
+            "supermartingale representation exists for c < E[xi]"
         )
     grid = ensemble.grid
     T = grid.T
@@ -843,10 +845,11 @@ def continuum(
     """
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
-    if spec.kind not in _BOUNDED_QV_KINDS:
+    if not TRAITS[spec.kind].bounded:
+        bounded_kinds = tuple(k for k in KINDS if TRAITS[k].bounded)
         raise ValueError(
             f"kind {spec.kind!r} does not have pathwise-bounded quadratic "
-            f"exposure; the continuum construction needs one of {_BOUNDED_QV_KINDS}"
+            f"exposure; the continuum construction needs one of {bounded_kinds}"
         )
     if b_offset < 0.0:
         raise ValueError(f"b_offset must be nonnegative, got {b_offset!r}")

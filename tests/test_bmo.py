@@ -274,3 +274,15 @@ def test_classify_exponent_interval_when_requested(ens_mid):
 def test_classify_rejects_q_at_one(ens_small):
     with pytest.raises(ValueError):
         classify(mpr_zero(), 1.0, ens_small)
+
+
+def test_bootstrap_chunks_match_one_shot_draw():
+    from qbsde.bmo import _BOOT_CHUNK, _bootstrap_upper
+    from qbsde.core import philox_stream
+
+    samples = philox_stream(11, "boot-test").exponential(size=301)
+    n_boot = 4 * _BOOT_CHUNK + 17  # several full chunks and a partial one
+    idx = philox_stream(11, "boot").integers(0, samples.size, size=(n_boot, samples.size))
+    one_shot = float(np.quantile(samples[idx].mean(axis=1), 0.999))
+    chunked = _bootstrap_upper(samples, philox_stream(11, "boot"), n_boot=n_boot)
+    assert chunked == one_shot

@@ -1,6 +1,7 @@
 """Premium catalog: threshold formula, constructors, functional evaluation."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import special, stats
 
 from qbsde import (
     KINDS,
+    TRAITS,
     SigmaSampler,
     alpha_from_w_half,
     evaluate_mpr,
@@ -23,8 +25,14 @@ from qbsde import (
     mpr_zero,
     mvt_terminal,
     scaled_params,
-    spec_from_kv,
-    spec_to_kv,
+)
+from qbsde.bmo import _spec_record
+from qbsde.cli import ExperimentConfig, build_spec
+from qbsde.solver import (
+    constant_closed_form_triple,
+    continuum,
+    lambda_at_nodes,
+    psi_conditional_halfT,
 )
 
 
@@ -52,7 +60,7 @@ def test_kq_threshold_rejects_nonnegative_q():
 
 
 # ---------------------------------------------------------------------------
-# Spec constructors and serialization
+# Spec constructors
 # ---------------------------------------------------------------------------
 
 
@@ -89,21 +97,6 @@ def test_with_scale_returns_new_frozen_spec():
 def test_constructor_domain_validation(build):
     with pytest.raises(ValueError):
         build()
-
-
-def test_spec_kv_roundtrip():
-    for spec in [mpr_zero(), mpr_constant(0.7, T=2.0), mpr_nosol(-2.0).with_scale(1.5),
-                 mpr_tilde(0.5), mpr_scaled(-1.0, 0.9, 1.1)]:
-        back, seed = spec_from_kv(spec_to_kv(spec, seed=99))
-        assert back == spec
-        assert seed == 99
-
-
-def test_spec_kv_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown key"):
-        spec_from_kv("kind = zero\nwhatever = 3\n")
-    with pytest.raises(ValueError, match="kind"):
-        spec_from_kv("T = 1.0\n")
 
 
 def test_scaled_params_modes():
@@ -281,3 +274,47 @@ def test_node_tracks_cumulate_to_terminal(ens_small, grid):
     # final checkpoint rounding.
     gap = np.abs(fn_clock.node_int2[:, -1] - fn_clock.int_lam2)
     assert float(np.median(gap)) < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The kind trait table against the behaviour it describes
+# ---------------------------------------------------------------------------
+
+_A, _B = scaled_params(-1.0, mode="critical")
+_SPECS = {
+    "zero": mpr_zero(), "constant": mpr_constant(0.5), "reverting": mpr_reverting(),
+    "nosol": mpr_nosol(-1.0), "alpha_arccos": mpr_alpha_arccos(-1.0),
+    "sigma_gamma": mpr_sigma_gamma(-1.0), "tilde": mpr_tilde(_B),
+    "scaled": mpr_scaled(-1.0, _A, _B),
+}
+
+
+def _rejects(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trait_table_matches_behaviour(kind, ens_small):
+    traits, spec = TRAITS[kind], _SPECS[kind]
+    entry = None if traits.entry is None else traits.entry[0]
+    fn = evaluate_mpr(spec, ens_small)
+    assert (fn.alpha is not None) == (entry == "alpha")
+    assert (fn.u_sigma is not None) == (entry == "u_sigma")
+    # Independent of the table: a bounded kind's exposure is deterministic.
+    assert (float(np.ptp(fn.int_lam2)) == 0.0) == traits.bounded
+
+    assert _rejects(lambda: psi_conditional_halfT(spec, -1.0, 0.0, n_inner=200,
+                                                  seed=7)) == (entry is None)
+    assert _rejects(lambda: continuum(spec, -1.0, 0.0, ens_small)) == (not traits.bounded)
+    assert _rejects(lambda: constant_closed_form_triple(spec, -1.0, ens_small)) == (
+        not traits.bounded)
+    assert _rejects(lambda: lambda_at_nodes(spec, ens_small)) == traits.clock
+
+    # Every field set: build_spec must pass on only the kind's own.
+    cfg = ExperimentConfig(suite="classify", out=Path("unused"), spec_kind=kind,
+                           spec_q=-1.0, spec_level=0.5, spec_a=_A, spec_b=_B)
+    assert _spec_record(build_spec(cfg)) == _spec_record(spec)

@@ -92,7 +92,7 @@ def test_parse_minimal_defaults(tmp_path):
     ("[run]\nsuite = table2\n\n[bogus]\nx = 1\n", 4, "unknown section"),
     ("[run]\nsuite = table2\nspeed = 3\n", 3, "unknown key"),
     ("[run]\nsuite = table2\n\n[ensemble]\nn_paths = soon\n", 5, "cannot parse"),
-    ("[run]\nsuite = table2\n\n[ensemble]\nn_paths = 10\n", 5, "at least 100"),
+    ("[run]\nsuite = table2\n\n[ensemble]\nn_paths = 10\n", 5, "at least 150"),
     ("[run]\nsuite = warp\n", 2, "unknown suite"),
     ("[run]\nsuite = table2\n\n[ensemble]\nseeds = 5 5\n", 5, "distinct"),
     ("[run]\nsuite = table2\n\n[ensemble]\nT = 0\n", 5, "positive"),
@@ -444,6 +444,16 @@ def test_run_usage_errors_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, "[run]\nsuite = figure-kq\n")
     assert run_cli(["run", "--config", cfg] + extra) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_rejects_paths_below_the_divergence_floor(tmp_path, capsys):
+    # 149 paths cannot fill the three 50-sample anchor blocks of a verdict.
+    cfg = write_config(tmp_path, "[run]\nsuite = classify\n\n[spec]\n"
+                                 "kind = sigma_gamma\nq = -1.0\n")
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", cfg, "--paths", 149, "--out", out]) == 2
+    assert "--paths: need at least 150 paths" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
 
 
 def test_run_config_error_exit_2(tmp_path, capsys):
