@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import optimize
 
-from qbsde.core import DEFAULT_DV, PathEnsemble, philox_stream
+from qbsde.core import PathEnsemble, philox_stream
 from qbsde.catalog import (
     TRAITS,
     MprFunctionals,
@@ -91,6 +91,17 @@ def _spec_record(spec: MprSpec) -> dict:
 
 #: Minimum samples per conditional bin.
 MIN_BIN = 200
+#: Maximum number of equal-count bins per family member.
+MAX_BINS = 50
+#: Bins per family member in the tail-decision cells of the dynamic moments.
+DYN_BINS = 8
+#: Probe ladder of :func:`critical_exponent`: the orders ``K_MIN * 2**j`` up
+#: to ``K_MAX``, then geometric bisection until the bracket ratio reaches
+#: ``STOP_RATIO`` or ``MAX_ITER`` steps have run.
+K_MIN = 1.0 / 16.0
+K_MAX = 64.0
+STOP_RATIO = 1.25
+MAX_ITER = 12
 #: Mass of each edge bin pinned to the boundary of the conditioning state.
 EDGE_FRACTION = 0.025
 #: Minimum edge-bin size; below this the edge estimator is pure noise.
@@ -111,7 +122,7 @@ SLOPE_TOL = 0.4
 # ---------------------------------------------------------------------------
 
 
-def kq_numeric(q: float, *, xatol: float = 1e-13) -> float:
+def kq_numeric(q: float) -> float:
     """Boundedness threshold by direct minimization over the split parameter.
 
     Minimizes ``(q^2 (1-q)/e - q + 2 q^2 - q e) / 2`` over ``e > 0``; the
@@ -128,7 +139,7 @@ def kq_numeric(q: float, *, xatol: float = 1e-13) -> float:
     scale = math.sqrt(q * q - q)
     res = optimize.minimize_scalar(
         objective, bounds=(1e-8 * scale, 50.0 * scale), method="bounded",
-        options={"xatol": xatol},
+        options={"xatol": 1e-13},
     )
     return float(res.fun)
 
@@ -283,10 +294,9 @@ def _cells_from_stat(
     return cells or [cell(None, math.nan)]
 
 
-def _grid_member_indices(ensemble: PathEnsemble, times: list[float] | None) -> list[int]:
+def _grid_member_indices(ensemble: PathEnsemble) -> list[int]:
     grid = ensemble.grid
-    if times is None:
-        times = [0.0, grid.T / 4.0, grid.T / 2.0, 3.0 * grid.T / 4.0]
+    times = [0.0, grid.T / 4.0, grid.T / 2.0, 3.0 * grid.T / 4.0]
     idx = sorted({int(np.argmin(np.abs(grid.nodes - t))) for t in times})
     return [k for k in idx if k < grid.n_nodes - 1]
 
@@ -299,6 +309,32 @@ def _late_member_indices(ensemble: PathEnsemble, n_members: int = 4) -> list[int
         return []
     step = max(1, (last - first) // max(1, n_members - 1))
     return sorted(set(range(first, last + 1, step)))
+
+
+def _measure_functionals(
+    spec: MprSpec,
+    ensemble: PathEnsemble,
+    measure: str,
+    functionals: MprFunctionals | None,
+) -> MprFunctionals:
+    """``functionals`` checked against ``measure``, or evaluated under it.
+
+    ``"physical"`` evaluates with node tracks; ``"tilted"`` evaluates a
+    drifted-clock kind under its own tilt.
+    """
+    if measure not in ("physical", "tilted"):
+        raise ValueError(
+            f"unknown measure {measure!r}; expected 'physical' or 'tilted'")
+    if functionals is None:
+        if measure == "tilted":
+            return evaluate_tilde_under_tilted(spec, ensemble)
+        return evaluate_mpr(spec, ensemble, need_nodes=True)
+    if functionals.measure != measure:
+        raise ValueError(
+            f"{measure} evaluation requires {measure} functionals, "
+            f"got {functionals.measure} ones"
+        )
+    return functionals
 
 
 def _require_nodes(fn: MprFunctionals) -> None:
@@ -322,7 +358,6 @@ def _exposure_cells(
     *,
     min_bin: int,
     max_bins: int,
-    stop_family: list[float] | None = None,
     add_edges: bool = False,
 ) -> list[BinCell]:
     """Remaining-exposure samples ``int_t^T lambda^2 ds`` per family member.
@@ -343,7 +378,7 @@ def _exposure_cells(
 
     if not TRAITS[spec.kind].clock:
         _require_nodes(fn)
-        for k in _grid_member_indices(ensemble, stop_family):
+        for k in _grid_member_indices(ensemble):
             t = float(grid.nodes[k])
             remaining = total - cs2 * fn.node_int2[:, k]
             stat = None if k == 0 else ensemble.wiener[:, k]
@@ -365,10 +400,9 @@ def _exposure_cells(
 
     if fn.node_int2 is not None and fn.clock is not None:
         first_late = grid.half_index + 1
-        v_nodes = np.log((grid.T / 2.0) / (grid.T - grid.nodes[first_late:]))
         for k in _late_member_indices(ensemble):
             j = k - first_late
-            alive = fn.u_kill > v_nodes[j]
+            alive = fn.u_kill > grid.clock_nodes[j]
             if np.count_nonzero(alive) < min_bin:
                 continue
             t = float(grid.nodes[k])
@@ -476,18 +510,15 @@ class NormEstimate:
 def bmo_norm(
     spec: MprSpec,
     ensemble: PathEnsemble,
-    stop_family: list[float] | None = None,
     *,
     functionals: MprFunctionals | None = None,
-    dv: float = DEFAULT_DV,
-    min_bin: int = MIN_BIN,
-    max_bins: int = 50,
+    max_bins: int = MAX_BINS,
 ) -> NormEstimate:
     """Binned-conditional estimate of the squared BMO2 norm.
 
-    ``stop_family`` optionally lists deterministic times to condition at
-    (snapped to grid nodes); clock constructions always add their entry time
-    and later clock-line times.  The max bin plus a 99.9% bootstrap upper
+    Grid-resident kinds condition at the grid nodes nearest ``0, T/4, T/2,
+    3T/4``; clock constructions condition at ``0``, their entry time and
+    later clock-line times.  The max bin plus a 99.9% bootstrap upper
     confidence value estimate the family sup; for the mean-reverting premium
     a linear-growth check against the analytic slope flags "not BMO".
     """
@@ -497,10 +528,9 @@ def bmo_norm(
             family=["t=0"], exact=True,
         )
     fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, dv=dv, need_nodes=True
+        spec, ensemble, need_nodes=True
     )
-    cells = _exposure_cells(spec, ensemble, fn, min_bin=min_bin,
-                            max_bins=max_bins, stop_family=stop_family)
+    cells = _exposure_cells(spec, ensemble, fn, min_bin=MIN_BIN, max_bins=max_bins)
     family = sorted({c.member for c in cells})
 
     if spec.kind == "constant":
@@ -625,16 +655,11 @@ class DynMoment:
 
 
 def _dyn_cells(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    fn: MprFunctionals,
-    *,
-    n_bins: int,
-    min_bin: int,
+    spec: MprSpec, ensemble: PathEnsemble, fn: MprFunctionals
 ) -> list[BinCell]:
     """Exposure cells sized for tail decisions (few large bins)."""
-    big_bin = max(min_bin, ensemble.n_paths // (2 * n_bins))
-    return _exposure_cells(spec, ensemble, fn, min_bin=big_bin, max_bins=n_bins,
+    big_bin = max(MIN_BIN, ensemble.n_paths // (2 * DYN_BINS))
+    return _exposure_cells(spec, ensemble, fn, min_bin=big_bin, max_bins=DYN_BINS,
                            add_edges=True)
 
 
@@ -645,9 +670,6 @@ def dyn_exp_moment(
     *,
     measure: str = "physical",
     functionals: MprFunctionals | None = None,
-    dv: float = DEFAULT_DV,
-    n_bins: int = 8,
-    min_bin: int = MIN_BIN,
     _cells: list[BinCell] | None = None,
 ) -> DynMoment:
     """Family-restricted dynamic exponential moment of order ``k``.
@@ -661,19 +683,8 @@ def dyn_exp_moment(
     if not k > 0.0:
         raise ValueError(f"moment order must be positive, got {k!r}")
     if _cells is None:
-        if measure == "tilted":
-            fn = functionals if functionals is not None else evaluate_tilde_under_tilted(
-                spec, ensemble, dv=dv
-            )
-            if fn.measure != "tilted":
-                raise ValueError("tilted evaluation requires tilted functionals")
-        elif measure == "physical":
-            fn = functionals if functionals is not None else evaluate_mpr(
-                spec, ensemble, dv=dv, need_nodes=True
-            )
-        else:
-            raise ValueError(f"unknown measure {measure!r}")
-        exp_cells = _dyn_cells(spec, ensemble, fn, n_bins=n_bins, min_bin=min_bin)
+        fn = _measure_functionals(spec, ensemble, measure, functionals)
+        exp_cells = _dyn_cells(spec, ensemble, fn)
     else:
         exp_cells = _cells
 
@@ -729,7 +740,7 @@ def dyn_exp_moment(
 class CriticalExponent:
     """Bisection bracket ``[lo, hi]`` for the critical moment order.
 
-    ``infinite`` is set when no probed order up to ``k_max`` diverges; the
+    ``infinite`` is set when no probed order up to ``K_MAX`` diverges; the
     probes (order, sup-estimate, diverged) are kept as the moment table.
     """
 
@@ -760,35 +771,22 @@ def critical_exponent(
     *,
     measure: str = "physical",
     functionals: MprFunctionals | None = None,
-    dv: float = DEFAULT_DV,
-    k_min: float = 1.0 / 16.0,
-    k_max: float = 64.0,
-    stop_ratio: float = 1.25,
-    max_iter: int = 12,
-    n_bins: int = 8,
 ) -> CriticalExponent:
     """Bracket the critical exponential-moment order by bisection.
 
-    Geometric probe ladder from ``k_min`` up to ``k_max``; on the first
+    Geometric probe ladder from ``K_MIN`` up to ``K_MAX``; on the first
     diverged order, geometric bisection between the last finite and first
-    diverged order until the bracket ratio reaches ``stop_ratio`` (or the
-    iteration cap - heavy-tail Monte Carlo cannot resolve the threshold
+    diverged order until the bracket ratio reaches ``STOP_RATIO`` (or
+    ``MAX_ITER`` steps - heavy-tail Monte Carlo cannot resolve the threshold
     finer at this scale).  All probes reuse one set of exposure cells, so
     the recorded moment table is exactly monotone in the order.
     """
-    if measure == "tilted":
-        fn = functionals if functionals is not None else evaluate_tilde_under_tilted(
-            spec, ensemble, dv=dv
-        )
-    else:
-        fn = functionals if functionals is not None else evaluate_mpr(
-            spec, ensemble, dv=dv, need_nodes=True
-        )
+    fn = _measure_functionals(spec, ensemble, measure, functionals)
     # The critical order is set by the full remaining exposure; later
     # members condition on survival and can only be lighter.  Keeping the
     # t <= T/2 members concentrates the samples where the decision lives and
     # avoids noise-driven flips in near-threshold cells.
-    cells = [c for c in _dyn_cells(spec, ensemble, fn, n_bins=n_bins, min_bin=MIN_BIN)
+    cells = [c for c in _dyn_cells(spec, ensemble, fn)
              if c.time <= ensemble.grid.T / 2.0 + 1e-12]
 
     probes: dict[float, DynMoment] = {}
@@ -796,16 +794,15 @@ def critical_exponent(
     def probe(k: float) -> DynMoment:
         if k not in probes:
             probes[k] = dyn_exp_moment(
-                spec, ensemble, k, measure=measure, functionals=fn, dv=dv,
-                n_bins=n_bins, _cells=cells,
+                spec, ensemble, k, measure=measure, functionals=fn, _cells=cells,
             )
         return probes[k]
 
     # Geometric ladder up.
     lo = None
     hi = None
-    k = k_min
-    while k <= k_max * (1.0 + 1e-12):
+    k = K_MIN
+    while k <= K_MAX * (1.0 + 1e-12):
         dm = probe(k)
         if dm.diverged:
             hi = k
@@ -814,11 +811,11 @@ def critical_exponent(
         k *= 2.0
     if hi is None:
         rows = sorted((p.as_row() for p in probes.values()), key=lambda r: r[0])
-        return CriticalExponent(lo=lo if lo is not None else k_max, hi=math.inf,
+        return CriticalExponent(lo=lo if lo is not None else K_MAX, hi=math.inf,
                                 infinite=True, probes=rows)
     if lo is None:
         # Even the smallest ladder order diverged; walk down for a floor.
-        k = k_min / 2.0
+        k = K_MIN / 2.0
         for _ in range(6):
             dm = probe(k)
             if not dm.diverged:
@@ -831,8 +828,8 @@ def critical_exponent(
             return CriticalExponent(lo=0.0, hi=hi, infinite=False, probes=rows)
 
     # Geometric bisection.
-    for _ in range(max_iter):
-        if hi / lo <= stop_ratio:
+    for _ in range(MAX_ITER):
+        if hi / lo <= STOP_RATIO:
             break
         mid = math.sqrt(lo * hi)
         if probe(mid).diverged:
@@ -883,9 +880,6 @@ def john_nirenberg_check(
     *,
     functionals: MprFunctionals | None = None,
     norm: NormEstimate | None = None,
-    dv: float = DEFAULT_DV,
-    min_bin: int = MIN_BIN,
-    max_bins: int = 50,
 ) -> JnCheck:
     """Check ``E[exp(remaining)|bin] <= 1/(1 - norm^2) + 3 SE`` per cell.
 
@@ -896,10 +890,9 @@ def john_nirenberg_check(
         return JnCheck(status="pass", norm_sq=0.0, bound=1.0, max_violation=0.0,
                        cells=[], note="zero premium: both sides are exactly 1")
     fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, dv=dv, need_nodes=True
+        spec, ensemble, need_nodes=True
     )
-    nrm = norm if norm is not None else bmo_norm(spec, ensemble, functionals=fn,
-                                                 min_bin=min_bin, max_bins=max_bins)
+    nrm = norm if norm is not None else bmo_norm(spec, ensemble, functionals=fn)
     if not nrm.estimate < 1.0:
         return JnCheck(
             status="skipped", norm_sq=nrm.estimate, bound=math.inf,
@@ -907,7 +900,7 @@ def john_nirenberg_check(
             note="squared-norm estimate >= 1: smallness precondition fails",
         )
     bound = 1.0 / (1.0 - nrm.estimate)
-    exp_cells = _exposure_cells(spec, ensemble, fn, min_bin=min_bin, max_bins=max_bins)
+    exp_cells = _exposure_cells(spec, ensemble, fn, min_bin=MIN_BIN, max_bins=MAX_BINS)
     cells = []
     worst = -math.inf
     for c in exp_cells:
@@ -967,7 +960,6 @@ def _rh_cells(
     q: float,
     *,
     min_bin: int,
-    max_bins: int,
 ) -> list[BinCell]:
     """Conditional tail-power samples over the family.
 
@@ -988,12 +980,12 @@ def _rh_cells(
         return np.exp(np.minimum(-q * r1 - 0.5 * q * r2, 700.0))
 
     if not TRAITS[spec.kind].clock:
-        for k in _grid_member_indices(ensemble, None):
+        for k in _grid_member_indices(ensemble):
             t = float(grid.nodes[k])
             stat = None if k == 0 else ensemble.wiener[:, k]
             cells.extend(_cells_from_stat(
                 f"t={t:.4g}", "driver-value", stat, tail_power(k), t,
-                min_bin=min_bin, max_bins=max_bins,
+                min_bin=min_bin, max_bins=MAX_BINS,
             ))
         return cells
 
@@ -1002,13 +994,12 @@ def _rh_cells(
     entry_stat, entry_name = _entry_stat(spec, fn)
     cells.extend(_cells_from_stat(
         f"t={half_t:.4g} (entry)", entry_name, entry_stat,
-        fn.summand_power(q), half_t, min_bin=min_bin, max_bins=max_bins,
+        fn.summand_power(q), half_t, min_bin=min_bin, max_bins=MAX_BINS,
     ))
     first_late = grid.half_index + 1
-    v_nodes = np.log((grid.T / 2.0) / (grid.T - grid.nodes[first_late:]))
     for k in _late_member_indices(ensemble, n_members=2):
         j = k - first_late
-        alive = fn.u_kill > v_nodes[j]
+        alive = fn.u_kill > grid.clock_nodes[j]
         if np.count_nonzero(alive) < min_bin:
             continue
         t = float(grid.nodes[k])
@@ -1018,7 +1009,7 @@ def _rh_cells(
         else:
             stat, name = fn.clock.ckpt_pos[j][alive], "clock-position"
         cells.extend(_cells_from_stat(
-            f"t={t:.4g}", name, stat, vals, t, min_bin=min_bin, max_bins=max_bins,
+            f"t={t:.4g}", name, stat, vals, t, min_bin=min_bin, max_bins=MAX_BINS,
         ))
     return cells
 
@@ -1029,15 +1020,13 @@ def reverse_holder(
     ensemble: PathEnsemble,
     *,
     functionals: MprFunctionals | None = None,
-    dv: float = DEFAULT_DV,
-    min_bin: int | None = None,
-    max_bins: int = 50,
 ) -> RhCheck:
     """Binned conditional reverse-Holder estimates over the stopping family.
 
     Defined for ``q < 1`` (the classical statement has ``q < 0``; for
     ``q`` in ``(0, 1)`` the same conditional means are bounded by 1 via
-    Jensen and the check extends verbatim).  Three evidence channels feed
+    Jensen and the check extends verbatim).  Bins hold at least
+    ``max(MIN_BIN, n_paths // 50)`` samples.  Three evidence channels feed
     the verdict: growth of extreme bins along the conditioning grid, tail
     divergence of the strongest cell, and stability of the max bin between
     the half and full sample.
@@ -1049,11 +1038,10 @@ def reverse_holder(
                        state_ratio=1.0, instability=0.0,
                        note="zero premium: conditional means are exactly 1")
     fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, dv=dv, need_nodes=True
+        spec, ensemble, need_nodes=True
     )
-    if min_bin is None:
-        min_bin = max(MIN_BIN, ensemble.n_paths // 50)
-    cells = _rh_cells(spec, ensemble, fn, q, min_bin=min_bin, max_bins=max_bins)
+    min_bin = max(MIN_BIN, ensemble.n_paths // 50)
+    cells = _rh_cells(spec, ensemble, fn, q, min_bin=min_bin)
     best = max(cells, key=lambda c: c.mean)
 
     # (i) tail divergence of the strongest cell.
@@ -1164,8 +1152,6 @@ def apriori_bound(
     ensemble: PathEnsemble,
     *,
     functionals: MprFunctionals | None = None,
-    dv: float = DEFAULT_DV,
-    degree: int = 3,
 ) -> AprioriCheck:
     """A priori solution bounds for exposure powers ``q`` in ``[0, 1)``.
 
@@ -1184,7 +1170,7 @@ def apriori_bound(
             note="q=0: the solution is exactly zero and both bounds are 0",
         )
     fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, dv=dv, need_nodes=True
+        spec, ensemble, need_nodes=True
     )
     eps0 = default_eps0(q)
     c_q = 0.5 * max(q * (q - eps0) / eps0, q / (1.0 - q))
@@ -1201,7 +1187,7 @@ def apriori_bound(
         )
     upper = -math.log(1.0 - gamma_tilde * eta_sq) / gamma_tilde
 
-    triple = psi_path(spec, q, ensemble, dv=dv, degree=degree)
+    triple = psi_path(spec, q, ensemble)
     psi_curve = triple.psi.mean(axis=0)
     se_curve = triple.psi.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
     cs2 = spec.c_scale * spec.c_scale
@@ -1267,24 +1253,15 @@ def bmo_report(
     q: float | None = None,
     measure: str = "physical",
     functionals: MprFunctionals | None = None,
-    stop_family: list[float] | None = None,
-    dv: float = DEFAULT_DV,
-    k_max: float = 64.0,
 ) -> BmoReport:
-    """Assemble the norm estimate, moment table, and critical bracket."""
-    if measure == "physical":
-        fn = functionals if functionals is not None else evaluate_mpr(
-            spec, ensemble, dv=dv, need_nodes=True
-        )
-    else:
-        fn = functionals if functionals is not None else evaluate_tilde_under_tilted(
-            spec, ensemble, dv=dv
-        )
-    norm = (bmo_norm(spec, ensemble, stop_family, functionals=fn, dv=dv)
-            if measure == "physical" else
-            bmo_norm(spec, ensemble, stop_family, dv=dv))
-    ce = critical_exponent(spec, ensemble, measure=measure, functionals=fn,
-                           dv=dv, k_max=k_max)
+    """Assemble the norm estimate, moment table, and critical bracket.
+
+    The norm is always estimated under the physical measure.
+    """
+    fn = _measure_functionals(spec, ensemble, measure, functionals)
+    norm = (bmo_norm(spec, ensemble, functionals=fn) if measure == "physical"
+            else bmo_norm(spec, ensemble))
+    ce = critical_exponent(spec, ensemble, measure=measure, functionals=fn)
     return BmoReport(
         norm=norm, moments=ce.probes, exponent=ce,
         k_q=kq_threshold(q) if q is not None and q < 0.0 else None,
@@ -1323,23 +1300,17 @@ class Classification:
         }
 
 
-def _profile_growth(
-    spec: MprSpec,
-    q: float,
-    *,
-    n_inner: int,
-    seed: int,
-    dv: float,
-) -> tuple[bool, dict]:
+def _profile_growth(spec: MprSpec, q: float) -> tuple[bool, dict]:
     """Midpoint conditional-mean growth across a symmetric state grid.
 
     Compares ``exp((1-q) Psi_{T/2})`` at the grid edges against the median
     state; a diverged edge state or an edge/median ratio past the growth
-    threshold is unboundedness evidence.
+    threshold is unboundedness evidence.  The profile runs at
+    :func:`~qbsde.solver.psi_conditional_profile`'s default inner size and
+    seed.
     """
     grid = np.array([-2.5, -1.25, 0.0, 1.25, 2.5]) * math.sqrt(spec.T / 2.0)
-    estimates = psi_conditional_profile(spec, q, grid, n_inner=n_inner,
-                                        seed=seed, dv=dv)
+    estimates = psi_conditional_profile(spec, q, grid)
     inner = []
     any_diverged = False
     for est in estimates:
@@ -1365,9 +1336,6 @@ def classify(
     q: float,
     ensemble: PathEnsemble,
     *,
-    dv: float = DEFAULT_DV,
-    n_inner: int = 4096,
-    profile_seed: int = 90210,
     with_exponent: bool = True,
 ) -> Classification:
     """Classify the (spec, q) pair into the three solution regimes.
@@ -1382,7 +1350,7 @@ def classify(
     if q >= 1.0:
         raise ValueError(f"classification covers q < 1, got {q!r}")
     evidence: list[dict] = []
-    fn = evaluate_mpr(spec, ensemble, dv=dv, need_nodes=True)
+    fn = evaluate_mpr(spec, ensemble, need_nodes=True)
 
     est = psi_unconditional(spec, q, ensemble, functionals=fn)
     ev = est.evidence
@@ -1398,7 +1366,7 @@ def classify(
     exponent = None
     side = None
     if with_exponent:
-        ce = critical_exponent(spec, ensemble, functionals=fn, dv=dv)
+        ce = critical_exponent(spec, ensemble, functionals=fn)
         exponent = (ce.lo, math.inf if ce.infinite else ce.hi)
         if k_q is not None:
             if exponent[1] < k_q:
@@ -1420,7 +1388,7 @@ def classify(
             spec_record=_spec_record(spec), q=q,
         )
 
-    rh = reverse_holder(spec, q, ensemble, functionals=fn, dv=dv)
+    rh = reverse_holder(spec, q, ensemble, functionals=fn)
     evidence.append({
         "test": "reverse-holder",
         "outcome": rh.verdict,
@@ -1445,8 +1413,7 @@ def classify(
 
     grows = False
     if TRAITS[spec.kind].entry is not None:
-        grows, detail = _profile_growth(spec, q, n_inner=n_inner,
-                                        seed=profile_seed, dv=dv)
+        grows, detail = _profile_growth(spec, q)
         evidence.append({
             "test": "midpoint-conditional-growth",
             "outcome": "growing" if grows else "stable",

@@ -42,7 +42,6 @@ on the raw time grid.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -50,7 +49,6 @@ import numpy as np
 from scipy import integrate, special
 
 from qbsde.core import (
-    DEFAULT_DV,
     ClockExits,
     PathEnsemble,
     PathFunctionals,
@@ -424,45 +422,10 @@ class MprFunctionals:
         return np.exp(-b * i1 - 0.5 * b * b * i2)
 
 
-_EXIT_CACHE: OrderedDict[tuple, ClockExits] = OrderedDict()
-_EXIT_CACHE_MAX = 6
-
-
-def _driftless_exits(
-    ensemble: PathEnsemble, dv: float, checkpoints: np.ndarray | None
-) -> ClockExits:
-    ck_key = None if checkpoints is None else tuple(np.round(checkpoints, 12))
-    key = (ensemble.seed, ensemble.n_paths, dv, round(ensemble.grid.clock_depth, 12), ck_key)
-    hit = _EXIT_CACHE.get(key)
-    if hit is not None:
-        _EXIT_CACHE.move_to_end(key)
-        return hit
-    exits = simulate_two_sided_exit(
-        ensemble.n_paths,
-        dv=dv,
-        u_max=ensemble.grid.clock_depth,
-        seed=ensemble.seed,
-        stream=("hit", 0.0),
-        checkpoints=checkpoints,
-    )
-    _EXIT_CACHE[key] = exits
-    while len(_EXIT_CACHE) > _EXIT_CACHE_MAX:
-        _EXIT_CACHE.popitem(last=False)
-    return exits
-
-
-def _node_clock_images(ensemble: PathEnsemble) -> np.ndarray:
-    """Clock images ``log((T/2)/(T-t))`` of the grid nodes after ``T/2``."""
-    grid = ensemble.grid
-    t_late = grid.nodes[grid.half_index + 1 :]
-    return np.log((grid.T / 2.0) / (grid.T - t_late))
-
-
 def evaluate_mpr(
     spec: MprSpec,
     ensemble: PathEnsemble,
     *,
-    dv: float = DEFAULT_DV,
     need_nodes: bool = False,
 ) -> MprFunctionals:
     """Evaluate a catalog spec along an ensemble.
@@ -471,7 +434,9 @@ def evaluate_mpr(
     bridge-corrected clock engine on an independent stream keyed by the
     ensemble seed (legitimate because the post-midpoint driver increments
     are independent of the midpoint state, whose functionals ``alpha`` /
-    ``sigma`` are computed from the stored ensemble bit-exactly).
+    ``sigma`` are computed from the stored ensemble bit-exactly).  The
+    undrifted, uncut kinds read the ensemble's shared
+    :attr:`~qbsde.core.PathEnsemble.clock_exit`.
     """
     if spec.T != ensemble.grid.T:
         raise ValueError(
@@ -512,7 +477,7 @@ def evaluate_mpr(
         )
 
     # --- clock kinds ------------------------------------------------------
-    checkpoints = _node_clock_images(ensemble) if need_nodes else None
+    checkpoints = grid.clock_nodes if need_nodes else None
     entry = TRAITS[spec.kind].entry
     alpha = alpha_from_w_half(w_half, grid.T) if entry == _ARCCOS else None
     sigma = u_sigma = None
@@ -525,7 +490,6 @@ def evaluate_mpr(
     if u_sigma is not None:
         exits = simulate_two_sided_exit(
             n,
-            dv=dv,
             u_max=grid.clock_depth,
             seed=ensemble.seed,
             stream=("hit-cut",),
@@ -535,7 +499,6 @@ def evaluate_mpr(
     elif drift is not None:
         exits = simulate_two_sided_exit(
             n,
-            dv=dv,
             u_max=grid.clock_depth,
             seed=ensemble.seed,
             stream=("hit-drift", spec.b),
@@ -543,7 +506,7 @@ def evaluate_mpr(
             checkpoints=checkpoints,
         )
     else:
-        exits = _driftless_exits(ensemble, dv, checkpoints)
+        exits = ensemble.clock_exit
 
     u_kill = exits.u_exit
     # Brownian-part state at the kill time: the engine's state minus the
@@ -584,7 +547,7 @@ def evaluate_mpr(
 
 
 def evaluate_tilde_under_tilted(
-    spec: MprSpec, ensemble: PathEnsemble, *, dv: float = DEFAULT_DV
+    spec: MprSpec, ensemble: PathEnsemble
 ) -> MprFunctionals:
     """Evaluate a drifted-clock spec under its tilted measure.
 
@@ -598,7 +561,7 @@ def evaluate_tilde_under_tilted(
         raise ValueError("tilted evaluation exists only for the drifted-clock kinds")
     alpha = alpha_from_w_half(ensemble.w_half, ensemble.grid.T)
     coeff, _ = clock_coefficients(spec, alpha)
-    exits = _driftless_exits(ensemble, dv, None)
+    exits = ensemble.clock_exit
     u_kill = exits.u_exit
     return MprFunctionals(
         spec=spec,

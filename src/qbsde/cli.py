@@ -680,9 +680,17 @@ def run_command(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _read_nonempty(path: Path, key: str) -> dict:
+    """Read an artifact whose ``key`` list the checks need non-empty."""
+    artifact = _read_json(path)
+    if not artifact[key]:
+        raise ConfigError(f"{path}: {key!r} is empty")
+    return artifact
+
+
 _ARTIFACT_CHECKERS = {
-    "table2.json": lambda p: check_table2(_read_json(p)),
-    "continuum.json": lambda p: check_continuum(_read_json(p)),
+    "table2.json": lambda p: check_table2(_read_nonempty(p, "seeds")),
+    "continuum.json": lambda p: check_continuum(_read_nonempty(p, "rows")),
     "classify.json": lambda p: check_classify(_read_json(p)),
 }
 

@@ -6,14 +6,14 @@ This module owns every primitive the rest of the package simulates with:
   toward the horizon ``T`` (truncated at ``T - gap``),
 * Brownian increment ensembles driven by counter-based Philox streams so a
   fixed ``(seed, grid, n_paths)`` triple reproduces bit-identical paths,
-* left-endpoint Ito integration, stochastic exponentials and Girsanov
-  reweighting diagnostics,
+* left-endpoint Ito integration,
 * a vectorized Euler engine (with Brownian-bridge crossing correction) for
   the logarithmic clock ``u = log((T/2)/(T-t))``, in which the singular
   integrands used by the market-price-of-risk catalog become unit-rate
   Brownian motions, and the analogous engine for one-sided line crossings
   in the clock ``v = t/(T(T-t))``,
-* a documented binary container for path ensembles.
+* each ensemble's driftless clock exit, simulated once and shared by every
+  construction that reads it.
 
 Integrands proportional to ``1/sqrt(T-t)`` or ``1/(T-t)`` are never summed on
 the raw time grid near ``T``; they are always evaluated through the clock
@@ -37,18 +37,12 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "PathFunctionals",
-    "GirsanovCheck",
     "ClockExits",
     "HittingClock",
     "build_grid",
     "default_gap",
     "sample_paths",
-    "save_ensemble",
-    "load_ensemble",
     "ito_integral",
-    "stoch_exponential",
-    "two_time_ratio",
-    "girsanov_weights",
     "philox_stream",
     "simulate_two_sided_exit",
     "simulate_line_hit",
@@ -155,6 +149,14 @@ class TimeGrid:
         """Clock horizon ``log((T/2)/gap)`` of the truncated grid."""
         return math.log((self.T / 2.0) / self.gap)
 
+    @cached_property
+    def clock_nodes(self) -> np.ndarray:
+        """Clock images ``log((T/2)/(T-t))`` of the nodes after ``T/2``."""
+        t_late = self.nodes[self.half_index + 1 :]
+        u = np.log((self.T / 2.0) / (self.T - t_late))
+        u.setflags(write=False)
+        return u
+
     def clustered_node_count(self) -> int:
         """Number of nodes strictly after ``T/2``."""
         return int(np.sum(self.nodes > self.T / 2.0 + 1e-15 * self.T))
@@ -260,6 +262,27 @@ class PathEnsemble:
     def w_terminal(self) -> np.ndarray:
         return self.wiener[:, -1]
 
+    @cached_property
+    def clock_exit(self) -> ClockExits:
+        """Driftless exit of the ensemble's clock Brownian motion from (-1, 1).
+
+        Simulated once, on the stream ``(seed, "hit", 0.0)`` up to the grid's
+        clock depth, with the state recorded at :attr:`TimeGrid.clock_nodes`.
+        Every undrifted construction and :func:`hitting_time` read this one
+        exit, so its arrays are read-only.
+        """
+        exits = simulate_two_sided_exit(
+            self.n_paths,
+            u_max=self.grid.clock_depth,
+            seed=self.seed,
+            stream=("hit", 0.0),
+            checkpoints=self.grid.clock_nodes,
+        )
+        for value in vars(exits).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return exits
+
 
 def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian increment ensemble on ``grid``.
@@ -276,49 +299,8 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     return PathEnsemble(grid=grid, n_paths=int(n_paths), seed=int(seed), increments=inc)
 
 
-_ENSEMBLE_MAGIC = b"QBSDEPE1"
-
-
-def save_ensemble(ensemble: PathEnsemble, path: str) -> None:
-    """Write an ensemble to ``path`` in a self-describing binary container.
-
-    Layout (little-endian): 8-byte magic ``QBSDEPE1``; ``u32`` format version
-    (= 1); ``f64`` T, gap, ratio; ``u64`` n_paths; ``i64`` seed; ``u64``
-    n_nodes; node array (``f64 * n_nodes``); increment matrix (``f64``,
-    row-major by path, ``n_paths * (n_nodes - 1)`` entries).
-    """
-    g = ensemble.grid
-    with open(path, "wb") as fh:
-        fh.write(_ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<I", 1))
-        fh.write(struct.pack("<ddd", g.T, g.gap, g.ratio))
-        fh.write(struct.pack("<Qq", ensemble.n_paths, ensemble.seed))
-        fh.write(struct.pack("<Q", g.n_nodes))
-        fh.write(np.ascontiguousarray(g.nodes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
-
-
-def load_ensemble(path: str) -> PathEnsemble:
-    """Read an ensemble written by :func:`save_ensemble` (bit-exact)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _ENSEMBLE_MAGIC:
-            raise ValueError(f"not an ensemble container: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != 1:
-            raise ValueError(f"unsupported container version {version}")
-        T, gap, ratio = struct.unpack("<ddd", fh.read(24))
-        n_paths, seed = struct.unpack("<Qq", fh.read(16))
-        (n_nodes,) = struct.unpack("<Q", fh.read(8))
-        nodes = np.frombuffer(fh.read(8 * n_nodes), dtype="<f8").copy()
-        inc = np.frombuffer(fh.read(8 * n_paths * (n_nodes - 1)), dtype="<f8")
-        inc = inc.reshape(n_paths, n_nodes - 1).copy()
-    grid = TimeGrid(T=T, gap=gap, ratio=ratio, nodes=nodes)
-    return PathEnsemble(grid=grid, n_paths=int(n_paths), seed=int(seed), increments=inc)
-
-
 # ---------------------------------------------------------------------------
-# Ito integration and stochastic exponentials
+# Ito integration
 # ---------------------------------------------------------------------------
 
 
@@ -330,7 +312,7 @@ class PathFunctionals:
     the matching ``integral theta^2 dt``; both have shape
     ``(n_paths, n_nodes)``.  Paths on which the integrand fails to evaluate
     finitely are aborted: flagged in ``nan_flag`` and NaN from the first bad
-    interval onward.  ``stochexp`` is filled by :func:`stoch_exponential`.
+    interval onward.
     """
 
     grid: TimeGrid
@@ -338,7 +320,6 @@ class PathFunctionals:
     int_dw: np.ndarray
     quad_var: np.ndarray
     nan_flag: np.ndarray
-    stochexp: np.ndarray | None = None
 
     @property
     def terminal_int_dw(self) -> np.ndarray:
@@ -401,63 +382,6 @@ def ito_integral(
     return PathFunctionals(
         grid=grid, theta=theta, int_dw=int_dw, quad_var=quad_var, nan_flag=nan_flag
     )
-
-
-def stoch_exponential(functionals: PathFunctionals) -> PathFunctionals:
-    """Fill the stochastic-exponential track ``exp(I - Q/2)`` at every node.
-
-    Values are strictly positive wherever the path was not aborted.  The
-    two-time ratio between nodes is available via :func:`two_time_ratio`.
-    """
-    functionals.stochexp = np.exp(
-        functionals.int_dw - 0.5 * functionals.quad_var
-    )
-    return functionals
-
-
-def two_time_ratio(
-    functionals: PathFunctionals, start_index: int, end_index: int | None = None
-) -> np.ndarray:
-    """Ratio ``E_{s,t}`` of the stochastic exponential between two nodes."""
-    j = functionals.grid.n_nodes - 1 if end_index is None else end_index
-    i = start_index
-    d_int = functionals.int_dw[:, j] - functionals.int_dw[:, i]
-    d_qv = functionals.quad_var[:, j] - functionals.quad_var[:, i]
-    return np.exp(d_int - 0.5 * d_qv)
-
-
-@dataclass(frozen=True)
-class GirsanovCheck:
-    """Diagnostics for a change-of-measure weight vector."""
-
-    mean: float
-    se: float
-    deviation_in_se: float
-    warned: bool
-
-
-def girsanov_weights(functionals: PathFunctionals) -> tuple[np.ndarray, GirsanovCheck]:
-    """Terminal stochastic-exponential weights with a mean-one diagnostic.
-
-    Emits a warning when the weight sample mean deviates from 1 by more than
-    five standard errors (the weights form a supermartingale, so a persistent
-    deficit is possible; a large surplus indicates an implementation error).
-    """
-    if functionals.stochexp is None:
-        stoch_exponential(functionals)
-    w = functionals.stochexp[:, -1]
-    ok = np.isfinite(w)
-    mean = float(np.mean(w[ok]))
-    se = float(np.std(w[ok], ddof=1) / math.sqrt(ok.sum()))
-    dev = abs(mean - 1.0) / se if se > 0 else 0.0
-    warned = bool(dev > 5.0)
-    if warned:
-        warnings.warn(
-            f"Girsanov weight mean {mean:.6f} deviates from 1 by {dev:.1f} SE",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return w, GirsanovCheck(mean=mean, se=se, deviation_in_se=dev, warned=warned)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +457,6 @@ def simulate_two_sided_exit(
     drift: float | np.ndarray = 0.0,
     stop_u: np.ndarray | None = None,
     checkpoints: np.ndarray | None = None,
-    block_size: int = _BLOCK_SIZE,
 ) -> ClockExits:
     """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
 
@@ -541,7 +464,7 @@ def simulate_two_sided_exit(
     Brownian-bridge correction that detects intra-step barrier touches; the
     correction is drift-free because the bridge law conditional on the step
     endpoints does not depend on the drift.  Paths are processed in fixed
-    blocks of ``block_size`` with one Philox stream per block, so results are
+    blocks of ``2**14`` paths with one Philox stream per block, so results are
     reproducible and independent of scheduling.
 
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
@@ -576,10 +499,10 @@ def simulate_two_sided_exit(
     ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
 
     sq = math.sqrt(dv)
-    for blk_start in range(0, n_paths, block_size):
-        blk = slice(blk_start, min(blk_start + block_size, n_paths))
+    for blk_start in range(0, n_paths, _BLOCK_SIZE):
+        blk = slice(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
         nb = blk.stop - blk.start
-        rng = philox_stream(seed, *stream, "block", blk_start // block_size)
+        rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         ia = np.arange(nb, dtype=np.int64)
         pos = np.zeros(nb)
         mu_blk = drift_arr[blk] if drift_arr is not None else None
@@ -681,21 +604,19 @@ def simulate_line_hit(
     seed: int,
     stream: Sequence = ("line",),
     level: float | np.ndarray,
-    drift_slope: float = -0.5,
-    drift_cum: Callable[[float], float] | None = None,
+    drift_cum: Callable[[float], float],
     checkpoints: np.ndarray | None = None,
     weight_fn: Callable[[float], float] | None = None,
-    block_size: int = _BLOCK_SIZE,
 ) -> ClockExits:
     """First passage of ``X_v = B_v + drift`` below a per-path level < 0.
 
-    The deterministic drift is ``drift_slope * v`` plus (optionally) an exact
-    cumulative term ``drift_cum(v)`` evaluated at step boundaries, so the
-    deterministic part carries no Euler error.  Same bridge correction,
-    blocking and checkpoint semantics as :func:`simulate_two_sided_exit`;
-    with ``weight_fn`` the engine also accumulates ``sum weight_fn(v_mid) *
-    dB`` per checkpoint interval (the Brownian part only), which callers use
-    to reconstruct time-grid Wiener increments from the clock path.
+    The deterministic drift is the exact cumulative term ``drift_cum(v)``
+    evaluated at step boundaries, so the deterministic part carries no Euler
+    error.  Same bridge correction, blocking and checkpoint semantics as
+    :func:`simulate_two_sided_exit`; with ``weight_fn`` the engine also
+    accumulates ``sum weight_fn(v_mid) * dB`` per checkpoint interval (the
+    Brownian part only), which callers use to reconstruct time-grid Wiener
+    increments from the clock path.
     ``x_exit`` is snapped to the level for detected crossings; ``raw_end``
     keeps the raw end-of-step state, and for censored paths ``x_exit`` is the
     running state at ``v_max`` (callers use it for analytic closure of
@@ -724,10 +645,10 @@ def simulate_line_hit(
     )
 
     sq = math.sqrt(dv)
-    for blk_start in range(0, n_paths, block_size):
-        blk = slice(blk_start, min(blk_start + block_size, n_paths))
+    for blk_start in range(0, n_paths, _BLOCK_SIZE):
+        blk = slice(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
         nb = blk.stop - blk.start
-        rng = philox_stream(seed, *stream, "block", blk_start // block_size)
+        rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         ia = np.arange(nb, dtype=np.int64)
         pos = np.zeros(nb)
         lv = level_arr[blk]
@@ -743,9 +664,7 @@ def simulate_line_hit(
 
             u0 = k * dv
             u1 = u0 + dv
-            det = drift_slope * dv
-            if drift_cum is not None:
-                det += drift_cum(u1) - drift_cum(u0)
+            det = drift_cum(u1) - drift_cum(u0)
             z = rng.standard_normal(ia.size)
             uc = rng.random(ia.size)
             step = sq * z + det
@@ -847,29 +766,31 @@ def hitting_time(
     ensemble: PathEnsemble,
     drift_slope: float = 0.0,
     alpha: float = 1.0,
-    *,
-    dv: float = DEFAULT_DV,
 ) -> HittingClock:
     """Simulate the clock exit attached to ``ensemble``'s horizon.
 
     The clock Brownian motion is an independent stream keyed by the ensemble
     seed and the effective drift ``drift_slope * pi * alpha / sqrt(8)`` (the
-    drifted-line construction); ``drift_slope = 0`` gives the plain symmetric
-    exit shared by all undrifted constructions.  The clock horizon is the
-    grid's ``log((T/2)/gap)``; survivors are censored and flagged.
+    drifted-line construction); a zero drift gives the plain symmetric exit
+    :attr:`PathEnsemble.clock_exit` shared by all undrifted constructions.
+    The clock horizon is the grid's ``log((T/2)/gap)``; survivors are
+    censored and flagged.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     grid = ensemble.grid
     mu = drift_slope * math.pi * alpha / math.sqrt(8.0)
-    exits = simulate_two_sided_exit(
-        ensemble.n_paths,
-        dv=dv,
-        u_max=grid.clock_depth,
-        seed=ensemble.seed,
-        stream=("hit", mu),
-        drift=mu,
-    )
+    # Stream keys take a float's bit pattern: only +0.0 keys the shared exit.
+    if mu == 0.0 and math.copysign(1.0, mu) > 0.0:
+        exits = ensemble.clock_exit
+    else:
+        exits = simulate_two_sided_exit(
+            ensemble.n_paths,
+            u_max=grid.clock_depth,
+            seed=ensemble.seed,
+            stream=("hit", mu),
+            drift=mu,
+        )
     H = exits.u_exit
     tau = grid.T - (grid.T / 2.0) * np.exp(-H)
     return HittingClock(

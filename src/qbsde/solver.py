@@ -371,7 +371,6 @@ def psi_unconditional(
     q: float,
     ensemble: PathEnsemble,
     *,
-    dv: float = DEFAULT_DV,
     functionals: MprFunctionals | None = None,
 ) -> OpportunityEstimate:
     """Monte Carlo estimate of ``Psi_0 = log E[E(-lambda.W)_T^q] / (1-q)``.
@@ -388,7 +387,7 @@ def psi_unconditional(
             t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
             n_inner=1, n_outer=ensemble.n_paths,
         )
-    fn = functionals if functionals is not None else evaluate_mpr(spec, ensemble, dv=dv)
+    fn = functionals if functionals is not None else evaluate_mpr(spec, ensemble)
     values = fn.summand_power(q)
     return _log_mean_estimate(
         values, q, t=0.0, state=None, n_inner=1, n_outer=ensemble.n_paths,
@@ -402,7 +401,6 @@ def _conditional_values(
     w_half: np.ndarray,
     n_inner: int,
     seed: int,
-    dv: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inner summands of ``exp((1-q) Psi_{T/2})`` per conditioning state.
 
@@ -431,7 +429,7 @@ def _conditional_values(
         coeff, _ = clock_coefficients(spec, cs=cs)
         ck = np.unique(u_sigma)
         exits = simulate_two_sided_exit(
-            n_inner, dv=dv, u_max=u_max, seed=seed, stream=("cond-exit",),
+            n_inner, u_max=u_max, seed=seed, stream=("cond-exit",),
             checkpoints=ck,
         )
         values = np.empty((w_half.size, n_inner))
@@ -447,7 +445,7 @@ def _conditional_values(
         for i in range(w_half.size):
             mu = drift[i]
             exits = simulate_two_sided_exit(
-                n_inner, dv=dv, u_max=u_max, seed=seed,
+                n_inner, u_max=u_max, seed=seed,
                 stream=("cond-exit-drift", mu), drift=mu,
             )
             bm = exits.x_exit - mu * exits.u_exit
@@ -456,14 +454,14 @@ def _conditional_values(
             )
         return values, None
     exits = simulate_two_sided_exit(
-        n_inner, dv=dv, u_max=u_max, seed=seed, stream=("cond-exit",)
+        n_inner, u_max=u_max, seed=seed, stream=("cond-exit",)
     )
     expo = (
         -q * coeff[:, None] * exits.x_exit[None, :]
         - 0.5 * q * (coeff[:, None] ** 2) * exits.u_exit[None, :]
     )
     lb = None
-    if cs == 1.0:
+    if cs == 1.0 and q == spec.q < 0.0:  # the cosine law at the critical scale
         lb = (
             -math.pi * math.sqrt(-q) / 2.0
             - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / T) * w_half))
@@ -478,21 +476,20 @@ def psi_conditional_halfT(
     *,
     n_inner: int = 4096,
     seed: int = 90210,
-    dv: float = DEFAULT_DV,
 ) -> OpportunityEstimate:
     """Estimate ``Psi_{T/2}`` given the midpoint driver value ``w_half``.
 
     The midpoint state fixes the construction's conditioning quantity (the
     arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
     one-dimensional expectation over the exposure clock, estimated by plain
-    Monte Carlo on ``n_inner`` clock paths.  For the arccos construction the
-    analytic lower bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is
-    attached.
+    Monte Carlo on ``n_inner`` clock paths.  For the arccos construction at
+    unit scale and at its own ``q`` the analytic lower bound
+    ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
     arr = np.asarray([float(w_half)])
-    values, lb = _conditional_values(spec, q, arr, n_inner, seed, dv)
+    values, lb = _conditional_values(spec, q, arr, n_inner, seed)
     return _log_mean_estimate(
         values[0], q, t=spec.T / 2.0, state=float(w_half),
         n_inner=n_inner, n_outer=1,
@@ -508,13 +505,12 @@ def psi_conditional_profile(
     *,
     n_inner: int = 4096,
     seed: int = 90210,
-    dv: float = DEFAULT_DV,
 ) -> list[OpportunityEstimate]:
     """``psi_conditional_halfT`` across a grid of states with shared clocks."""
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
     arr = np.asarray(w_half_grid, dtype=np.float64)
-    values, lb = _conditional_values(spec, q, arr, n_inner, seed, dv)
+    values, lb = _conditional_values(spec, q, arr, n_inner, seed)
     return [
         _log_mean_estimate(
             values[i], q, t=spec.T / 2.0, state=float(arr[i]),
@@ -529,6 +525,10 @@ def psi_conditional_profile(
 # ---------------------------------------------------------------------------
 # Whole-path Psi by least-squares regression
 # ---------------------------------------------------------------------------
+
+
+#: Total degree of the polynomial basis in :func:`psi_path`'s regressions.
+REGRESSION_DEGREE = 3
 
 
 def _prep_state(columns: list[np.ndarray]) -> list[np.ndarray]:
@@ -587,34 +587,30 @@ def _regress(design: np.ndarray, target: np.ndarray, columns: list[np.ndarray],
         design = _poly_design(columns, degree)
 
 
-def _fit_conditional(
-    columns: list[np.ndarray], target: np.ndarray, degree: int
-) -> np.ndarray:
+def _fit_conditional(columns: list[np.ndarray], target: np.ndarray) -> np.ndarray:
     """Project ``target`` on the polynomial span of the prepared state."""
     cols = _prep_state(columns)
     if not cols:
         return np.full(target.size, float(target.mean()))
-    return _regress(_poly_design(cols, degree), target, cols, degree)
+    design = _poly_design(cols, REGRESSION_DEGREE)
+    return _regress(design, target, cols, REGRESSION_DEGREE)
 
 
-def psi_path(
-    spec: MprSpec,
-    q: float,
-    ensemble: PathEnsemble,
-    *,
-    dv: float = DEFAULT_DV,
-    degree: int = 3,
-) -> SolutionTriple:
+def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
     """Whole-path ``(Psi, Z)`` by least-squares conditional expectations.
 
     At each node the forward summand ``exp(-q I1(t,T) - (q/2) I2(t,T))`` is
-    projected on a polynomial basis (degree <= ``degree``) of the
-    construction's state variables: the driver value for grid kinds; the
-    cumulative exposure integrals plus the survivor indicator after the
-    midpoint for clock kinds (retired paths' conditional value is exactly 1,
-    so they are fixed at ``Psi = 0`` rather than regressed).  ``Z`` is
-    recovered per interval by projecting ``dPsi dW / dt`` on the same basis,
-    and the terminal node is pinned to the contract value 0.
+    projected on a polynomial basis (total degree <= ``REGRESSION_DEGREE``)
+    of the construction's state variables.  Grid kinds, and clock kinds up
+    to the midpoint, use the driver value (plus ``alpha`` at the midpoint for
+    the arccos-scaled kinds).  After the midpoint, clock kinds use the
+    cumulative exposure integrals plus the midpoint statistic (``alpha`` or
+    ``u_sigma``), fitted on the paths whose clock is still alive; retired
+    paths' conditional value is exactly 1, so they are fixed at ``Psi = 0``
+    rather than regressed.  ``Z`` is recovered per interval by projecting
+    ``dPsi dW / dt`` on the driver value, or on the cumulative exposure
+    integrals after the midpoint, and the terminal node is pinned to the
+    contract value 0.
     """
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
@@ -627,7 +623,7 @@ def psi_path(
             d_w=ensemble.increments, provenance="Explicit",
         )
 
-    fn = evaluate_mpr(spec, ensemble, dv=dv, need_nodes=True)
+    fn = evaluate_mpr(spec, ensemble, need_nodes=True)
     cs = spec.c_scale
     i1_T = cs * fn.int_lam_dw[:, None]
     i2_T = cs**2 * fn.int_lam2[:, None]
@@ -637,21 +633,14 @@ def psi_path(
 
     wiener = ensemble.wiener
     clock_kind = TRAITS[spec.kind].clock
-    u_nodes = None
-    if clock_kind:
-        t_nodes = grid.nodes
-        with np.errstate(divide="ignore"):
-            u_nodes = np.where(
-                t_nodes > grid.T / 2.0,
-                np.log((grid.T / 2.0) / np.maximum(grid.T - t_nodes, 1e-300)),
-                0.0,
-            )
+    first_late = grid.half_index + 1
+    u_nodes = grid.clock_nodes
 
     psi = np.zeros((n, m))
     for k in range(m - 1):
         target = value[:, k]
-        if clock_kind and grid.nodes[k] > grid.T / 2.0:
-            alive = fn.u_kill > u_nodes[k]
+        if clock_kind and k >= first_late:
+            alive = fn.u_kill > u_nodes[k - first_late]
             cols_full = [node_i1[:, k], node_i2[:, k]]
             if fn.alpha is not None:
                 cols_full.append(fn.alpha)
@@ -660,7 +649,7 @@ def psi_path(
             psi[:, k] = 0.0  # retired paths: conditional value exactly 1
             if int(alive.sum()) >= 50:
                 cols = [c[alive] for c in cols_full]
-                fitted = _fit_conditional(cols, target[alive], degree)
+                fitted = _fit_conditional(cols, target[alive])
                 psi[alive, k] = np.log(np.maximum(fitted, 1e-12)) / (1.0 - q)
             elif alive.any():
                 psi[alive, k] = math.log(max(target[alive].mean(), 1e-12)) / (1.0 - q)
@@ -668,7 +657,7 @@ def psi_path(
             cols = [wiener[:, k]]
             if clock_kind and grid.nodes[k] == grid.T / 2.0 and fn.alpha is not None:
                 cols.append(fn.alpha)
-            fitted = _fit_conditional(cols, target, degree)
+            fitted = _fit_conditional(cols, target)
             psi[:, k] = np.log(np.maximum(fitted, 1e-12)) / (1.0 - q)
     psi[:, -1] = 0.0
 
@@ -676,14 +665,14 @@ def psi_path(
     z = np.zeros((n, m))
     for k in range(m - 1):
         zi_target = (psi[:, k + 1] - psi[:, k]) * ensemble.increments[:, k] / dt[k]
-        if clock_kind and grid.nodes[k] > grid.T / 2.0:
-            alive = fn.u_kill > u_nodes[k]
+        if clock_kind and k >= first_late:
+            alive = fn.u_kill > u_nodes[k - first_late]
             if int(alive.sum()) >= 50:
                 cols = [node_i1[alive, k], node_i2[alive, k]]
-                z[alive, k] = _fit_conditional(cols, zi_target[alive], degree)
+                z[alive, k] = _fit_conditional(cols, zi_target[alive])
         else:
             cols = [wiener[:, k]]
-            z[:, k] = _fit_conditional(cols, zi_target, degree)
+            z[:, k] = _fit_conditional(cols, zi_target)
 
     return SolutionTriple(
         ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments,
@@ -729,14 +718,16 @@ def _rho_inverse(v: np.ndarray, T: float) -> np.ndarray:
     return v * T**2 / (1.0 + v * T)
 
 
+#: Clock horizon of :func:`mult_rep`'s line-hit simulation.
+MULT_REP_V_MAX = 8.0
+
+
 def mult_rep(
     xi,
     c: float,
     ensemble: PathEnsemble,
     *,
     dv: float = DEFAULT_DV,
-    v_max: float = 8.0,
-    seed_tag: str = "mrep",
 ) -> MultRepResult:
     """Multiplicative representation ``xi = c E(alpha^c . W)_T`` for constant ``xi``.
 
@@ -780,13 +771,13 @@ def mult_rep(
             c=c, xi=xi_val, level_gap=0.0, tau_c=zeros.copy(), v_exit=zeros.copy(),
             censored=np.zeros(n, dtype=bool), alpha_nodes=alpha_nodes,
             reconstruction_error=np.abs(xi_val - c) * np.ones(n),
-            overshoot_error=zeros.copy(), dv=dv, v_max=v_max,
+            overshoot_error=zeros.copy(), dv=dv, v_max=MULT_REP_V_MAX,
             censor_height=zeros.copy(),
         )
 
     hits = simulate_line_hit(
-        n, dv=dv, v_max=v_max, seed=ensemble.seed, stream=(seed_tag, c, xi_val),
-        level=-d, drift_slope=0.0, drift_cum=lambda v: -0.5 * v,
+        n, dv=dv, v_max=MULT_REP_V_MAX, seed=ensemble.seed,
+        stream=("mrep", c, xi_val), level=-d, drift_cum=lambda v: -0.5 * v,
     )
     v_exit = hits.u_exit
     tau = np.where(hits.censored, math.inf, _rho_inverse(v_exit, T))
@@ -797,7 +788,8 @@ def mult_rep(
     alpha_nodes = np.where(
         v_nodes[None, :] < cutoff[:, None], 1.0 / (T - nodes[None, :]), 0.0
     )
-    alpha_nodes[hits.censored[:, None] & (v_nodes[None, :] >= v_max)] = math.nan
+    beyond = v_nodes[None, :] >= MULT_REP_V_MAX
+    alpha_nodes[hits.censored[:, None] & beyond] = math.nan
 
     # c * E(alpha^c . W)_T = c * exp(state at the stopped clock time), where
     # the state is the drift-adjusted clock BM minus half its quadratic
@@ -807,7 +799,8 @@ def mult_rep(
     return MultRepResult(
         c=c, xi=xi_val, level_gap=d, tau_c=tau, v_exit=v_exit,
         censored=hits.censored, alpha_nodes=alpha_nodes,
-        reconstruction_error=recon, overshoot_error=over, dv=dv, v_max=v_max,
+        reconstruction_error=recon, overshoot_error=over, dv=dv,
+        v_max=MULT_REP_V_MAX,
         censor_height=np.where(hits.censored, hits.x_exit + d, 0.0),
     )
 
@@ -817,14 +810,15 @@ def mult_rep(
 # ---------------------------------------------------------------------------
 
 
+#: Clock horizon of :func:`continuum`'s line-hit simulation.
+CONTINUUM_V_MAX = 60.0
+
+
 def continuum(
     spec: MprSpec,
     q: float,
     b_offset: float,
     ensemble: PathEnsemble,
-    *,
-    dv: float = DEFAULT_DV,
-    v_max: float = 60.0,
 ) -> SolutionTriple:
     """One member of the continuum of square-integrable solutions.
 
@@ -888,13 +882,14 @@ def continuum(
     # B_v + q*level*log(1+Tv) - v/2: the log term is the Girsanov drift of
     # the representation measure's clock BM, and is exactly what makes the
     # triple below satisfy the dynamics with Z = (T-t)^{-1}/(1-q).
+    v_max = CONTINUUM_V_MAX
     in_range = v_nodes < v_max
     ck = v_nodes[in_range]
     weight = lambda v: T / (1.0 + T * v)  # noqa: E731  (dW = weight(v) dB_v)
     hits = simulate_line_hit(
-        n, dv=dv, v_max=v_max, seed=ensemble.seed,
+        n, v_max=v_max, seed=ensemble.seed,
         stream=("continuum", b_offset, level, q),
-        level=-d, drift_slope=0.0,
+        level=-d,
         drift_cum=lambda v: q * level * math.log1p(T * v) - 0.5 * v,
         checkpoints=ck, weight_fn=weight,
     )

@@ -15,10 +15,12 @@ from qbsde import (
     classify,
     critical_exponent,
     dyn_exp_moment,
+    evaluate_mpr,
     john_nirenberg_check,
     kq_curve,
     kq_numeric,
     kq_threshold,
+    mpr_alpha_arccos,
     mpr_constant,
     mpr_nosol,
     mpr_reverting,
@@ -145,6 +147,20 @@ def test_critical_exponent_zero_kind_infinite(ens_small):
     assert ks == sorted(ks)
 
 
+def test_measure_must_match_the_functionals(ens_small):
+    spec = mpr_tilde(0.5)
+    physical = evaluate_mpr(spec, ens_small, need_nodes=True)
+    with pytest.raises(ValueError, match="tilted evaluation requires tilted"):
+        critical_exponent(spec, ens_small, measure="tilted", functionals=physical)
+    with pytest.raises(ValueError, match="tilted evaluation requires tilted"):
+        bmo_report(spec, ens_small, measure="tilted", functionals=physical)
+    for call in (lambda: critical_exponent(spec, ens_small, measure="tilde"),
+                 lambda: dyn_exp_moment(spec, ens_small, 1.0, measure="tilde"),
+                 lambda: bmo_report(spec, ens_small, measure="tilde")):
+        with pytest.raises(ValueError, match="unknown measure"):
+            call()
+
+
 def test_critical_exponent_nosol_brackets_half(ens_mid):
     ce = critical_exponent(mpr_nosol(Q), ens_mid)
     assert not ce.infinite
@@ -269,6 +285,13 @@ def test_classify_exponent_interval_when_requested(ens_mid):
     assert cls.threshold_side in ("below k_q", "above k_q", "straddles k_q")
     record = cls.to_json_record()
     assert record["verdict"] == cls.verdict
+
+
+def test_classify_arccos_at_positive_q(ens_small):
+    # The arccos bound needs sqrt(-q); at an ambient q > 0 it must not be
+    # attached, and the classification goes through.
+    cls = classify(mpr_alpha_arccos(Q), 0.5, ens_small, with_exponent=False)
+    assert cls.verdict in (BOUNDED, UNBOUNDED, NO_SOLUTION)
 
 
 def test_classify_rejects_q_at_one(ens_small):

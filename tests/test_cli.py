@@ -494,6 +494,16 @@ def test_report_corrupt_artifact_exit_2(tmp_path, capsys):
     assert "unreadable artifacts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, artifact", [
+    ("continuum.json", {"rows": [], "residual_tolerance": 0.1}),
+    ("table2.json", {"seeds": [], "verdicts": {}}),
+])
+def test_report_empty_artifact_exit_2(tmp_path, capsys, name, artifact):
+    (tmp_path / name).write_text(json.dumps(artifact))
+    assert run_cli(["report", tmp_path]) == 2
+    assert "unreadable artifacts" in capsys.readouterr().err
+
+
 def test_report_flags_bad_stored_curve(tmp_path, capsys):
     # A stored curve that disagrees with the closed form must fail the
     # report's recomputation even though the file is well formed.

@@ -1,11 +1,21 @@
 """Clock exit engine: hitting times, censoring, exit-time transforms."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from qbsde import exit_time_exp_moment, hitting_time
+import qbsde
+from qbsde import (
+    catalog,
+    core,
+    evaluate_mpr,
+    exit_time_exp_moment,
+    hitting_time,
+    mpr_nosol,
+    sample_paths,
+)
 from qbsde.core import simulate_two_sided_exit
 
 
@@ -79,3 +89,57 @@ def test_stop_u_truncates_exit():
     interior = ~exits.exited & ~exits.censored
     assert interior.any()
     assert np.all(np.abs(exits.x_exit[interior]) < 1.0)
+
+
+def test_checkpoints_leave_exits_unchanged():
+    # Recording the state at checkpoints draws no random numbers, so the
+    # exits with and without checkpoints are the same bits.
+    kwargs = dict(u_max=6.0, seed=13, stream=("unit-test-ck",), drift=0.3)
+    plain = simulate_two_sided_exit(1500, **kwargs)
+    marked = simulate_two_sided_exit(1500, checkpoints=np.array([0.1, 0.5, 2.0]),
+                                     **kwargs)
+    for name in ("u_exit", "x_exit", "raw_end", "exited", "censored", "sign",
+                 "endpoint_detected"):
+        assert np.array_equal(getattr(plain, name), getattr(marked, name)), name
+    assert plain.ckpt_pos is None and marked.ckpt_pos.shape == (3, 1500)
+
+
+def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):
+    ens = sample_paths(grid, 600, seed=31)  # fresh: no exit simulated yet
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("stream"))
+        return simulate_two_sided_exit(*args, **kwargs)
+
+    monkeypatch.setattr(core, "simulate_two_sided_exit", counting)
+    monkeypatch.setattr(catalog, "simulate_two_sided_exit", counting)
+    clock = hitting_time(ens)
+    fn = evaluate_mpr(mpr_nosol(-1.0), ens)
+    assert calls == [("hit", 0.0)]  # one engine call serves both
+    assert np.array_equal(clock.H, fn.u_kill)
+    # The same bits as the explicitly zero-drift engine call on that stream.
+    direct = simulate_two_sided_exit(600, u_max=grid.clock_depth, seed=31,
+                                     stream=("hit", 0.0), drift=0.0)
+    assert np.array_equal(clock.H, direct.u_exit)
+    assert np.array_equal(clock.sign, direct.sign)
+
+
+def test_shared_exit_is_read_only(ens_small):
+    exits = ens_small.clock_exit
+    arrays = [v for v in vars(exits).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 10  # exit data plus the checkpoint tracks
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        hitting_time(ens_small).H[0] = 0.0
+
+
+def test_only_engines_and_mult_rep_take_a_clock_step():
+    # Record types (ClockExits, MultRepResult) keep the step they ran with;
+    # of the functions, only these take one.
+    takes_dv = sorted(
+        name for name in qbsde.__all__
+        if inspect.isfunction(getattr(qbsde, name))
+        and "dv" in inspect.signature(getattr(qbsde, name)).parameters
+    )
+    assert takes_dv == ["mult_rep", "simulate_line_hit", "simulate_two_sided_exit"]

@@ -1,14 +1,9 @@
-"""Ito integration, stochastic exponentials and change-of-measure weights."""
+"""Ito integration: left-endpoint sums, aborted paths, terminal views."""
 
 import numpy as np
 import pytest
 
-from qbsde import (
-    girsanov_weights,
-    ito_integral,
-    stoch_exponential,
-    two_time_ratio,
-)
+from qbsde import ito_integral
 
 
 def test_unit_integrand_reproduces_path(ens_small, grid):
@@ -33,32 +28,6 @@ def test_linear_in_integrand(ens_small, grid):
     pf2 = ito_integral(ens_small, np.ones(grid.n_intervals))
     assert np.allclose(pf1.int_dw, 2.0 * pf2.int_dw, rtol=1e-12, atol=1e-14)
     assert np.allclose(pf1.quad_var, 4.0 * pf2.quad_var, rtol=1e-12, atol=1e-14)
-
-
-def test_stoch_exponential_identity(ens_small, grid):
-    pf = stoch_exponential(ito_integral(ens_small, np.ones(grid.n_intervals)))
-    expected = np.exp(ens_small.wiener - 0.5 * grid.nodes[None, :])
-    assert np.allclose(pf.stochexp, expected, rtol=1e-12)
-    assert np.all(pf.stochexp > 0.0)
-
-
-def test_two_time_ratio_telescopes(ens_small, grid):
-    pf = stoch_exponential(ito_integral(ens_small, np.full(grid.n_intervals, 1.3)))
-    i, j, k = 3, grid.half_index, grid.n_nodes - 1
-    full = two_time_ratio(pf, i, k)
-    split = two_time_ratio(pf, i, j) * two_time_ratio(pf, j, k)
-    assert np.allclose(full, split, rtol=1e-12)
-    assert np.allclose(
-        two_time_ratio(pf, 0), pf.stochexp[:, -1] / pf.stochexp[:, 0], rtol=1e-12
-    )
-
-
-def test_girsanov_weights_mean_one(ens_mid, grid):
-    pf = ito_integral(ens_mid, np.full(grid.n_intervals, 0.5))
-    w, check = girsanov_weights(pf)
-    assert w.shape == (ens_mid.n_paths,)
-    assert not check.warned
-    assert abs(check.mean - 1.0) <= 5.0 * check.se
 
 
 def test_nan_integrand_poisons_path(ens_small, grid):

@@ -1,9 +1,9 @@
-"""Brownian ensembles: shape, determinism, moments, persistence."""
+"""Brownian ensembles: shape, determinism, moments."""
 
 import numpy as np
 import pytest
 
-from qbsde import build_grid, load_ensemble, sample_paths, save_ensemble
+from qbsde import build_grid, sample_paths
 from qbsde.core import philox_stream
 
 
@@ -52,16 +52,6 @@ def test_increment_scaling(ens_mid, grid):
 def test_w_half_and_terminal_views(ens_small, grid):
     assert np.array_equal(ens_small.w_half, ens_small.wiener[:, grid.half_index])
     assert np.array_equal(ens_small.w_terminal, ens_small.wiener[:, -1])
-
-
-def test_save_load_roundtrip(tmp_path, grid):
-    ens = sample_paths(grid, 25, seed=7)
-    path = str(tmp_path / "ens.npz")
-    save_ensemble(ens, path)
-    back = load_ensemble(path)
-    assert np.array_equal(back.wiener, ens.wiener)
-    assert np.array_equal(back.grid.nodes, grid.nodes)
-    assert back.seed == 7
 
 
 def test_philox_stream_keyed_by_parts():

@@ -150,6 +150,16 @@ def test_psi_conditional_profile_alpha_bounds():
     assert ests[0].estimate > ests[-1].estimate
 
 
+def test_arccos_bound_only_at_its_own_q():
+    from qbsde import mpr_alpha_arccos
+
+    # At q = 0 Psi is exactly 0; the cosine-law bound (0.347 at w = 0) holds
+    # only at the construction's own q.
+    est = psi_conditional_halfT(mpr_alpha_arccos(Q), 0.0, 0.0, n_inner=500, seed=7)
+    assert est.lower_bound is None
+    assert est.estimate == pytest.approx(0.0, abs=1e-12)
+
+
 def test_psi_conditional_profile_sigma_has_no_analytic_bound():
     ests = psi_conditional_profile(mpr_sigma_gamma(Q), Q, np.array([0.0]),
                                    n_inner=2000, seed=7)
