@@ -51,7 +51,6 @@ from scipy import integrate, special
 from qbsde.core import (
     ClockExits,
     PathEnsemble,
-    PathFunctionals,
     ito_integral,
     simulate_two_sided_exit,
 )
@@ -366,8 +365,8 @@ class MprFunctionals:
     ``c_scale`` (or an explicit override) is applied in
     :meth:`summand_power` / :meth:`scaled_integrals`.  For clock-driven kinds
     the exposure dies at clock time ``u_kill`` (exit, cut, or censoring) and
-    ``exit_state`` keeps the clock-line state there; ``alpha`` / ``sigma`` /
-    ``u_sigma`` carry the midpoint conditioning.  When built with
+    ``exit_state`` keeps the clock-line state there; ``alpha`` / ``u_sigma``
+    carry the midpoint conditioning.  When built with
     ``need_nodes=True``, ``node_int_dw`` / ``node_int2`` hold cumulative
     integrals at every grid node (zeros before the construction switches on).
     """
@@ -378,18 +377,15 @@ class MprFunctionals:
     int_lam2: np.ndarray
     w_half: np.ndarray
     alpha: np.ndarray | None = None
-    sigma: np.ndarray | None = None
     u_sigma: np.ndarray | None = None
     u_kill: np.ndarray | None = None
     exit_state: np.ndarray | None = None
-    exit_sign: np.ndarray | None = None
     censored: np.ndarray | None = None
     clock: ClockExits | None = None
     coeff: np.ndarray | None = None
     drift: np.ndarray | None = None
     node_int_dw: np.ndarray | None = None
     node_int2: np.ndarray | None = None
-    pathfun: PathFunctionals | None = None
     measure: str = "physical"
 
     @property
@@ -473,16 +469,15 @@ def evaluate_mpr(
             w_half=w_half,
             node_int_dw=pf.int_dw if need_nodes else None,
             node_int2=pf.quad_var if need_nodes else None,
-            pathfun=pf,
         )
 
     # --- clock kinds ------------------------------------------------------
     checkpoints = grid.clock_nodes if need_nodes else None
     entry = TRAITS[spec.kind].entry
     alpha = alpha_from_w_half(w_half, grid.T) if entry == _ARCCOS else None
-    sigma = u_sigma = None
+    u_sigma = None
     if entry == _CUT:
-        sigma, u_sigma = SigmaSampler(grid.T).from_w_half(w_half)
+        _, u_sigma = SigmaSampler(grid.T).from_w_half(w_half)
     coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
     if alpha is None:
         coeff = np.full(n, coeff)
@@ -532,11 +527,9 @@ def evaluate_mpr(
         int_lam2=int_lam2,
         w_half=w_half,
         alpha=alpha,
-        sigma=sigma,
         u_sigma=u_sigma,
         u_kill=u_kill,
         exit_state=exits.x_exit,
-        exit_sign=exits.sign,
         censored=exits.censored,
         clock=exits,
         coeff=coeff,
@@ -572,7 +565,6 @@ def evaluate_tilde_under_tilted(
         alpha=alpha,
         u_kill=u_kill,
         exit_state=exits.x_exit,
-        exit_sign=exits.sign,
         censored=exits.censored,
         clock=exits,
         coeff=coeff,

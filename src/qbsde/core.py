@@ -7,11 +7,11 @@ This module owns every primitive the rest of the package simulates with:
 * Brownian increment ensembles driven by counter-based Philox streams so a
   fixed ``(seed, grid, n_paths)`` triple reproduces bit-identical paths,
 * left-endpoint Ito integration,
-* a vectorized Euler engine (with Brownian-bridge crossing correction) for
-  the logarithmic clock ``u = log((T/2)/(T-t))``, in which the singular
-  integrands used by the market-price-of-risk catalog become unit-rate
-  Brownian motions, and the analogous engine for one-sided line crossings
-  in the clock ``v = t/(T(T-t))``,
+* one vectorized Euler loop (with Brownian-bridge crossing correction)
+  behind both clock engines: the exit from (-1, 1) in the logarithmic clock
+  ``u = log((T/2)/(T-t))``, in which the singular integrands used by the
+  market-price-of-risk catalog become unit-rate Brownian motions, and the
+  one-sided crossing of a moving line in the clock ``v = t/(T(T-t))``,
 * each ensemble's driftless clock exit, simulated once and shared by every
   construction that reads it.
 
@@ -414,7 +414,6 @@ class ClockExits:
     censored: np.ndarray
     sign: np.ndarray
     endpoint_detected: np.ndarray
-    ckpt_u: np.ndarray | None = None
     ckpt_pos: np.ndarray | None = None
     ckpt_alive: np.ndarray | None = None
     ckpt_wsum: np.ndarray | None = None
@@ -435,57 +434,51 @@ def _as_per_path(value, n_paths: int) -> np.ndarray | None:
     return arr
 
 
-def _prepare_checkpoints(
-    checkpoints, dv: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-    if checkpoints is None:
-        return None, None
-    ck = np.asarray(checkpoints, dtype=np.float64)
-    if ck.ndim != 1 or np.any(np.diff(ck) <= 0):
-        raise ValueError("checkpoints must be a strictly increasing 1-d array")
-    steps = np.clip(np.round(ck / dv).astype(np.int64), 0, n_steps)
-    return ck, steps
-
-
-def simulate_two_sided_exit(
+def _euler_exit(
     n_paths: int,
     *,
-    dv: float = DEFAULT_DV,
+    dv: float,
     u_max: float,
     seed: int,
-    stream: Sequence = ("two-sided",),
-    drift: float | np.ndarray = 0.0,
+    stream: Sequence,
+    lower: float | np.ndarray,
+    upper: float | None = None,
+    rate: float | np.ndarray | None = None,
+    drift_cum: Callable[[float], float] | None = None,
     stop_u: np.ndarray | None = None,
     checkpoints: np.ndarray | None = None,
+    weight_fn: Callable[[float], float] | None = None,
 ) -> ClockExits:
-    """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
+    """Euler + Brownian-bridge first passage of ``X = B + drift`` from 0.
 
-    Euler steps of size ``dv`` (contract: ``dv <= 1e-3``) plus a
-    Brownian-bridge correction that detects intra-step barrier touches; the
-    correction is drift-free because the bridge law conditional on the step
-    endpoints does not depend on the drift.  Paths are processed in fixed
-    blocks of ``2**14`` paths with one Philox stream per block, so results are
-    reproducible and independent of scheduling.
-
-    ``stop_u`` retires a path at a per-path deterministic clock time (rounded
-    down to the step grid) if it has not exited earlier.  ``checkpoints``
-    records the state at fixed clock times.
+    The path is killed at or below ``lower`` (a scalar, or one level per
+    path) and, when ``upper`` is given, at or above that scalar.  The drift
+    adds ``rate * dv`` per step (a per-path constant) or, without ``rate``,
+    the exact increment ``drift_cum(u + dv) - drift_cum(u)``.  See
+    :func:`simulate_two_sided_exit` and :func:`simulate_line_hit` for the
+    blocking, stop, checkpoint and weight semantics.
     """
     if dv > DEFAULT_DV * (1.0 + 1e-12):
         raise ValueError(f"clock step dv={dv!r} violates the dv <= 1e-3 contract")
     n_steps = int(math.ceil(u_max / dv - 1e-9))
-    ck_u, ck_steps = _prepare_checkpoints(checkpoints, dv, n_steps)
-    n_ck = 0 if ck_steps is None else len(ck_steps)
+    n_ck = 0
+    if checkpoints is not None:
+        ck = np.asarray(checkpoints, dtype=np.float64)
+        if ck.ndim != 1 or np.any(np.diff(ck) <= 0):
+            raise ValueError("checkpoints must be a strictly increasing 1-d array")
+        ck_steps = np.clip(np.round(ck / dv).astype(np.int64), 0, n_steps)
+        n_ck = len(ck_steps)
 
-    drift_arr = _as_per_path(drift, n_paths)
-    stop_arr = _as_per_path(stop_u, n_paths)
+    lower_arr = _as_per_path(lower, n_paths) if np.ndim(lower) else None
+    if np.any(np.asarray(lower) >= 0.0):
+        raise ValueError("crossing level must be negative (paths start at 0)")
+    rate_arr = _as_per_path(rate, n_paths)
     stop_steps = None
-    if stop_arr is not None:
-        stop_steps = np.where(
-            np.isfinite(stop_arr),
-            np.floor(stop_arr / dv + 1e-9).astype(np.int64),
-            np.int64(n_steps + 1),
-        )
+    if stop_u is not None:
+        stop_arr = _as_per_path(stop_u, n_paths)
+        finite = np.isfinite(stop_arr)
+        stop_steps = np.full(n_paths, n_steps + 1, dtype=np.int64)
+        stop_steps[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
 
     u_exit = np.full(n_paths, n_steps * dv)
     x_exit = np.zeros(n_paths)
@@ -497,6 +490,9 @@ def simulate_two_sided_exit(
     endpoint_detected = np.zeros(n_paths, dtype=bool)
     ckpt_pos = np.full((n_ck, n_paths), np.nan) if n_ck else None
     ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
+    ckpt_wsum = (
+        np.zeros((n_ck + 1, n_paths)) if (n_ck and weight_fn is not None) else None
+    )
 
     sq = math.sqrt(dv)
     for blk_start in range(0, n_paths, _BLOCK_SIZE):
@@ -505,13 +501,12 @@ def simulate_two_sided_exit(
         rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         ia = np.arange(nb, dtype=np.int64)
         pos = np.zeros(nb)
-        mu_blk = drift_arr[blk] if drift_arr is not None else None
+        lower_blk = lower_arr[blk] if lower_arr is not None else None
+        rate_blk = rate_arr[blk] if rate_arr is not None else None
         stop_blk = stop_steps[blk] if stop_steps is not None else None
         ci = 0
 
         for k in range(n_steps):
-            if ia.size == 0:
-                break
             while ci < n_ck and ck_steps[ci] == k:
                 ckpt_pos[ci, blk_start + ia] = pos
                 ckpt_alive[ci, blk_start + ia] = True
@@ -526,37 +521,50 @@ def simulate_two_sided_exit(
                     frozen[gi] = True
                     ia = ia[~fz]
                     pos = pos[~fz]
-                    if ia.size == 0:
-                        break
             if ia.size == 0:
                 break
 
             z = rng.standard_normal(ia.size)
             uc = rng.random(ia.size)
             step = sq * z
-            if mu_blk is not None:
-                step = step + mu_blk[ia] * dv
+            if rate_blk is not None:
+                step = step + rate_blk[ia] * dv
+            else:
+                u0 = k * dv
+                step = step + (drift_cum(u0 + dv) - drift_cum(u0))
             newpos = pos + step
 
-            up = newpos >= 1.0
-            dn = newpos <= -1.0
-            hit = up | dn
-            pu = np.exp(-2.0 * np.clip(1.0 - pos, 0.0, None) * np.clip(1.0 - newpos, 0.0, None) / dv)
-            pd = np.exp(-2.0 * np.clip(1.0 + pos, 0.0, None) * np.clip(1.0 + newpos, 0.0, None) / dv)
-            bridge = ~hit & (uc < pu + pd)
-            bridge_up = bridge & (uc < pu)
+            lo = lower_blk[ia] if lower_blk is not None else lower
+            hit = newpos <= lo
+            p_cross = np.exp(-2.0 * np.clip(pos - lo, 0.0, None)
+                             * np.clip(newpos - lo, 0.0, None) / dv)
+            if upper is not None:
+                up = newpos >= upper
+                hit = up | hit
+                p_up = np.exp(-2.0 * np.clip(upper - pos, 0.0, None)
+                              * np.clip(upper - newpos, 0.0, None) / dv)
+                p_cross = p_up + p_cross
+            bridge = ~hit & (uc < p_cross)
             ex = hit | bridge
 
+            if ckpt_wsum is not None:  # ci is this step's checkpoint interval
+                ckpt_wsum[ci, blk_start + ia] += weight_fn((k + 0.5) * dv) * sq * z
+
             if ex.any():
-                s = np.where(up | bridge_up, 1.0, -1.0)
-                denom = np.where(step == 0.0, np.inf, step)
-                theta = np.where(hit, np.clip((s - pos) / denom, 0.0, 1.0), 0.5)
                 gi = blk_start + ia[ex]
+                if upper is None:
+                    barrier = lo
+                    sign[gi] = -1
+                else:
+                    up_exit = up | (bridge & (uc < p_up))
+                    barrier = np.where(up_exit, upper, lo)
+                    sign[gi] = np.where(up_exit[ex], 1, -1)
+                denom = np.where(step == 0.0, np.inf, step)
+                theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
                 u_exit[gi] = (k + theta[ex]) * dv
-                x_exit[gi] = s[ex]
+                x_exit[gi] = barrier[ex] if np.ndim(barrier) else barrier
                 raw_end[gi] = newpos[ex]
                 exited[gi] = True
-                sign[gi] = s[ex].astype(np.int8)
                 endpoint_detected[gi] = hit[ex]
 
             keep = ~ex
@@ -590,9 +598,39 @@ def simulate_two_sided_exit(
         censored=censored,
         sign=sign,
         endpoint_detected=endpoint_detected,
-        ckpt_u=ck_u,
         ckpt_pos=ckpt_pos,
         ckpt_alive=ckpt_alive,
+        ckpt_wsum=ckpt_wsum,
+    )
+
+
+def simulate_two_sided_exit(
+    n_paths: int,
+    *,
+    dv: float = DEFAULT_DV,
+    u_max: float,
+    seed: int,
+    stream: Sequence = ("two-sided",),
+    drift: float | np.ndarray = 0.0,
+    stop_u: np.ndarray | None = None,
+    checkpoints: np.ndarray | None = None,
+) -> ClockExits:
+    """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
+
+    Euler steps of size ``dv`` (contract: ``dv <= 1e-3``) plus a
+    Brownian-bridge correction that detects intra-step barrier touches; the
+    correction is drift-free because the bridge law conditional on the step
+    endpoints does not depend on the drift.  Paths are processed in fixed
+    blocks of ``2**14`` paths with one Philox stream per block, so results are
+    reproducible and independent of scheduling.
+
+    ``stop_u`` retires a path at a per-path deterministic clock time (rounded
+    down to the step grid) if it has not exited earlier.  ``checkpoints``
+    records the state at fixed clock times.
+    """
+    return _euler_exit(
+        n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
+        lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
     )
 
 
@@ -622,113 +660,10 @@ def simulate_line_hit(
     running state at ``v_max`` (callers use it for analytic closure of
     first-passage transforms).
     """
-    if dv > DEFAULT_DV * (1.0 + 1e-12):
-        raise ValueError(f"clock step dv={dv!r} violates the dv <= 1e-3 contract")
-    n_steps = int(math.ceil(v_max / dv - 1e-9))
-    ck_u, ck_steps = _prepare_checkpoints(checkpoints, dv, n_steps)
-    n_ck = 0 if ck_steps is None else len(ck_steps)
-
-    level_arr = _as_per_path(level, n_paths)
-    if np.any(level_arr >= 0.0):
-        raise ValueError("crossing level must be negative (paths start at 0)")
-
-    u_exit = np.full(n_paths, n_steps * dv)
-    x_exit = np.zeros(n_paths)
-    raw_end = np.zeros(n_paths)
-    exited = np.zeros(n_paths, dtype=bool)
-    censored = np.zeros(n_paths, dtype=bool)
-    endpoint_detected = np.zeros(n_paths, dtype=bool)
-    ckpt_pos = np.full((n_ck, n_paths), np.nan) if n_ck else None
-    ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
-    ckpt_wsum = (
-        np.zeros((n_ck + 1, n_paths)) if (n_ck and weight_fn is not None) else None
-    )
-
-    sq = math.sqrt(dv)
-    for blk_start in range(0, n_paths, _BLOCK_SIZE):
-        blk = slice(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
-        nb = blk.stop - blk.start
-        rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
-        ia = np.arange(nb, dtype=np.int64)
-        pos = np.zeros(nb)
-        lv = level_arr[blk]
-        ci = 0
-
-        for k in range(n_steps):
-            if ia.size == 0:
-                break
-            while ci < n_ck and ck_steps[ci] == k:
-                ckpt_pos[ci, blk_start + ia] = pos
-                ckpt_alive[ci, blk_start + ia] = True
-                ci += 1
-
-            u0 = k * dv
-            u1 = u0 + dv
-            det = drift_cum(u1) - drift_cum(u0)
-            z = rng.standard_normal(ia.size)
-            uc = rng.random(ia.size)
-            step = sq * z + det
-            newpos = pos + step
-
-            lvl = lv[ia]
-            hit = newpos <= lvl
-            pbr = np.exp(
-                -2.0
-                * np.clip(pos - lvl, 0.0, None)
-                * np.clip(newpos - lvl, 0.0, None)
-                / dv
-            )
-            bridge = ~hit & (uc < pbr)
-            ex = hit | bridge
-
-            if ckpt_wsum is not None:
-                slot = int(np.searchsorted(ck_steps, k, side="right"))
-                ckpt_wsum[slot, blk_start + ia] += weight_fn((k + 0.5) * dv) * sq * z
-
-            if ex.any():
-                denom = np.where(step == 0.0, -np.inf, step)
-                theta = np.where(hit, np.clip((lvl - pos) / denom, 0.0, 1.0), 0.5)
-                gi = blk_start + ia[ex]
-                u_exit[gi] = (k + theta[ex]) * dv
-                x_exit[gi] = lvl[ex]
-                raw_end[gi] = newpos[ex]
-                exited[gi] = True
-                endpoint_detected[gi] = hit[ex]
-
-            keep = ~ex
-            ia = ia[keep]
-            pos = newpos[keep]
-
-        if ia.size:
-            gi = blk_start + ia
-            censored[gi] = True
-            x_exit[gi] = pos
-            raw_end[gi] = pos
-            while ci < n_ck:
-                ckpt_pos[ci, gi] = pos
-                ckpt_alive[ci, gi] = True
-                ci += 1
-
-    if n_ck:
-        missing = ~ckpt_alive & np.isnan(ckpt_pos)
-        ckpt_pos[missing] = np.broadcast_to(x_exit, (n_ck, n_paths))[missing]
-
-    return ClockExits(
-        dv=dv,
-        u_max=n_steps * dv,
-        n_paths=n_paths,
-        u_exit=u_exit,
-        x_exit=x_exit,
-        raw_end=raw_end,
-        exited=exited,
-        frozen=np.zeros(n_paths, dtype=bool),
-        censored=censored,
-        sign=np.where(exited, -1, 0).astype(np.int8),
-        endpoint_detected=endpoint_detected,
-        ckpt_u=ck_u,
-        ckpt_pos=ckpt_pos,
-        ckpt_alive=ckpt_alive,
-        ckpt_wsum=ckpt_wsum,
+    return _euler_exit(
+        n_paths, dv=dv, u_max=v_max, seed=seed, stream=stream,
+        lower=level, drift_cum=drift_cum,
+        checkpoints=checkpoints, weight_fn=weight_fn,
     )
 
 
@@ -771,8 +706,9 @@ def hitting_time(
 
     The clock Brownian motion is an independent stream keyed by the ensemble
     seed and the effective drift ``drift_slope * pi * alpha / sqrt(8)`` (the
-    drifted-line construction); a zero drift gives the plain symmetric exit
-    :attr:`PathEnsemble.clock_exit` shared by all undrifted constructions.
+    drifted-line construction); a zero drift, of either sign, gives the plain
+    symmetric exit :attr:`PathEnsemble.clock_exit` shared by all undrifted
+    constructions.
     The clock horizon is the grid's ``log((T/2)/gap)``; survivors are
     censored and flagged.
     """
@@ -780,8 +716,7 @@ def hitting_time(
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     grid = ensemble.grid
     mu = drift_slope * math.pi * alpha / math.sqrt(8.0)
-    # Stream keys take a float's bit pattern: only +0.0 keys the shared exit.
-    if mu == 0.0 and math.copysign(1.0, mu) > 0.0:
+    if mu == 0.0:
         exits = ensemble.clock_exit
     else:
         exits = simulate_two_sided_exit(

@@ -486,16 +486,7 @@ def psi_conditional_halfT(
     unit scale and at its own ``q`` the analytic lower bound
     ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
-    arr = np.asarray([float(w_half)])
-    values, lb = _conditional_values(spec, q, arr, n_inner, seed)
-    return _log_mean_estimate(
-        values[0], q, t=spec.T / 2.0, state=float(w_half),
-        n_inner=n_inner, n_outer=1,
-        lower_bound=None if lb is None else float(lb[0]),
-        check_divergence=q < 0.0,
-    )
+    return psi_conditional_profile(spec, q, [w_half], n_inner=n_inner, seed=seed)[0]
 
 
 def psi_conditional_profile(

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qbsde import (
     mpr_nosol,
     sample_paths,
 )
-from qbsde.core import simulate_two_sided_exit
+from qbsde.core import simulate_line_hit, simulate_two_sided_exit
 
 
 def test_hitting_time_basic_laws(ens_mid, grid):
@@ -91,13 +92,55 @@ def test_stop_u_truncates_exit():
     assert np.all(np.abs(exits.x_exit[interior]) < 1.0)
 
 
-def test_checkpoints_leave_exits_unchanged():
+def test_stop_u_with_infinite_entries_is_silent():
+    stop = np.full(1000, 0.5)
+    stop[::2] = np.inf  # these paths are never stopped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exits = simulate_two_sided_exit(1000, dv=1e-3, u_max=6.0, seed=12,
+                                        stream=("unit-test-cut",), stop_u=stop)
+    assert not exits.frozen[::2].any()
+    assert exits.frozen[1::2].any()
+
+
+def test_line_hit_engine_contract():
+    v_max = 3.0
+    drift_cum = lambda v: -0.5 * v  # noqa: E731
+    level = -np.linspace(0.1, 1.5, 2000)
+    exits = simulate_line_hit(2000, v_max=v_max, seed=14, stream=("unit-test-line",),
+                              level=level, drift_cum=drift_cum,
+                              checkpoints=np.array([0.2, 1.0, 2.5]),
+                              weight_fn=lambda v: 1.0)
+    # Detected crossings sit exactly on the level.
+    assert np.array_equal(exits.x_exit[exits.exited], level[exits.exited])
+    assert np.all(exits.u_exit <= exits.u_max)
+    cen = exits.censored
+    assert cen.any() and exits.exited.any()
+    assert np.all(exits.x_exit[cen] > level[cen])
+    # With unit weight the checkpoint sums telescope to the Brownian part of
+    # the state at the horizon.
+    bm_part = exits.x_exit[cen] - drift_cum(exits.u_max)
+    assert np.allclose(exits.ckpt_wsum[:, cen].sum(axis=0), bm_part, rtol=0.0,
+                       atol=1e-12)
+    for bad in (0.0, np.r_[-np.ones(1999), 0.5]):
+        with pytest.raises(ValueError, match="negative"):
+            simulate_line_hit(2000, v_max=v_max, seed=14, level=bad,
+                              drift_cum=drift_cum)
+
+
+@pytest.mark.parametrize("engine", ["two_sided", "line_hit"])
+def test_checkpoints_leave_exits_unchanged(engine):
     # Recording the state at checkpoints draws no random numbers, so the
     # exits with and without checkpoints are the same bits.
-    kwargs = dict(u_max=6.0, seed=13, stream=("unit-test-ck",), drift=0.3)
-    plain = simulate_two_sided_exit(1500, **kwargs)
-    marked = simulate_two_sided_exit(1500, checkpoints=np.array([0.1, 0.5, 2.0]),
-                                     **kwargs)
+    if engine == "two_sided":
+        simulate = simulate_two_sided_exit
+        kwargs = dict(u_max=6.0, seed=13, stream=("unit-test-ck",), drift=0.3)
+    else:
+        simulate = simulate_line_hit
+        kwargs = dict(v_max=3.0, seed=13, stream=("unit-test-ck",), level=-0.6,
+                      drift_cum=lambda v: 0.2 * math.log1p(v) - 0.5 * v)
+    plain = simulate(1500, **kwargs)
+    marked = simulate(1500, checkpoints=np.array([0.1, 0.5, 2.0]), **kwargs)
     for name in ("u_exit", "x_exit", "raw_end", "exited", "censored", "sign",
                  "endpoint_detected"):
         assert np.array_equal(getattr(plain, name), getattr(marked, name)), name
@@ -116,8 +159,12 @@ def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):
     monkeypatch.setattr(catalog, "simulate_two_sided_exit", counting)
     clock = hitting_time(ens)
     fn = evaluate_mpr(mpr_nosol(-1.0), ens)
-    assert calls == [("hit", 0.0)]  # one engine call serves both
+    # A -0.0 effective drift is the same zero drift.
+    negative_zero = [hitting_time(ens, -1.0, 0.0), hitting_time(ens, drift_slope=-0.0)]
+    assert calls == [("hit", 0.0)]  # one engine call serves all four
     assert np.array_equal(clock.H, fn.u_kill)
+    for other in negative_zero:
+        assert other.clock is clock.clock
     # The same bits as the explicitly zero-drift engine call on that stream.
     direct = simulate_two_sided_exit(600, u_max=grid.clock_depth, seed=31,
                                      stream=("hit", 0.0), drift=0.0)
