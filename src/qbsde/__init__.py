@@ -9,7 +9,7 @@ exactly at solvability thresholds — and provides:
 * ``catalog``: the market-price-of-risk constructions and their functionals,
 * ``heavytail``: tail-index and divergence diagnostics for moment estimates,
 * ``solver``: opportunity-process estimators, multiplicative representation,
-  the continuum of quadratic-BSDE solutions and optimizer assembly,
+  the continuum of quadratic-BSDE solutions and their residual checks,
 * ``bmo``: dynamic exponential-moment analysis, critical exponents,
   the sharp threshold curve and the solvability classifier,
 * ``cli``: reproducible experiment suites with manifest and report tooling.

@@ -3,8 +3,8 @@
 Estimates BMO2 norms and dynamic exponential moments of the risk-premium
 martingale over a restricted stopping family, brackets the critical moment
 order by bisection, evaluates the sharp boundedness threshold ``k_q``, and
-runs the John-Nirenberg, reverse-Holder, and a priori bound checks.  The
-classifier combines these into one of three verdicts per (spec, q):
+runs the reverse-Holder and a priori bound checks.  The classifier
+combines these into one of three verdicts per (spec, q):
 ``BoundedSolution``, ``UnboundedSolution``, or ``NoSolution``.
 
 Suprema over all stopping times are not computable by simulation.  Every
@@ -31,7 +31,6 @@ from qbsde.catalog import (
     MprFunctionals,
     MprSpec,
     evaluate_mpr,
-    evaluate_tilde_under_tilted,
     kq_threshold,
 )
 from qbsde.heavytail import (
@@ -59,10 +58,8 @@ __all__ = [
     "NormEstimate",
     "DynMoment",
     "CriticalExponent",
-    "JnCheck",
     "RhCheck",
     "AprioriCheck",
-    "BmoReport",
     "Classification",
     "kq_numeric",
     "kq_curve",
@@ -72,11 +69,9 @@ __all__ = [
     "bmo_norm",
     "dyn_exp_moment",
     "critical_exponent",
-    "john_nirenberg_check",
     "reverse_holder",
     "apriori_bound",
     "classify",
-    "bmo_report",
 ]
 
 BOUNDED = "BoundedSolution"
@@ -309,32 +304,6 @@ def _late_member_indices(ensemble: PathEnsemble, n_members: int = 4) -> list[int
         return []
     step = max(1, (last - first) // max(1, n_members - 1))
     return sorted(set(range(first, last + 1, step)))
-
-
-def _measure_functionals(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    measure: str,
-    functionals: MprFunctionals | None,
-) -> MprFunctionals:
-    """``functionals`` checked against ``measure``, or evaluated under it.
-
-    ``"physical"`` evaluates with node tracks; ``"tilted"`` evaluates a
-    drifted-clock kind under its own tilt.
-    """
-    if measure not in ("physical", "tilted"):
-        raise ValueError(
-            f"unknown measure {measure!r}; expected 'physical' or 'tilted'")
-    if functionals is None:
-        if measure == "tilted":
-            return evaluate_tilde_under_tilted(spec, ensemble)
-        return evaluate_mpr(spec, ensemble, need_nodes=True)
-    if functionals.measure != measure:
-        raise ValueError(
-            f"{measure} evaluation requires {measure} functionals, "
-            f"got {functionals.measure} ones"
-        )
-    return functionals
 
 
 def _require_nodes(fn: MprFunctionals) -> None:
@@ -668,7 +637,6 @@ def dyn_exp_moment(
     ensemble: PathEnsemble,
     k: float,
     *,
-    measure: str = "physical",
     functionals: MprFunctionals | None = None,
     _cells: list[BinCell] | None = None,
 ) -> DynMoment:
@@ -676,14 +644,14 @@ def dyn_exp_moment(
 
     Each family/bin cell averages ``exp(k * remaining exposure)``; the cell
     samples are screened by the paired tail heuristic, and any diverging
-    cell makes the whole moment diverged (+inf estimate).  ``measure`` may
-    be ``"tilted"`` for the drifted-clock kinds, evaluating under their own
-    tilt where the clock line is driftless.
+    cell makes the whole moment diverged (+inf estimate).
     """
     if not k > 0.0:
         raise ValueError(f"moment order must be positive, got {k!r}")
     if _cells is None:
-        fn = _measure_functionals(spec, ensemble, measure, functionals)
+        fn = functionals if functionals is not None else evaluate_mpr(
+            spec, ensemble, need_nodes=True
+        )
         exp_cells = _dyn_cells(spec, ensemble, fn)
     else:
         exp_cells = _cells
@@ -769,7 +737,6 @@ def critical_exponent(
     spec: MprSpec,
     ensemble: PathEnsemble,
     *,
-    measure: str = "physical",
     functionals: MprFunctionals | None = None,
 ) -> CriticalExponent:
     """Bracket the critical exponential-moment order by bisection.
@@ -781,7 +748,9 @@ def critical_exponent(
     finer at this scale).  All probes reuse one set of exposure cells, so
     the recorded moment table is exactly monotone in the order.
     """
-    fn = _measure_functionals(spec, ensemble, measure, functionals)
+    fn = functionals if functionals is not None else evaluate_mpr(
+        spec, ensemble, need_nodes=True
+    )
     # The critical order is set by the full remaining exposure; later
     # members condition on survival and can only be lighter.  Keeping the
     # t <= T/2 members concentrates the samples where the decision lives and
@@ -794,7 +763,7 @@ def critical_exponent(
     def probe(k: float) -> DynMoment:
         if k not in probes:
             probes[k] = dyn_exp_moment(
-                spec, ensemble, k, measure=measure, functionals=fn, _cells=cells,
+                spec, ensemble, k, functionals=fn, _cells=cells,
             )
         return probes[k]
 
@@ -845,74 +814,6 @@ def critical_exponent(
         seen = seen or dd
         cum.append((kk, math.inf if seen else ee, seen))
     return CriticalExponent(lo=lo, hi=hi, infinite=False, probes=cum)
-
-
-# ---------------------------------------------------------------------------
-# John-Nirenberg check
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class JnCheck:
-    """Binned conditional exponential moments against ``1/(1 - norm^2)``."""
-
-    status: str  # "pass" | "fail" | "skipped"
-    norm_sq: float
-    bound: float
-    max_violation: float
-    cells: list[BinCell]
-    note: str | None = None
-
-    def to_json_record(self) -> dict:
-        return {
-            "status": self.status,
-            "norm_sq": "inf" if math.isinf(self.norm_sq) else self.norm_sq,
-            "bound": "inf" if math.isinf(self.bound) else self.bound,
-            "max_violation": self.max_violation,
-            "cells": [c.to_json_record() for c in self.cells],
-            "note": self.note,
-        }
-
-
-def john_nirenberg_check(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    *,
-    functionals: MprFunctionals | None = None,
-    norm: NormEstimate | None = None,
-) -> JnCheck:
-    """Check ``E[exp(remaining)|bin] <= 1/(1 - norm^2) + 3 SE`` per cell.
-
-    Skipped (not failed) when the estimated squared norm reaches 1, where
-    the inequality carries no information.
-    """
-    if spec.kind == "zero":
-        return JnCheck(status="pass", norm_sq=0.0, bound=1.0, max_violation=0.0,
-                       cells=[], note="zero premium: both sides are exactly 1")
-    fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, need_nodes=True
-    )
-    nrm = norm if norm is not None else bmo_norm(spec, ensemble, functionals=fn)
-    if not nrm.estimate < 1.0:
-        return JnCheck(
-            status="skipped", norm_sq=nrm.estimate, bound=math.inf,
-            max_violation=math.nan, cells=[],
-            note="squared-norm estimate >= 1: smallness precondition fails",
-        )
-    bound = 1.0 / (1.0 - nrm.estimate)
-    exp_cells = _exposure_cells(spec, ensemble, fn, min_bin=MIN_BIN, max_bins=MAX_BINS)
-    cells = []
-    worst = -math.inf
-    for c in exp_cells:
-        vals = np.exp(np.minimum(c.samples, 700.0))
-        m = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        cells.append(BinCell(member=c.member, statistic=c.statistic, center=c.center,
-                             count=c.count, mean=m, se=se, time=c.time, samples=vals))
-        worst = max(worst, m - (bound + 3.0 * se))
-    status = "pass" if worst <= 1e-12 else "fail"
-    return JnCheck(status=status, norm_sq=nrm.estimate, bound=bound,
-                   max_violation=worst, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,64 +1109,8 @@ def apriori_bound(
 
 
 # ---------------------------------------------------------------------------
-# Reports and classification
+# Classification
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BmoReport:
-    """Norm, moment table, critical-order bracket, and threshold in one view."""
-
-    norm: NormEstimate
-    moments: list[tuple[float, float, bool]]
-    exponent: CriticalExponent
-    k_q: float | None
-
-    def __post_init__(self) -> None:
-        ks = [m[0] for m in self.moments]
-        if ks != sorted(ks):
-            raise ValueError("moment table must be sorted by order")
-        finite = [m[1] for m in self.moments if not m[2]]
-        if any(b < a - 1e-12 for a, b in zip(finite, finite[1:])):
-            raise ValueError("sup-estimates must be nondecreasing in the order")
-        flags = [m[2] for m in self.moments]
-        if any(a and not b for a, b in zip(flags, flags[1:])):
-            raise ValueError("diverged flags must be monotone in the order")
-        if not self.exponent.infinite and not self.exponent.lo <= self.exponent.hi:
-            raise ValueError("bracket must satisfy lo <= hi")
-
-    def to_json_record(self) -> dict:
-        return {
-            "norm": self.norm.to_json_record(),
-            "moments": [
-                {"k": k, "estimate": "inf" if math.isinf(e) else e, "diverged": d}
-                for (k, e, d) in self.moments
-            ],
-            "exponent": self.exponent.to_json_record(),
-            "k_q": self.k_q,
-        }
-
-
-def bmo_report(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    *,
-    q: float | None = None,
-    measure: str = "physical",
-    functionals: MprFunctionals | None = None,
-) -> BmoReport:
-    """Assemble the norm estimate, moment table, and critical bracket.
-
-    The norm is always estimated under the physical measure.
-    """
-    fn = _measure_functionals(spec, ensemble, measure, functionals)
-    norm = (bmo_norm(spec, ensemble, functionals=fn) if measure == "physical"
-            else bmo_norm(spec, ensemble))
-    ce = critical_exponent(spec, ensemble, measure=measure, functionals=fn)
-    return BmoReport(
-        norm=norm, moments=ce.probes, exponent=ce,
-        k_q=kq_threshold(q) if q is not None and q < 0.0 else None,
-    )
 
 
 @dataclass

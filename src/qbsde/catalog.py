@@ -74,8 +74,6 @@ __all__ = [
     "alpha_from_w_half",
     "clock_coefficients",
     "evaluate_mpr",
-    "evaluate_tilde_under_tilted",
-    "mvt_terminal",
     "kq_threshold",
 ]
 
@@ -362,11 +360,10 @@ class MprFunctionals:
     ``int_lam_dw`` and ``int_lam2`` are the terminal values of
     ``integral lambda dW`` (physical-measure Brownian) and
     ``integral lambda^2 dt`` for the *unscaled* premium; the spec's
-    ``c_scale`` (or an explicit override) is applied in
-    :meth:`summand_power` / :meth:`scaled_integrals`.  For clock-driven kinds
-    the exposure dies at clock time ``u_kill`` (exit, cut, or censoring) and
-    ``exit_state`` keeps the clock-line state there; ``alpha`` / ``u_sigma``
-    carry the midpoint conditioning.  When built with
+    ``c_scale`` is applied in :meth:`summand_power` / :meth:`scaled_integrals`.
+    For clock-driven kinds the exposure dies at clock time ``u_kill`` (exit,
+    cut, or censoring) and ``exit_state`` keeps the clock-line state there;
+    ``alpha`` / ``u_sigma`` carry the midpoint conditioning.  When built with
     ``need_nodes=True``, ``node_int_dw`` / ``node_int2`` hold cumulative
     integrals at every grid node (zeros before the construction switches on).
     """
@@ -386,36 +383,24 @@ class MprFunctionals:
     drift: np.ndarray | None = None
     node_int_dw: np.ndarray | None = None
     node_int2: np.ndarray | None = None
-    measure: str = "physical"
 
     @property
     def n_paths(self) -> int:
         return self.ensemble.n_paths
 
-    def scaled_integrals(self, c: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(integral c*lambda dW, integral (c*lambda)^2 dt)``."""
-        c = self.spec.c_scale if c is None else float(c)
+    def scaled_integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(integral c*lambda dW, integral (c*lambda)^2 dt)`` with ``c = c_scale``."""
+        c = self.spec.c_scale
         return c * self.int_lam_dw, c * c * self.int_lam2
 
-    def summand_power(self, q: float, c: float | None = None) -> np.ndarray:
+    def summand_power(self, q: float) -> np.ndarray:
         """Per-path ``E(-c lambda . W)_T ** q`` summands.
 
         These are the Monte Carlo summands whose mean is the unconditional
         exponential functional deciding solvability.
         """
-        i1, i2 = self.scaled_integrals(c)
+        i1, i2 = self.scaled_integrals()
         return np.exp(-q * i1 - 0.5 * q * i2)
-
-    def tilt_weights(self) -> np.ndarray:
-        """``dPtilde/dP`` weights ``E(-b lambda~ . W)_T`` for the drifted kinds."""
-        if not TRAITS[self.spec.kind].drifted:
-            raise ValueError("tilt weights exist only for the drifted-clock kinds")
-        b = self.spec.b
-        # Tilt is driven by the *unit-scale* drifted premium lambda~.
-        scale = self.spec.a if self.spec.kind == "scaled" else 1.0
-        i1 = self.int_lam_dw * scale
-        i2 = self.int_lam2 * scale * scale
-        return np.exp(-b * i1 - 0.5 * b * b * i2)
 
 
 def evaluate_mpr(
@@ -537,49 +522,3 @@ def evaluate_mpr(
         node_int_dw=node_int_dw,
         node_int2=node_int2,
     )
-
-
-def evaluate_tilde_under_tilted(
-    spec: MprSpec, ensemble: PathEnsemble
-) -> MprFunctionals:
-    """Evaluate a drifted-clock spec under its tilted measure.
-
-    Under the tilt ``dPtilde/dP = E(-b lambda~ . W)_T`` the drifted clock
-    line is a plain Brownian motion, so the construction is the undrifted
-    exit driven by the tilted Brownian motion: integrals returned here are
-    against that Brownian motion and means of functions of them estimate
-    tilted-measure expectations directly.
-    """
-    if not TRAITS[spec.kind].drifted:
-        raise ValueError("tilted evaluation exists only for the drifted-clock kinds")
-    alpha = alpha_from_w_half(ensemble.w_half, ensemble.grid.T)
-    coeff, _ = clock_coefficients(spec, alpha)
-    exits = ensemble.clock_exit
-    u_kill = exits.u_exit
-    return MprFunctionals(
-        spec=spec,
-        ensemble=ensemble,
-        int_lam_dw=coeff * exits.x_exit,
-        int_lam2=coeff * coeff * u_kill,
-        w_half=ensemble.w_half,
-        alpha=alpha,
-        u_kill=u_kill,
-        exit_state=exits.x_exit,
-        censored=exits.censored,
-        clock=exits,
-        coeff=coeff,
-        measure="tilted",
-    )
-
-
-def mvt_terminal(
-    functionals: MprFunctionals, c: float | None = None
-) -> tuple[float, float, np.ndarray]:
-    """Terminal mean-variance-tradeoff sample ``integral (c lambda)^2 dt``.
-
-    Returns ``(mean, standard_error, per_path_values)``.
-    """
-    _, i2 = functionals.scaled_integrals(c)
-    mean = float(np.mean(i2))
-    se = float(np.std(i2, ddof=1) / math.sqrt(i2.size))
-    return mean, se, i2

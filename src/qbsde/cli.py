@@ -65,7 +65,7 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,11 +190,18 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("need a finite number")
+    return value
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
     parts = raw.replace(",", " ").split()
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite_float(p) for p in parts)
 
 
 _SCHEMA: dict[str, frozenset[str]] = {
@@ -270,13 +277,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             lambda v: None if v >= 2 else "need at least 2 coarse steps",
             default=cfg.n_coarse)
         cfg.T = raw.get(
-            "ensemble", "T", float,
+            "ensemble", "T", _finite_float,
             lambda v: None if v > 0 else "horizon must be positive",
             default=cfg.T)
 
     if parser.has_section("table2"):
         cfg.table2_q = raw.get(
-            "table2", "q", float,
+            "table2", "q", _finite_float,
             lambda v: None if v < 0 else "the verdict matrix needs q < 0",
             default=cfg.table2_q)
         cfg.scales = raw.get(
@@ -286,7 +293,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     if parser.has_section("continuum"):
         cfg.continuum_q = raw.get(
-            "continuum", "q", float,
+            "continuum", "q", _finite_float,
             lambda v: None if v < 1 else "need exposure power q < 1",
             default=cfg.continuum_q)
         cfg.b_offsets = raw.get(
@@ -301,7 +308,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                  "(zero or constant)",
             default=cfg.continuum_kind)
         cfg.continuum_level = raw.get(
-            "continuum", "level", float, default=cfg.continuum_level)
+            "continuum", "level", _finite_float, default=cfg.continuum_level)
 
     if suite == "classify":
         if not parser.has_section("spec"):
@@ -312,12 +319,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             lambda v: None if v in KINDS
             else f"unknown kind (choose from {', '.join(KINDS)})")
         cfg.spec_q = raw.get(
-            "spec", "q", float,
+            "spec", "q", _finite_float,
             lambda v: None if v < 1 else "classification covers q < 1")
-        cfg.spec_level = raw.get("spec", "level", float, default=None)
-        cfg.spec_a = raw.get("spec", "a", float, default=None)
-        cfg.spec_b = raw.get("spec", "b", float, default=None)
-        cfg.spec_c = raw.get("spec", "c", float, default=cfg.spec_c)
+        cfg.spec_level = raw.get("spec", "level", _finite_float, default=None)
+        cfg.spec_a = raw.get("spec", "a", _finite_float, default=None)
+        cfg.spec_b = raw.get("spec", "b", _finite_float, default=None)
+        cfg.spec_c = raw.get("spec", "c", _finite_float, default=cfg.spec_c)
         _validate_spec_params(raw, cfg)
 
     return cfg

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -156,19 +156,6 @@ class TimeGrid:
         u = np.log((self.T / 2.0) / (self.T - t_late))
         u.setflags(write=False)
         return u
-
-    def clustered_node_count(self) -> int:
-        """Number of nodes strictly after ``T/2``."""
-        return int(np.sum(self.nodes > self.T / 2.0 + 1e-15 * self.T))
-
-    def index_of(self, t: float) -> int:
-        idx = int(np.searchsorted(self.nodes, t))
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < self.nodes.size and math.isclose(
-                self.nodes[j], t, rel_tol=1e-12, abs_tol=1e-15 * self.T
-            ):
-                return j
-        raise ValueError(f"t={t!r} is not a grid node")
 
 
 def build_grid(

@@ -98,20 +98,19 @@ def hill_estimator(
     return index, index / math.sqrt(k), k
 
 
-def growth_ratio(samples: np.ndarray, anchor_block: int | None = None) -> float:
+def growth_ratio(samples: np.ndarray) -> float:
     """Full-sample mean over a robust anchor two decades down.
 
     The anchor is the median of disjoint block means at block size
-    ``anchor_block`` (default ``n // 100``): the typical estimate a hundred
-    times smaller a sample would produce.  Ratios near 1 mean the running
-    mean has stabilized; logarithmically divergent summands keep growing by a
+    ``max(n // 100, 50)``: the typical estimate a hundred times smaller a
+    sample would produce.  Ratios near 1 mean the running mean has
+    stabilized; logarithmically divergent summands keep growing by a
     seed-stable factor per added decade.
     """
     x = np.asarray(samples, dtype=np.float64)
     x = x[np.isfinite(x)]
     n = x.size
-    if anchor_block is None:
-        anchor_block = max(n // 100, _MIN_BLOCK)
+    anchor_block = max(n // 100, _MIN_BLOCK)
     nb = n // anchor_block
     if nb < 3:
         raise ValueError("too few samples for a block anchor")
@@ -122,22 +121,19 @@ def growth_ratio(samples: np.ndarray, anchor_block: int | None = None) -> float:
     return float(np.mean(x)) / anchor
 
 
-def divergence_verdict(
-    samples: np.ndarray,
-    tail_frac: float = 0.01,
-    anchor_block: int | None = None,
-) -> DivergenceEvidence:
+def divergence_verdict(samples: np.ndarray) -> DivergenceEvidence:
     """Paired heavy-tail divergence decision for a positive summand sample.
 
-    Declares the mean infinite iff the Hill index is at most
-    ``HILL_FAST_PATH`` (decisive power tail below index 1), or the Hill index
+    Reads a Hill index on the top 1% of the sample and the
+    :func:`growth_ratio`, and declares the mean infinite iff the index is at
+    most ``HILL_FAST_PATH`` (decisive power tail below index 1), or the index
     is at most ``HILL_CEILING`` *and* the two-decade growth ratio is at least
     ``GROWTH_FLOOR`` (critical index paired with a still-growing mean).
     Never reports a spurious finite value: the evidence is returned whole.
     """
     x = np.asarray(samples, dtype=np.float64)
-    hill, hill_se, k = hill_estimator(x, tail_frac=tail_frac)
-    growth = growth_ratio(x, anchor_block=anchor_block)
+    hill, hill_se, k = hill_estimator(x, tail_frac=0.01)
+    growth = growth_ratio(x)
     if hill <= HILL_FAST_PATH:
         diverged, reason = True, (
             f"hill={hill:.3f} <= {HILL_FAST_PATH} (power tail below index 1)"

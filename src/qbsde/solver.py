@@ -15,13 +15,11 @@ which this module estimates unconditionally at 0, conditionally at ``T/2``
 paths by least-squares regression.  It also constructs the multiplicative
 martingale representation behind the non-uniqueness mechanism, the resulting
 continuum of distinct square-integrable solutions indexed by a nonnegative
-offset, pathwise BSDE residual checks, the primal/dual optimizers, and the
-analytic driver property checks (growth, local Lipschitz, convexity).
+offset, and pathwise BSDE residual and martingale checks.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -54,14 +52,10 @@ __all__ = [
     "SolutionTriple",
     "MultRepResult",
     "ResidualReport",
-    "OptimizerPaths",
-    "DriverProps",
     "bsde_drift",
-    "lemma_driver",
     "default_eps0",
     "lambda_at_nodes",
     "psi_unconditional",
-    "psi_conditional_halfT",
     "psi_conditional_profile",
     "psi_path",
     "constant_closed_form_triple",
@@ -69,8 +63,6 @@ __all__ = [
     "continuum",
     "driver_residual",
     "martingale_check",
-    "optimizers",
-    "driver_props",
 ]
 
 
@@ -82,16 +74,6 @@ __all__ = [
 def bsde_drift(q: float, z, lam):
     """The ``dt`` coefficient of the Psi dynamics: ``(q/2)(z+lam)^2 - z^2/2``."""
     return 0.5 * q * (z + lam) ** 2 - 0.5 * z**2
-
-
-def lemma_driver(q: float, z, lam):
-    """The driver in analytic normal form: ``((1-q)/2) z^2 - q lam z - (q/2) lam^2``.
-
-    This is the negative of :func:`bsde_drift`; the analytic growth /
-    Lipschitz / convexity bounds are stated for this form (it is convex in
-    ``z`` with second derivative ``1 - q > 0``).
-    """
-    return 0.5 * (1.0 - q) * z**2 - q * lam * z - 0.5 * q * lam**2
 
 
 def default_eps0(q: float) -> float:
@@ -174,25 +156,6 @@ class SolutionTriple:
     def terminal_psi(self) -> np.ndarray:
         return self.psi[:, -1]
 
-    def to_csv(self, path_or_file, max_paths: int | None = None) -> None:
-        """Write ``path id, node time, psi, z`` rows."""
-        nodes = self.ensemble.grid.nodes
-        n = self.psi.shape[0] if max_paths is None else min(max_paths, self.psi.shape[0])
-
-        def _write(f) -> None:
-            w = csv.writer(f)
-            w.writerow(["path", "node_time", "psi", "z"])
-            for i in range(n):
-                for k, t in enumerate(nodes):
-                    w.writerow([i, repr(float(t)), repr(float(self.psi[i, k])),
-                                repr(float(self.z[i, k]))])
-
-        if hasattr(path_or_file, "write"):
-            _write(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as f:
-                _write(f)
-
 
 @dataclass
 class MultRepResult:
@@ -215,7 +178,6 @@ class MultRepResult:
     tau_c: np.ndarray
     v_exit: np.ndarray
     censored: np.ndarray
-    alpha_nodes: np.ndarray
     reconstruction_error: np.ndarray
     overshoot_error: np.ndarray
     dv: float
@@ -266,45 +228,6 @@ class ResidualReport:
     per_path: np.ndarray
     median: float
     p95: float
-
-
-@dataclass
-class OptimizerPaths:
-    """Primal/dual optimizer paths built from a solution triple."""
-
-    strategy: np.ndarray  # nu-hat at nodes
-    wealth: np.ndarray  # X-hat at nodes
-    dual: np.ndarray  # Y-hat at nodes
-    product: np.ndarray  # X-hat * Y-hat at nodes
-    p: float
-    x0: float
-
-    def product_terminal_gap(self) -> tuple[float, float]:
-        """(mean(X_T Y_T) - X_0 Y_0, standard error) for the martingale test."""
-        term = self.product[:, -1]
-        return (
-            float(term.mean() - self.product[0, 0]),
-            float(term.std(ddof=1) / math.sqrt(term.size)),
-        )
-
-
-@dataclass
-class DriverProps:
-    """Outcome of the analytic driver property checks."""
-
-    q: float
-    eps0: float
-    n_pairs: int
-    growth_ok: bool
-    lipschitz_ok: bool
-    convex_ok: bool
-    max_growth_violation: float
-    max_lipschitz_violation: float
-    max_convexity_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.growth_ok and self.lipschitz_ok and self.convex_ok
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +392,6 @@ def _conditional_values(
     return np.exp(expo), lb
 
 
-def psi_conditional_halfT(
-    spec: MprSpec,
-    q: float,
-    w_half: float,
-    *,
-    n_inner: int = 4096,
-    seed: int = 90210,
-) -> OpportunityEstimate:
-    """Estimate ``Psi_{T/2}`` given the midpoint driver value ``w_half``.
-
-    The midpoint state fixes the construction's conditioning quantity (the
-    arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
-    one-dimensional expectation over the exposure clock, estimated by plain
-    Monte Carlo on ``n_inner`` clock paths.  For the arccos construction at
-    unit scale and at its own ``q`` the analytic lower bound
-    ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
-    """
-    return psi_conditional_profile(spec, q, [w_half], n_inner=n_inner, seed=seed)[0]
-
-
 def psi_conditional_profile(
     spec: MprSpec,
     q: float,
@@ -497,7 +400,15 @@ def psi_conditional_profile(
     n_inner: int = 4096,
     seed: int = 90210,
 ) -> list[OpportunityEstimate]:
-    """``psi_conditional_halfT`` across a grid of states with shared clocks."""
+    """Estimate ``Psi_{T/2}`` at each midpoint driver value in ``w_half_grid``.
+
+    The midpoint state fixes the construction's conditioning quantity (the
+    arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
+    one-dimensional expectation over the exposure clock, estimated by plain
+    Monte Carlo on ``n_inner`` clock paths shared by every state.  For the
+    arccos construction at unit scale and at its own ``q`` the analytic lower
+    bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
+    """
     if q >= 1.0:
         raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
     arr = np.asarray(w_half_grid, dtype=np.float64)
@@ -753,14 +664,12 @@ def mult_rep(
     T = grid.T
     n = ensemble.n_paths
     d = math.log(c / xi_val)
-    nodes = grid.nodes
 
     if d == 0.0:
-        alpha_nodes = np.zeros((n, grid.n_nodes))
         zeros = np.zeros(n)
         return MultRepResult(
             c=c, xi=xi_val, level_gap=0.0, tau_c=zeros.copy(), v_exit=zeros.copy(),
-            censored=np.zeros(n, dtype=bool), alpha_nodes=alpha_nodes,
+            censored=np.zeros(n, dtype=bool),
             reconstruction_error=np.abs(xi_val - c) * np.ones(n),
             overshoot_error=zeros.copy(), dv=dv, v_max=MULT_REP_V_MAX,
             censor_height=zeros.copy(),
@@ -772,15 +681,6 @@ def mult_rep(
     )
     v_exit = hits.u_exit
     tau = np.where(hits.censored, math.inf, _rho_inverse(v_exit, T))
-    v_nodes = _rho_clock(nodes, T)
-    # A censored path is known to be pre-crossing at every node within the
-    # simulated clock horizon; beyond it the integrand is undetermined.
-    cutoff = np.where(hits.censored, math.inf, v_exit)
-    alpha_nodes = np.where(
-        v_nodes[None, :] < cutoff[:, None], 1.0 / (T - nodes[None, :]), 0.0
-    )
-    beyond = v_nodes[None, :] >= MULT_REP_V_MAX
-    alpha_nodes[hits.censored[:, None] & beyond] = math.nan
 
     # c * E(alpha^c . W)_T = c * exp(state at the stopped clock time), where
     # the state is the drift-adjusted clock BM minus half its quadratic
@@ -789,7 +689,7 @@ def mult_rep(
     over = np.where(hits.censored, math.nan, np.abs(xi_val - c * np.exp(hits.raw_end)))
     return MultRepResult(
         c=c, xi=xi_val, level_gap=d, tau_c=tau, v_exit=v_exit,
-        censored=hits.censored, alpha_nodes=alpha_nodes,
+        censored=hits.censored,
         reconstruction_error=recon, overshoot_error=over, dv=dv,
         v_max=MULT_REP_V_MAX,
         censor_height=np.where(hits.censored, hits.x_exit + d, 0.0),
@@ -943,7 +843,7 @@ def continuum(
 
 
 # ---------------------------------------------------------------------------
-# Residual, martingale and optimizer checks
+# Residual and martingale checks
 # ---------------------------------------------------------------------------
 
 
@@ -999,107 +899,4 @@ def martingale_check(
         float(stat.mean()),
         float(stat.std(ddof=1) / math.sqrt(stat.size)),
         stat,
-    )
-
-
-def optimizers(
-    triple: SolutionTriple, spec: MprSpec, q: float, x: float
-) -> OptimizerPaths:
-    """Primal/dual optimizer paths from a solution triple.
-
-    Recovers the utility power ``p = q/(q-1)``, the optimal strategy
-    ``nu = (Z + lambda)/(1 - p)``, the wealth ``X = x E(nu.W + int nu lambda dt)``
-    and the dual ``Y = e^{Psi_0} x^{p-1} E(-lambda.W)``; their product is the
-    process whose martingale property certifies optimality.
-    """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
-    if x <= 0.0:
-        raise ValueError(f"initial wealth must be positive, got {x!r}")
-    p = q / (q - 1.0) if q != 0.0 else 0.0
-    grid = triple.ensemble.grid
-    lam = lambda_at_nodes(spec, triple.ensemble)
-    nu = (triple.z + lam) / (1.0 - p)
-    dt = grid.dt[None, :]
-    nu_l, lam_l = nu[:, :-1], lam[:, :-1]
-    d_w = triple.d_w
-
-    log_x = np.concatenate(
-        [
-            np.zeros((nu.shape[0], 1)),
-            np.cumsum(
-                nu_l * d_w - 0.5 * nu_l**2 * dt + nu_l * lam_l * dt, axis=1
-            ),
-        ],
-        axis=1,
-    )
-    wealth = x * np.exp(log_x)
-    log_e_lam = np.concatenate(
-        [
-            np.zeros((nu.shape[0], 1)),
-            np.cumsum(-lam_l * d_w - 0.5 * lam_l**2 * dt, axis=1),
-        ],
-        axis=1,
-    )
-    psi0 = float(np.mean(triple.psi[:, 0]))
-    dual = math.exp(psi0) * x ** (p - 1.0) * np.exp(log_e_lam)
-    return OptimizerPaths(
-        strategy=nu, wealth=wealth, dual=dual, product=wealth * dual, p=p, x0=x
-    )
-
-
-def driver_props(
-    q: float,
-    z_sample: np.ndarray | None = None,
-    lam_sample: np.ndarray | None = None,
-    eps0: float | None = None,
-    *,
-    n_pairs: int = 10_000,
-    box: float = 10.0,
-    seed: int = 424242,
-) -> DriverProps:
-    """Check the driver's growth, local-Lipschitz and convexity bounds.
-
-    Evaluates the analytic-normal-form driver on randomized ``(z, lambda)``
-    pairs in ``[-box, box]^2`` (or the provided samples) and verifies:
-    ``|F| <= (1/2) max(q(q-eps0)/eps0, q/(1-q)) lambda^2 + ((1-q+eps0)/2) z^2``,
-    the Lipschitz bound with constant ``max((1-q)/2, |q|)``, and midpoint
-    convexity (exact for a quadratic).
-    """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
-    e0 = default_eps0(q) if eps0 is None else float(eps0)
-    if e0 <= 0.0:
-        raise ValueError(f"eps0 must be positive, got {e0!r}")
-    rng = philox_stream(seed, "driver-props", q)
-    if z_sample is None:
-        z_sample = rng.uniform(-box, box, size=n_pairs)
-    if lam_sample is None:
-        lam_sample = rng.uniform(-box, box, size=z_sample.size)
-    z2 = rng.uniform(-box, box, size=z_sample.size)
-
-    f = lemma_driver(q, z_sample, lam_sample)
-    lam_const = max(q * (q - e0) / e0, q / (1.0 - q))
-    growth_rhs = 0.5 * lam_const * lam_sample**2 + 0.5 * (1.0 - q + e0) * z_sample**2
-    growth_gap = np.abs(f) - growth_rhs
-
-    f2 = lemma_driver(q, z2, lam_sample)
-    lip_const = max(0.5 * (1.0 - q), abs(q))
-    lip_rhs = lip_const * (np.abs(lam_sample) + np.abs(z_sample) + np.abs(z2)) * np.abs(
-        z_sample - z2
-    )
-    lip_gap = np.abs(f - f2) - lip_rhs
-
-    f_mid = lemma_driver(q, 0.5 * (z_sample + z2), lam_sample)
-    conv_gap = f_mid - 0.5 * (f + f2)
-
-    tol = 1e-9
-    return DriverProps(
-        q=q, eps0=e0, n_pairs=int(z_sample.size),
-        growth_ok=bool(np.all(growth_gap <= tol)),
-        lipschitz_ok=bool(np.all(lip_gap <= tol)),
-        convex_ok=bool(np.all(conv_gap <= tol)),
-        max_growth_violation=float(growth_gap.max()),
-        max_lipschitz_violation=float(lip_gap.max()),
-        max_convexity_violation=float(conv_gap.max()),
     )

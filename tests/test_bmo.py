@@ -11,12 +11,9 @@ from qbsde import (
     UNBOUNDED,
     apriori_bound,
     bmo_norm,
-    bmo_report,
     classify,
     critical_exponent,
     dyn_exp_moment,
-    evaluate_mpr,
-    john_nirenberg_check,
     kq_curve,
     kq_numeric,
     kq_threshold,
@@ -26,7 +23,6 @@ from qbsde import (
     mpr_reverting,
     mpr_scaled,
     mpr_sigma_gamma,
-    mpr_tilde,
     mpr_zero,
     reverse_holder,
     reverting_rh_lower,
@@ -147,20 +143,6 @@ def test_critical_exponent_zero_kind_infinite(ens_small):
     assert ks == sorted(ks)
 
 
-def test_measure_must_match_the_functionals(ens_small):
-    spec = mpr_tilde(0.5)
-    physical = evaluate_mpr(spec, ens_small, need_nodes=True)
-    with pytest.raises(ValueError, match="tilted evaluation requires tilted"):
-        critical_exponent(spec, ens_small, measure="tilted", functionals=physical)
-    with pytest.raises(ValueError, match="tilted evaluation requires tilted"):
-        bmo_report(spec, ens_small, measure="tilted", functionals=physical)
-    for call in (lambda: critical_exponent(spec, ens_small, measure="tilde"),
-                 lambda: dyn_exp_moment(spec, ens_small, 1.0, measure="tilde"),
-                 lambda: bmo_report(spec, ens_small, measure="tilde")):
-        with pytest.raises(ValueError, match="unknown measure"):
-            call()
-
-
 def test_critical_exponent_nosol_brackets_half(ens_mid):
     ce = critical_exponent(mpr_nosol(Q), ens_mid)
     assert not ce.infinite
@@ -171,22 +153,6 @@ def test_critical_exponent_nosol_brackets_half(ens_mid):
 # ---------------------------------------------------------------------------
 # Inequality checks
 # ---------------------------------------------------------------------------
-
-
-def test_john_nirenberg_zero_and_constant(ens_mid):
-    jn0 = john_nirenberg_check(mpr_zero(), ens_mid)
-    assert jn0.status == "pass"
-    jn = john_nirenberg_check(mpr_constant(0.5), ens_mid)
-    assert jn.status == "pass"
-    assert jn.bound == pytest.approx(1.0 / (1.0 - jn.norm_sq), rel=1e-12)
-    assert jn.max_violation <= 0.0 + 1e-12
-
-
-def test_john_nirenberg_skips_on_large_norm(ens_mid):
-    jn = john_nirenberg_check(mpr_nosol(Q), ens_mid)
-    assert jn.status == "skipped"
-    assert jn.norm_sq >= 1.0
-    assert math.isinf(jn.bound)
 
 
 @pytest.mark.parametrize(
@@ -235,17 +201,8 @@ def test_apriori_bound_rejects_negative_q(ens_small):
 
 
 # ---------------------------------------------------------------------------
-# Reports and classification
+# Classification
 # ---------------------------------------------------------------------------
-
-
-def test_bmo_report_invariants(ens_small):
-    rep = bmo_report(mpr_constant(0.5), ens_small, q=Q)
-    ks = [k for (k, _, _) in rep.moments]
-    assert ks == sorted(ks)
-    assert rep.k_q == pytest.approx(kq_threshold(Q), rel=1e-12)
-    record = rep.to_json_record()
-    assert set(record) >= {"norm", "exponent"}
 
 
 def test_classify_bounded_kinds(ens_mid):
@@ -283,6 +240,7 @@ def test_classify_exponent_interval_when_requested(ens_mid):
     lo, hi = cls.exponent_interval
     assert lo <= hi
     assert cls.threshold_side in ("below k_q", "above k_q", "straddles k_q")
+    assert cls.k_q == kq_threshold(Q)
     record = cls.to_json_record()
     assert record["verdict"] == cls.verdict
 

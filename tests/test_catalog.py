@@ -13,7 +13,6 @@ from qbsde import (
     SigmaSampler,
     alpha_from_w_half,
     evaluate_mpr,
-    evaluate_tilde_under_tilted,
     kq_threshold,
     mpr_alpha_arccos,
     mpr_constant,
@@ -23,7 +22,6 @@ from qbsde import (
     mpr_sigma_gamma,
     mpr_tilde,
     mpr_zero,
-    mvt_terminal,
     scaled_params,
 )
 from qbsde.bmo import _spec_record
@@ -32,7 +30,7 @@ from qbsde.solver import (
     constant_closed_form_triple,
     continuum,
     lambda_at_nodes,
-    psi_conditional_halfT,
+    psi_conditional_profile,
 )
 
 
@@ -172,9 +170,6 @@ def test_evaluate_constant_identities(ens_small, grid):
     t_end = float(grid.nodes[-1])
     assert np.allclose(fn.int_lam2, level**2 * t_end, rtol=1e-12)
     assert np.allclose(fn.int_lam_dw, level * ens_small.wiener[:, -1], rtol=1e-12)
-    mean, se, _ = mvt_terminal(fn)
-    assert se == 0.0
-    assert mean == pytest.approx(level**2 * t_end, rel=1e-12)
 
 
 def test_scaled_integrals_and_summands(ens_small):
@@ -231,32 +226,11 @@ def test_sigma_kind_cuts_at_sampled_time(ens_small):
     assert np.all(np.abs(fn.exit_state[cut]) < 1.0)
 
 
-def test_tilde_drift_and_tilt_weights(ens_mid):
+def test_tilde_drift(ens_mid):
     spec = mpr_tilde(0.5)
     fn = evaluate_mpr(spec, ens_mid)
     assert np.allclose(fn.drift, 0.5 * math.pi * fn.alpha / math.sqrt(8.0),
                        rtol=1e-12)
-    w = fn.tilt_weights()
-    assert np.all(w > 0.0)
-    # E[dPtilde/dP] = 1 up to MC error (supermartingale, slight deficit ok).
-    se = w.std(ddof=1) / math.sqrt(w.size)
-    assert w.mean() < 1.0 + 5.0 * se
-    assert w.mean() > 0.9
-
-
-def test_tilt_weights_only_for_drifted_kinds(ens_small):
-    fn = evaluate_mpr(mpr_constant(0.5), ens_small)
-    with pytest.raises(ValueError):
-        fn.tilt_weights()
-
-
-def test_tilted_evaluation_is_driftless(ens_small):
-    spec = mpr_tilde(0.5)
-    fn = evaluate_tilde_under_tilted(spec, ens_small)
-    fn_plain = evaluate_mpr(mpr_alpha_arccos(-1.0), ens_small)
-    # Under the tilt the drifted clock exit is the plain symmetric exit:
-    # same exit-time stream as every undrifted construction.
-    assert np.array_equal(fn.u_kill, fn_plain.u_kill)
 
 
 def test_spec_grid_horizon_mismatch_rejected(ens_small):
@@ -307,8 +281,8 @@ def test_trait_table_matches_behaviour(kind, ens_small):
     # Independent of the table: a bounded kind's exposure is deterministic.
     assert (float(np.ptp(fn.int_lam2)) == 0.0) == traits.bounded
 
-    assert _rejects(lambda: psi_conditional_halfT(spec, -1.0, 0.0, n_inner=200,
-                                                  seed=7)) == (entry is None)
+    assert _rejects(lambda: psi_conditional_profile(spec, -1.0, [0.0], n_inner=200,
+                                                    seed=7)[0]) == (entry is None)
     assert _rejects(lambda: continuum(spec, -1.0, 0.0, ens_small)) == (not traits.bounded)
     assert _rejects(lambda: constant_closed_form_triple(spec, -1.0, ens_small)) == (
         not traits.bounded)

@@ -101,6 +101,17 @@ def test_parse_minimal_defaults(tmp_path):
      "bounded-exposure"),
     ("[run]\nsuite = continuum\n\n[continuum]\nb_offsets = 1 0\n", 5,
      "increasing"),
+    # non-finite floats fail at parse time, not mid-suite
+    ("[run]\nsuite = table2\n\n[ensemble]\nT = inf\n", 5, "cannot parse"),
+    ("[run]\nsuite = table2\n\n[table2]\nq = -inf\n", 5, "cannot parse"),
+    ("[run]\nsuite = table2\n\n[table2]\nscales = 0.5 inf\n", 5,
+     "cannot parse"),
+    ("[run]\nsuite = continuum\n\n[continuum]\nq = -inf\n", 5,
+     "cannot parse"),
+    ("[run]\nsuite = continuum\n\n[continuum]\nlevel = nan\n", 5,
+     "cannot parse"),
+    ("[run]\nsuite = continuum\n\n[continuum]\nb_offsets = 0 inf\n", 5,
+     "cannot parse"),
 ])
 def test_parse_errors_are_located(tmp_path, body, line, fragment):
     path = write_config(tmp_path, body)
@@ -130,6 +141,9 @@ def test_parse_classify_requires_spec_section(tmp_path):
     ("kind = nosol\nq = 0.5\n", "needs q < 0"),
     ("kind = vortex\nq = -1.0\n", "unknown kind"),
     ("kind = zero\nq = 1.5\n", "q < 1"),
+    ("kind = nosol\nq = -inf\n", "cannot parse"),
+    ("kind = tilde\nq = -1.0\nb = nan\n", "cannot parse"),
+    ("kind = nosol\nq = -1.0\nc = inf\n", "cannot parse"),
 ])
 def test_parse_spec_validation(tmp_path, spec_body, fragment):
     path = write_config(

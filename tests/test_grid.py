@@ -44,20 +44,6 @@ def test_clock_depth(grid):
     assert grid.clock_depth == pytest.approx(math.log(2.0**19), rel=1e-12)
 
 
-def test_index_of_roundtrip(grid):
-    for k in range(0, grid.n_nodes, 7):
-        assert grid.index_of(float(grid.nodes[k])) == k
-
-
-def test_index_of_rejects_non_nodes(grid):
-    with pytest.raises(ValueError):
-        grid.index_of(0.123456789)
-
-
-def test_clustered_node_count(grid):
-    assert grid.clustered_node_count() == grid.n_nodes - grid.half_index - 1
-
-
 def test_horizon_scaling():
     g = build_grid(2.0, 32)
     assert g.nodes[-1] == pytest.approx(2.0 - default_gap(2.0), rel=1e-15)

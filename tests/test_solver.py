@@ -1,4 +1,4 @@
-"""Opportunity-process estimators, representation, continuum, optimizers."""
+"""Opportunity-process estimators, representation, continuum and checks."""
 
 import math
 import warnings
@@ -12,10 +12,8 @@ from qbsde import (
     constant_closed_form_triple,
     continuum,
     default_eps0,
-    driver_props,
     driver_residual,
     lambda_at_nodes,
-    lemma_driver,
     martingale_check,
     mpr_constant,
     mpr_nosol,
@@ -23,8 +21,6 @@ from qbsde import (
     mpr_sigma_gamma,
     mpr_zero,
     mult_rep,
-    optimizers,
-    psi_conditional_halfT,
     psi_conditional_profile,
     psi_path,
     psi_unconditional,
@@ -51,30 +47,9 @@ def test_bsde_drift_formula():
     assert out.shape == (2,)
 
 
-def test_lemma_driver_is_negated_drift():
-    # The analytic normal form is the negative of the dt coefficient and is
-    # convex in z with curvature 1 - q.
-    zs = np.linspace(-3, 3, 13)
-    lams = np.linspace(-2, 2, 13)
-    for q in (-1.0, -0.25, 0.5):
-        assert np.allclose(
-            lemma_driver(q, zs, lams), -bsde_drift(q, zs, lams), rtol=1e-12
-        )
-        curvature = (lemma_driver(q, 1.0, 0.3) - 2.0 * lemma_driver(q, 0.0, 0.3)
-                     + lemma_driver(q, -1.0, 0.3))
-        assert curvature == pytest.approx(1.0 - q, rel=1e-12)
-
-
 def test_default_eps0_positive():
     for q in (-8.0, -1.0, -0.1, 0.5):
         assert default_eps0(q) > 0.0
-
-
-@pytest.mark.parametrize("q", [-2.0, -1.0, 0.5])
-def test_driver_props_pass(q):
-    props = driver_props(q)
-    assert props.passed
-    assert props.max_convexity_violation <= 1e-9
 
 
 def test_opportunity_estimate_divergence_sentinel():
@@ -120,20 +95,10 @@ def test_psi_unconditional_scaled_down_nosol_finite(ens_mid):
     assert not est.diverged and math.isfinite(est.estimate)
 
 
-def test_psi_conditional_halfT_matches_profile():
-    from qbsde import mpr_alpha_arccos
-
-    spec = mpr_alpha_arccos(Q)
-    single = psi_conditional_halfT(spec, Q, 0.0, n_inner=4000, seed=7)
-    profile = psi_conditional_profile(spec, Q, np.array([0.0]),
-                                      n_inner=4000, seed=7)[0]
-    assert single.estimate == pytest.approx(profile.estimate, rel=1e-12)
-    assert single.t == 0.5 and single.state == 0.0
-
-
 def test_psi_conditional_rejects_kinds_without_midpoint_factorization():
     with pytest.raises(ValueError, match="midpoint factorization"):
-        psi_conditional_halfT(mpr_constant(LEVEL), Q, 0.0, n_inner=500, seed=7)
+        psi_conditional_profile(mpr_constant(LEVEL), Q, [0.0], n_inner=500,
+                                seed=7)[0]
 
 
 def test_psi_conditional_profile_alpha_bounds():
@@ -143,7 +108,8 @@ def test_psi_conditional_profile_alpha_bounds():
     ests = psi_conditional_profile(mpr_alpha_arccos(Q), Q, w_grid,
                                    n_inner=4000, seed=7)
     assert len(ests) == 3
-    for e in ests:
+    for e, w in zip(ests, w_grid):
+        assert e.t == 0.5 and e.state == w
         assert e.lower_bound is not None  # analytic bound attaches at c=1
         assert e.estimate > e.lower_bound
     # Exposure grows as the midpoint state drops (alpha increases).
@@ -155,7 +121,8 @@ def test_arccos_bound_only_at_its_own_q():
 
     # At q = 0 Psi is exactly 0; the cosine-law bound (0.347 at w = 0) holds
     # only at the construction's own q.
-    est = psi_conditional_halfT(mpr_alpha_arccos(Q), 0.0, 0.0, n_inner=500, seed=7)
+    est = psi_conditional_profile(mpr_alpha_arccos(Q), 0.0, [0.0], n_inner=500,
+                                  seed=7)[0]
     assert est.lower_bound is None
     assert est.estimate == pytest.approx(0.0, abs=1e-12)
 
@@ -314,25 +281,3 @@ def test_continuum_rejects_clock_kinds(ens_small):
 def test_continuum_rejects_negative_offset(ens_small):
     with pytest.raises(ValueError):
         continuum(mpr_zero(), Q, -0.1, ens_small)
-
-
-# ---------------------------------------------------------------------------
-# Optimizer assembly
-# ---------------------------------------------------------------------------
-
-
-def test_optimizers_product_martingale(ens_mid):
-    spec = mpr_constant(LEVEL)
-    triple = constant_closed_form_triple(spec, Q, ens_mid)
-    opt = optimizers(triple, spec, Q, x=1.0)
-    assert opt.p == pytest.approx(Q / (Q - 1.0), rel=1e-15)
-    gap, se = opt.product_terminal_gap()
-    assert abs(gap) <= 3.0 * se
-    assert np.all(opt.wealth > 0.0)
-
-
-def test_optimizers_validation(ens_small):
-    spec = mpr_constant(LEVEL)
-    triple = constant_closed_form_triple(spec, Q, ens_small)
-    with pytest.raises(ValueError):
-        optimizers(triple, spec, Q, x=0.0)
