@@ -7,11 +7,14 @@ runs the reverse-Holder and a priori bound checks.  The classifier
 combines these into one of three verdicts per (spec, q):
 ``BoundedSolution``, ``UnboundedSolution``, or ``NoSolution``.
 
-Suprema over all stopping times are not computable by simulation.  Every
-"sup" here is taken over a *restricted* family - deterministic grid times
-plus the construction's own clock times, conditioned by binning on a
-midpoint statistic - and is therefore a lower bound of the true norm; the
-reports carry that caveat explicitly.  Conditioning on any measurable
+The BMO norm, the dynamic exponential moments and the reverse-Holder
+condition are all suprema of conditional expectations over the same
+stopping times (Kazamaki, *Continuous Exponential Martingales and BMO*,
+1994).  Suprema over all stopping times are not computable by simulation,
+so every "sup" here is taken over one *restricted* family, built by
+:func:`_family_cells` - deterministic grid times plus the construction's
+own clock times, conditioned by binning on a midpoint statistic - and is
+therefore a lower bound of the true value.  Conditioning on any measurable
 statistic keeps the estimates honest: a binned mean is the conditional
 expectation given a coarser sigma-field, which can only undershoot the
 essential supremum of the finer one.
@@ -21,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
-from qbsde.core import PathEnsemble, philox_stream
+from qbsde.core import PathEnsemble
 from qbsde.catalog import (
     TRAITS,
     MprFunctionals,
@@ -44,6 +48,7 @@ from qbsde.heavytail import (
     hill_estimator,
 )
 from qbsde.solver import (
+    _require_power,
     default_eps0,
     psi_conditional_profile,
     psi_path,
@@ -221,17 +226,6 @@ class BinCell:
     time: float
     samples: np.ndarray = field(repr=False, compare=False)
 
-    def to_json_record(self) -> dict:
-        return {
-            "member": self.member,
-            "statistic": self.statistic,
-            "center": None if math.isnan(self.center) else self.center,
-            "count": self.count,
-            "mean": self.mean,
-            "se": self.se,
-            "time": self.time,
-        }
-
 
 def _cells_from_stat(
     member: str,
@@ -296,7 +290,7 @@ def _grid_member_indices(ensemble: PathEnsemble) -> list[int]:
     return [k for k in idx if k < grid.n_nodes - 1]
 
 
-def _late_member_indices(ensemble: PathEnsemble, n_members: int = 4) -> list[int]:
+def _late_member_indices(ensemble: PathEnsemble, n_members: int) -> list[int]:
     grid = ensemble.grid
     first = grid.half_index + 1
     last = grid.n_nodes - 2
@@ -320,99 +314,59 @@ def _entry_stat(spec: MprSpec, fn: MprFunctionals) -> tuple[np.ndarray | None, s
     return getattr(fn, attr), label
 
 
-def _exposure_cells(
+def _family_cells(
     spec: MprSpec,
     ensemble: PathEnsemble,
     fn: MprFunctionals,
+    sample_at: Callable[[int], np.ndarray],
     *,
+    n_late: int,
     min_bin: int,
     max_bins: int,
     add_edges: bool = False,
 ) -> list[BinCell]:
-    """Remaining-exposure samples ``int_t^T lambda^2 ds`` per family member.
+    """Conditional cells of per-path samples over the restricted stopping family.
 
-    Grid-resident kinds condition on ``W_t`` at deterministic times; clock
-    kinds condition on the construction's midpoint statistic at entry and on
-    the clock-line position at later grid times (alive paths only - retired
-    paths carry exactly zero remaining exposure).
+    ``sample_at(k)`` is each path's sample for the member at grid node ``k``.
+    Grid-resident kinds condition on ``W_t`` at the nodes nearest ``0, T/4,
+    T/2, 3T/4``.  Clock kinds take ``t = 0``, the ``T/2`` entry binned on the
+    construction's midpoint statistic, and ``n_late`` clock-line members
+    after it, restricted to the paths still alive there and binned on the
+    midpoint statistic (or the clock-line position when there is none).
     """
-    cs2 = spec.c_scale * spec.c_scale
+    _require_nodes(fn)
     grid = ensemble.grid
-    total = cs2 * fn.int_lam2
-    cells: list[BinCell] = []
 
-    if spec.kind == "zero":
-        return _cells_from_stat("t=0", "none", None, total, 0.0,
-                                min_bin=min_bin, max_bins=max_bins)
+    def cells(t: float, name: str, stat, samples, member: str | None = None):
+        return _cells_from_stat(
+            member or f"t={t:.4g}", name, stat, samples, t,
+            min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
+        )
 
     if not TRAITS[spec.kind].clock:
-        _require_nodes(fn)
+        out: list[BinCell] = []
         for k in _grid_member_indices(ensemble):
-            t = float(grid.nodes[k])
-            remaining = total - cs2 * fn.node_int2[:, k]
             stat = None if k == 0 else ensemble.wiener[:, k]
-            cells.extend(_cells_from_stat(
-                f"t={t:.4g}", "driver-value", stat, remaining, t,
-                min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
-            ))
-        return cells
+            out += cells(float(grid.nodes[k]), "driver-value", stat, sample_at(k))
+        return out
 
-    # Clock kinds: exposure lives entirely after T/2.
-    cells.extend(_cells_from_stat("t=0", "none", None, total, 0.0,
-                                  min_bin=min_bin, max_bins=max_bins))
     half_t = grid.T / 2.0
     entry_stat, entry_name = _entry_stat(spec, fn)
-    cells.extend(_cells_from_stat(
-        f"t={half_t:.4g} (entry)", entry_name, entry_stat, total, half_t,
-        min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
-    ))
-
-    if fn.node_int2 is not None and fn.clock is not None:
-        first_late = grid.half_index + 1
-        for k in _late_member_indices(ensemble):
-            j = k - first_late
-            alive = fn.u_kill > grid.clock_nodes[j]
-            if np.count_nonzero(alive) < min_bin:
-                continue
-            t = float(grid.nodes[k])
-            remaining = (total - cs2 * fn.node_int2[:, k])[alive]
-            if entry_stat is not None:
-                stat, name = entry_stat[alive], entry_name
-            else:
-                stat, name = fn.clock.ckpt_pos[j][alive], "clock-position"
-            cells.extend(_cells_from_stat(
-                f"t={t:.4g}", name, stat, remaining, t,
-                min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
-            ))
-    return cells
-
-
-#: Bootstrap resamples drawn and reduced per chunk in :func:`_bootstrap_upper`.
-_BOOT_CHUNK = 256
-
-
-def _bootstrap_upper(samples: np.ndarray, rng: np.random.Generator,
-                     *, level: float = 0.999, n_boot: int = 4000) -> float:
-    """Upper confidence value for a cell mean.
-
-    Full bootstrap on small cells; the normal approximation (entirely
-    adequate at that size) beyond 20000 samples.
-    """
-    n = samples.size
-    mean = float(np.mean(samples))
-    if n > 20000:
-        se = float(np.std(samples, ddof=1) / math.sqrt(n))
-        from scipy.special import ndtri
-
-        return mean + float(ndtri(level)) * se
-    # Resamples are drawn in row chunks: the index matrix and its gathered
-    # copy would take 16 n_boot n bytes at once.  Row chunks read the same
-    # stream in the same order, so the means match a one-shot draw exactly.
-    means = np.concatenate([
-        samples[rng.integers(0, n, size=(min(_BOOT_CHUNK, n_boot - i), n))].mean(axis=1)
-        for i in range(0, n_boot, _BOOT_CHUNK)
-    ])
-    return float(np.quantile(means, level))
+    out = cells(0.0, "none", None, sample_at(0))
+    out += cells(half_t, entry_name, entry_stat, sample_at(grid.half_index),
+                 member=f"t={half_t:.4g} (entry)")
+    first_late = grid.half_index + 1
+    for k in _late_member_indices(ensemble, n_late):
+        j = k - first_late
+        alive = fn.u_kill > grid.clock_nodes[j]
+        if np.count_nonzero(alive) < min_bin:
+            continue
+        if entry_stat is not None:
+            stat, name = entry_stat[alive], entry_name
+        else:
+            stat, name = fn.clock.ckpt_pos[j][alive], "clock-position"
+        out += cells(float(grid.nodes[k]), name, stat, sample_at(k)[alive])
+    return out
 
 
 def _abs_state_slope(cells: list[BinCell], transform=None) -> dict[str, float]:
@@ -453,27 +407,11 @@ class NormEstimate:
     """
 
     estimate: float
-    upper_confidence: float
     unbounded: bool
     cells: list[BinCell]
     family: list[str]
     growth_note: str | None = None
-    family_restricted: bool = True
     exact: bool = False
-
-    def to_json_record(self) -> dict:
-        return {
-            "estimate": "inf" if math.isinf(self.estimate) else self.estimate,
-            "upper_confidence": (
-                "inf" if math.isinf(self.upper_confidence) else self.upper_confidence
-            ),
-            "unbounded": self.unbounded,
-            "family": self.family,
-            "family_restricted": self.family_restricted,
-            "exact": self.exact,
-            "growth_note": self.growth_note,
-            "cells": [c.to_json_record() for c in self.cells],
-        }
 
 
 def bmo_norm(
@@ -485,28 +423,30 @@ def bmo_norm(
 ) -> NormEstimate:
     """Binned-conditional estimate of the squared BMO2 norm.
 
-    Grid-resident kinds condition at the grid nodes nearest ``0, T/4, T/2,
-    3T/4``; clock constructions condition at ``0``, their entry time and
-    later clock-line times.  The max bin plus a 99.9% bootstrap upper
-    confidence value estimate the family sup; for the mean-reverting premium
-    a linear-growth check against the analytic slope flags "not BMO".
+    The remaining exposure ``int_t^T lambda^2 ds`` is averaged per cell of
+    the restricted stopping family (see :func:`_family_cells`; the clock
+    kinds add four clock-line members after the entry), and the max cell
+    mean estimates the family sup.  For the mean-reverting premium a
+    linear-growth check against the analytic slope flags "not BMO".
     """
     if spec.kind == "zero":
         return NormEstimate(
-            estimate=0.0, upper_confidence=0.0, unbounded=False, cells=[],
-            family=["t=0"], exact=True,
+            estimate=0.0, unbounded=False, cells=[], family=["t=0"], exact=True,
         )
     fn = functionals if functionals is not None else evaluate_mpr(
         spec, ensemble, need_nodes=True
     )
-    cells = _exposure_cells(spec, ensemble, fn, min_bin=MIN_BIN, max_bins=max_bins)
+    cells = _family_cells(
+        spec, ensemble, fn, lambda k: fn.int_lam2 - fn.node_int2[:, k],
+        n_late=4, min_bin=MIN_BIN, max_bins=max_bins,
+    )
     family = sorted({c.member for c in cells})
 
     if spec.kind == "constant":
         exact_value = (spec.c_scale * spec.level) ** 2 * ensemble.grid.T
         return NormEstimate(
-            estimate=exact_value, upper_confidence=exact_value,
-            unbounded=False, cells=cells, family=family, exact=True,
+            estimate=exact_value, unbounded=False, cells=cells, family=family,
+            exact=True,
         )
 
     if spec.kind == "reverting":
@@ -525,17 +465,12 @@ def bmo_norm(
                     f"{fit['slope']:.3f} >= (T-t)(1-tol)={rate:.3f} in |W_t|: not BMO"
                 )
                 return NormEstimate(
-                    estimate=math.inf, upper_confidence=math.inf, unbounded=True,
-                    cells=cells, family=family, growth_note=note,
+                    estimate=math.inf, unbounded=True, cells=cells, family=family,
+                    growth_note=note,
                 )
 
     best = max(cells, key=lambda c: c.mean)
-    rng = philox_stream(ensemble.seed, "bmo-bootstrap")
-    upper = _bootstrap_upper(best.samples, rng)
-    return NormEstimate(
-        estimate=best.mean, upper_confidence=upper, unbounded=False,
-        cells=cells, family=family,
-    )
+    return NormEstimate(estimate=best.mean, unbounded=False, cells=cells, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +561,18 @@ class DynMoment:
 def _dyn_cells(
     spec: MprSpec, ensemble: PathEnsemble, fn: MprFunctionals
 ) -> list[BinCell]:
-    """Exposure cells sized for tail decisions (few large bins)."""
+    """Remaining-exposure cells sized for tail decisions (few large bins).
+
+    The zero premium has no exposure at any member: one unconditional cell.
+    """
     big_bin = max(MIN_BIN, ensemble.n_paths // (2 * DYN_BINS))
-    return _exposure_cells(spec, ensemble, fn, min_bin=big_bin, max_bins=DYN_BINS,
-                           add_edges=True)
+    if spec.kind == "zero":
+        return _cells_from_stat("t=0", "none", None, fn.int_lam2, 0.0,
+                                min_bin=big_bin, max_bins=DYN_BINS)
+    return _family_cells(
+        spec, ensemble, fn, lambda k: fn.int_lam2 - fn.node_int2[:, k],
+        n_late=4, min_bin=big_bin, max_bins=DYN_BINS, add_edges=True,
+    )
 
 
 def dyn_exp_moment(
@@ -646,8 +589,8 @@ def dyn_exp_moment(
     samples are screened by the paired tail heuristic, and any diverging
     cell makes the whole moment diverged (+inf estimate).
     """
-    if not k > 0.0:
-        raise ValueError(f"moment order must be positive, got {k!r}")
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"moment order must be finite and positive, got {k!r}")
     if _cells is None:
         fn = functionals if functionals is not None else evaluate_mpr(
             spec, ensemble, need_nodes=True
@@ -716,21 +659,6 @@ class CriticalExponent:
     hi: float
     infinite: bool
     probes: list[tuple[float, float, bool]]
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    def to_json_record(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": "inf" if math.isinf(self.hi) else self.hi,
-            "infinite": self.infinite,
-            "probes": [
-                {"k": k, "estimate": "inf" if math.isinf(e) else e, "diverged": d}
-                for (k, e, d) in self.probes
-            ],
-        }
 
 
 def critical_exponent(
@@ -841,79 +769,6 @@ class RhCheck:
     slope_rate: float | None = None
     note: str | None = None
 
-    def to_json_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_cell": "inf" if math.isinf(self.max_cell) else self.max_cell,
-            "state_ratio": self.state_ratio,
-            "instability": self.instability,
-            "slope": self.slope,
-            "slope_rate": self.slope_rate,
-            "note": self.note,
-            "cells": [c.to_json_record() for c in self.cells],
-        }
-
-
-def _rh_cells(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    fn: MprFunctionals,
-    q: float,
-    *,
-    min_bin: int,
-) -> list[BinCell]:
-    """Conditional tail-power samples over the family.
-
-    The sample at time ``t`` is ``exp(-q (I1_T - I1_t) - q/2 (I2_T - I2_t))``
-    with the scaled integrals - the density ratio power whose conditional
-    mean the reverse-Holder inequality bounds.
-    """
-    cs = spec.c_scale
-    grid = ensemble.grid
-    _require_nodes(fn)
-    i1_T = cs * fn.int_lam_dw
-    i2_T = cs * cs * fn.int_lam2
-    cells: list[BinCell] = []
-
-    def tail_power(k: int) -> np.ndarray:
-        r1 = i1_T - cs * fn.node_int_dw[:, k]
-        r2 = i2_T - cs * cs * fn.node_int2[:, k]
-        return np.exp(np.minimum(-q * r1 - 0.5 * q * r2, 700.0))
-
-    if not TRAITS[spec.kind].clock:
-        for k in _grid_member_indices(ensemble):
-            t = float(grid.nodes[k])
-            stat = None if k == 0 else ensemble.wiener[:, k]
-            cells.extend(_cells_from_stat(
-                f"t={t:.4g}", "driver-value", stat, tail_power(k), t,
-                min_bin=min_bin, max_bins=MAX_BINS,
-            ))
-        return cells
-
-    # Clock kinds: the midpoint entry carries the whole exposure.
-    half_t = grid.T / 2.0
-    entry_stat, entry_name = _entry_stat(spec, fn)
-    cells.extend(_cells_from_stat(
-        f"t={half_t:.4g} (entry)", entry_name, entry_stat,
-        fn.summand_power(q), half_t, min_bin=min_bin, max_bins=MAX_BINS,
-    ))
-    first_late = grid.half_index + 1
-    for k in _late_member_indices(ensemble, n_members=2):
-        j = k - first_late
-        alive = fn.u_kill > grid.clock_nodes[j]
-        if np.count_nonzero(alive) < min_bin:
-            continue
-        t = float(grid.nodes[k])
-        vals = tail_power(k)[alive]
-        if entry_stat is not None:
-            stat, name = entry_stat[alive], entry_name
-        else:
-            stat, name = fn.clock.ckpt_pos[j][alive], "clock-position"
-        cells.extend(_cells_from_stat(
-            f"t={t:.4g}", name, stat, vals, t, min_bin=min_bin, max_bins=MAX_BINS,
-        ))
-    return cells
-
 
 def reverse_holder(
     spec: MprSpec,
@@ -926,14 +781,16 @@ def reverse_holder(
 
     Defined for ``q < 1`` (the classical statement has ``q < 0``; for
     ``q`` in ``(0, 1)`` the same conditional means are bounded by 1 via
-    Jensen and the check extends verbatim).  Bins hold at least
+    Jensen and the check extends verbatim).  The sample at member ``t`` is
+    the tail density power ``exp(-q (I1_T - I1_t) - q/2 (I2_T - I2_t))``,
+    conditioned over the stopping family of :func:`_family_cells` with two
+    clock-line members after the entry.  Bins hold at least
     ``max(MIN_BIN, n_paths // 50)`` samples.  Three evidence channels feed
     the verdict: growth of extreme bins along the conditioning grid, tail
     divergence of the strongest cell, and stability of the max bin between
     the half and full sample.
     """
-    if q >= 1.0:
-        raise ValueError(f"tail power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     if spec.kind == "zero":
         return RhCheck(verdict="Bounded", max_cell=1.0, cells=[], top_evidence=None,
                        state_ratio=1.0, instability=0.0,
@@ -942,7 +799,14 @@ def reverse_holder(
         spec, ensemble, need_nodes=True
     )
     min_bin = max(MIN_BIN, ensemble.n_paths // 50)
-    cells = _rh_cells(spec, ensemble, fn, q, min_bin=min_bin)
+
+    def tail_power(k: int) -> np.ndarray:
+        r1 = fn.int_lam_dw - fn.node_int_dw[:, k]
+        r2 = fn.int_lam2 - fn.node_int2[:, k]
+        return np.exp(np.minimum(-q * r1 - 0.5 * q * r2, 700.0))
+
+    cells = _family_cells(spec, ensemble, fn, tail_power, n_late=2,
+                          min_bin=min_bin, max_bins=MAX_BINS)
     best = max(cells, key=lambda c: c.mean)
 
     # (i) tail divergence of the strongest cell.
@@ -1035,17 +899,6 @@ class AprioriCheck:
     max_lower_violation: float
     note: str | None = None
 
-    def to_json_record(self) -> dict:
-        return {
-            "status": self.status,
-            "gamma_tilde": self.gamma_tilde,
-            "eta_sq": "inf" if math.isinf(self.eta_sq) else self.eta_sq,
-            "upper": "inf" if math.isinf(self.upper) else self.upper,
-            "max_upper_violation": self.max_upper_violation,
-            "max_lower_violation": self.max_lower_violation,
-            "note": self.note,
-        }
-
 
 def apriori_bound(
     spec: MprSpec,
@@ -1091,8 +944,7 @@ def apriori_bound(
     triple = psi_path(spec, q, ensemble)
     psi_curve = triple.psi.mean(axis=0)
     se_curve = triple.psi.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
-    cs2 = spec.c_scale * spec.c_scale
-    remaining = cs2 * (np.mean(fn.int_lam2) - fn.node_int2.mean(axis=0))
+    remaining = np.mean(fn.int_lam2) - fn.node_int2.mean(axis=0)
     lower_curve = -q / (2.0 * (1.0 - q)) * remaining
 
     span = max(float(np.ptp(psi_curve)), float(np.ptp(lower_curve)), 1e-3)
@@ -1192,8 +1044,7 @@ def classify(
     matches the spec's own (moment estimation cannot separate the critical
     boundary case - the certificate can).
     """
-    if q >= 1.0:
-        raise ValueError(f"classification covers q < 1, got {q!r}")
+    _require_power(q)
     evidence: list[dict] = []
     fn = evaluate_mpr(spec, ensemble, need_nodes=True)
 

@@ -73,6 +73,7 @@ __all__ = [
     "scaled_params",
     "alpha_from_w_half",
     "clock_coefficients",
+    "lambda_at_nodes",
     "evaluate_mpr",
     "kq_threshold",
 ]
@@ -331,21 +332,46 @@ def alpha_from_w_half(w_half: np.ndarray, T: float) -> np.ndarray:
 
 
 def clock_coefficients(
-    spec: MprSpec, alpha: float | np.ndarray = 1.0, cs: float = 1.0
+    spec: MprSpec, alpha: float | np.ndarray = 1.0
 ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
     """Clock coefficient and clock drift ``(coeff, drift)`` of a clock kind.
 
     In the exposure clock ``integral lambda dW = coeff * B_H`` and
-    ``integral lambda^2 dt = coeff^2 * H``, with ``cs`` the premium scale and
-    ``alpha`` the arccos scale (1 for the unscaled kinds).  The drifted
-    kinds' clock line carries the drift ``b * pi alpha / sqrt(8)``; the
+    ``integral lambda^2 dt = coeff^2 * H`` for the premium scaled by the
+    spec's ``c_scale``, with ``alpha`` the arccos scale (1 for the unscaled
+    kinds).  The drifted kinds' clock line carries the drift
+    ``b * pi alpha / sqrt(8)``, which the premium scale leaves alone; the
     other kinds return ``drift = None``.
     """
+    cs = spec.c_scale
     if not TRAITS[spec.kind].drifted:
         return cs * math.pi * alpha / (2.0 * math.sqrt(-spec.q)), None
     unit_coeff = math.pi * alpha / math.sqrt(8.0)
     coeff = unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff
     return cs * coeff, spec.b * unit_coeff
+
+
+def lambda_at_nodes(spec: MprSpec, ensemble: PathEnsemble) -> np.ndarray:
+    """Per-path values of the scaled risk premium at the grid nodes.
+
+    Only the grid-resident kinds have a meaningful pointwise value on the
+    time grid; the clock constructions are singular at the horizon and all
+    of their integrals are computed in the clock, so asking for node values
+    is rejected rather than silently aliased.
+    """
+    grid = ensemble.grid
+    n = ensemble.n_paths
+    if spec.kind == "zero":
+        return np.zeros((n, grid.n_nodes))
+    if spec.kind == "constant":
+        return np.full((n, grid.n_nodes), spec.c_scale * spec.level)
+    if spec.kind == "reverting":
+        w = ensemble.wiener
+        return spec.c_scale * (-np.sign(w) * np.sqrt(np.abs(w)))
+    raise ValueError(
+        f"kind {spec.kind!r} has no grid-resident pointwise values; its "
+        "integrals live in the exposure clock"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +385,8 @@ class MprFunctionals:
 
     ``int_lam_dw`` and ``int_lam2`` are the terminal values of
     ``integral lambda dW`` (physical-measure Brownian) and
-    ``integral lambda^2 dt`` for the *unscaled* premium; the spec's
-    ``c_scale`` is applied in :meth:`summand_power` / :meth:`scaled_integrals`.
+    ``integral lambda^2 dt`` for the premium scaled by the spec's
+    ``c_scale``, and so are ``coeff`` and the node tracks.
     For clock-driven kinds the exposure dies at clock time ``u_kill`` (exit,
     cut, or censoring) and ``exit_state`` keeps the clock-line state there;
     ``alpha`` / ``u_sigma`` carry the midpoint conditioning.  When built with
@@ -388,19 +414,13 @@ class MprFunctionals:
     def n_paths(self) -> int:
         return self.ensemble.n_paths
 
-    def scaled_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(integral c*lambda dW, integral (c*lambda)^2 dt)`` with ``c = c_scale``."""
-        c = self.spec.c_scale
-        return c * self.int_lam_dw, c * c * self.int_lam2
-
     def summand_power(self, q: float) -> np.ndarray:
-        """Per-path ``E(-c lambda . W)_T ** q`` summands.
+        """Per-path ``E(-lambda . W)_T ** q`` summands.
 
         These are the Monte Carlo summands whose mean is the unconditional
         exponential functional deciding solvability.
         """
-        i1, i2 = self.scaled_integrals()
-        return np.exp(-q * i1 - 0.5 * q * i2)
+        return np.exp(-q * self.int_lam_dw - 0.5 * q * self.int_lam2)
 
 
 def evaluate_mpr(
@@ -441,11 +461,7 @@ def evaluate_mpr(
         )
 
     if not TRAITS[spec.kind].clock:
-        integrand = (
-            np.full(grid.n_intervals, spec.level) if spec.kind == "constant"
-            else lambda t, w: -np.sign(w) * np.sqrt(np.abs(w))
-        )
-        pf = ito_integral(ensemble, integrand)
+        pf = ito_integral(ensemble, lambda_at_nodes(spec, ensemble)[:, :-1])
         return MprFunctionals(
             spec=spec,
             ensemble=ensemble,

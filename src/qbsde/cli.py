@@ -77,10 +77,7 @@ from qbsde.catalog import (
     TRAITS,
     MprSpec,
     kq_threshold,
-    mpr_alpha_arccos,
     mpr_constant,
-    mpr_nosol,
-    mpr_sigma_gamma,
     mpr_zero,
 )
 from qbsde.core import build_grid, sample_paths
@@ -469,19 +466,11 @@ def _table2_seed_row(args: tuple) -> dict[str, list[str]]:
     q, scales, n_paths, n_coarse, T, seed = args
     grid = build_grid(T, n_coarse)
     ens = sample_paths(grid, n_paths, seed=seed)
-    builders = {
-        "nosol": mpr_nosol(q, T),
-        "alpha_arccos": mpr_alpha_arccos(q, T),
-        "sigma_gamma": mpr_sigma_gamma(q, T),
-    }
     row: dict[str, list[str]] = {}
     for kind in _T2_KINDS:
-        verdicts = []
-        for c in scales:
-            cls = classify(builders[kind].with_scale(c), q, ens,
-                           with_exponent=False)
-            verdicts.append(cls.verdict)
-        row[kind] = verdicts
+        spec = MprSpec(kind=kind, T=T, q=q)
+        row[kind] = [classify(spec.with_scale(c), q, ens, with_exponent=False).verdict
+                     for c in scales]
     return row
 
 

@@ -445,8 +445,10 @@ def _euler_exit(
     :func:`simulate_two_sided_exit` and :func:`simulate_line_hit` for the
     blocking, stop, checkpoint and weight semantics.
     """
-    if dv > DEFAULT_DV * (1.0 + 1e-12):
-        raise ValueError(f"clock step dv={dv!r} violates the dv <= 1e-3 contract")
+    if not 0.0 < dv <= DEFAULT_DV * (1.0 + 1e-12):
+        raise ValueError(f"clock step dv={dv!r} violates the 0 < dv <= 1e-3 contract")
+    if not (math.isfinite(u_max) and u_max > 0.0):
+        raise ValueError(f"clock horizon must be finite and positive, got {u_max!r}")
     n_steps = int(math.ceil(u_max / dv - 1e-9))
     n_ck = 0
     if checkpoints is not None:
@@ -457,12 +459,17 @@ def _euler_exit(
         n_ck = len(ck_steps)
 
     lower_arr = _as_per_path(lower, n_paths) if np.ndim(lower) else None
-    if np.any(np.asarray(lower) >= 0.0):
-        raise ValueError("crossing level must be negative (paths start at 0)")
+    if not np.all((np.asarray(lower) < 0.0) & np.isfinite(lower)):
+        raise ValueError("crossing level must be finite and negative "
+                         "(paths start at 0)")
     rate_arr = _as_per_path(rate, n_paths)
+    if rate_arr is not None and not np.all(np.isfinite(rate_arr)):
+        raise ValueError("clock drift rate must be finite")
     stop_steps = None
     if stop_u is not None:
         stop_arr = _as_per_path(stop_u, n_paths)
+        if not np.all(stop_arr >= 0.0):
+            raise ValueError("stop clock times must be nonnegative (inf: never stop)")
         finite = np.isfinite(stop_arr)
         stop_steps = np.full(n_paths, n_steps + 1, dtype=np.int64)
         stop_steps[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)

@@ -44,6 +44,7 @@ from qbsde.catalog import (
     alpha_from_w_half,
     clock_coefficients,
     evaluate_mpr,
+    lambda_at_nodes,
 )
 from qbsde.heavytail import MIN_SAMPLES, DivergenceEvidence, divergence_verdict
 
@@ -54,7 +55,6 @@ __all__ = [
     "ResidualReport",
     "bsde_drift",
     "default_eps0",
-    "lambda_at_nodes",
     "psi_unconditional",
     "psi_conditional_profile",
     "psi_path",
@@ -91,6 +91,12 @@ def default_eps0(q: float) -> float:
     return max(q, 0.5) * (1.0 - q)
 
 
+def _require_power(q: float) -> None:
+    """Reject an exposure power outside the finite range ``q < 1``."""
+    if not (math.isfinite(q) and q < 1.0):
+        raise ValueError(f"exposure power must be finite with q < 1, got {q!r}")
+
+
 # ---------------------------------------------------------------------------
 # Result types
 # ---------------------------------------------------------------------------
@@ -120,15 +126,6 @@ class OpportunityEstimate:
         if self.diverged and not math.isinf(self.estimate):
             raise ValueError("divergence flag requires the +inf sentinel estimate")
 
-    def to_json_record(self) -> dict:
-        return {
-            "t": self.t,
-            "state": self.state,
-            "estimate": "inf" if math.isinf(self.estimate) else self.estimate,
-            "se": None if math.isnan(self.se) else self.se,
-            "diverged": self.diverged,
-        }
-
 
 @dataclass
 class SolutionTriple:
@@ -141,20 +138,14 @@ class SolutionTriple:
     constructions, reconstructed clock increments for the continuum — so
     residual and martingale checks integrate against the right noise.  The
     orthogonal martingale component is identically zero in the Brownian
-    filtration, recorded by ``n_is_zero``.
+    filtration.
     """
 
     ensemble: PathEnsemble
     psi: np.ndarray
     z: np.ndarray
     d_w: np.ndarray
-    provenance: str
-    n_is_zero: bool = True
     extras: dict = field(default_factory=dict)
-
-    @property
-    def terminal_psi(self) -> np.ndarray:
-        return self.psi[:, -1]
 
 
 @dataclass
@@ -231,34 +222,6 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# Lambda sampled on the grid (bounded kinds)
-# ---------------------------------------------------------------------------
-
-
-def lambda_at_nodes(spec: MprSpec, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path risk-premium values at the grid nodes.
-
-    Only the grid-resident kinds have a meaningful pointwise value on the
-    time grid; the clock constructions are singular at the horizon and all
-    of their integrals are computed in the clock, so asking for node values
-    is rejected rather than silently aliased.
-    """
-    grid = ensemble.grid
-    n = ensemble.n_paths
-    if spec.kind == "zero":
-        return np.zeros((n, grid.n_nodes))
-    if spec.kind == "constant":
-        return np.full((n, grid.n_nodes), spec.c_scale * spec.level)
-    if spec.kind == "reverting":
-        w = ensemble.wiener
-        return spec.c_scale * (-np.sign(w) * np.sqrt(np.abs(w)))
-    raise ValueError(
-        f"kind {spec.kind!r} has no grid-resident pointwise values; its "
-        "integrals live in the exposure clock"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Psi estimates
 # ---------------------------------------------------------------------------
 
@@ -303,8 +266,7 @@ def psi_unconditional(
     paired tail heuristic; a divergence verdict yields the ``+inf`` sentinel
     with the evidence attached instead of a meaningless finite average.
     """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     if q == 0.0:
         return OpportunityEstimate(
             t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
@@ -339,17 +301,18 @@ def _conditional_values(
             f"kind {spec.kind!r} has no midpoint factorization; conditional "
             f"estimates exist for kinds {halft_kinds}"
         )
+    if n_inner < 2:
+        raise ValueError(f"n_inner={n_inner!r}: a standard error needs 2 inner paths")
     if q < 0.0 and n_inner < MIN_SAMPLES:
         raise ValueError(
             f"n_inner={n_inner!r}: a divergence verdict needs at least "
             f"{MIN_SAMPLES} inner paths"
         )
     T = spec.T
-    cs = spec.c_scale
     u_max = math.log((T / 2.0) / default_gap(T))  # the default grid's clock depth
     if entry[0] == "u_sigma":
         _, u_sigma = SigmaSampler(T).from_w_half(w_half)
-        coeff, _ = clock_coefficients(spec, cs=cs)
+        coeff, _ = clock_coefficients(spec)
         ck = np.unique(u_sigma)
         exits = simulate_two_sided_exit(
             n_inner, u_max=u_max, seed=seed, stream=("cond-exit",),
@@ -362,7 +325,7 @@ def _conditional_values(
             u_eff = np.minimum(exits.u_exit, us)
             values[i] = np.exp(-q * coeff * x_at - 0.5 * q * coeff**2 * u_eff)
         return values, None
-    coeff, drift = clock_coefficients(spec, alpha_from_w_half(w_half, T), cs)
+    coeff, drift = clock_coefficients(spec, alpha_from_w_half(w_half, T))
     if drift is not None:
         values = np.empty((w_half.size, n_inner))
         for i in range(w_half.size):
@@ -384,7 +347,7 @@ def _conditional_values(
         - 0.5 * q * (coeff[:, None] ** 2) * exits.u_exit[None, :]
     )
     lb = None
-    if cs == 1.0 and q == spec.q < 0.0:  # the cosine law at the critical scale
+    if spec.c_scale == 1.0 and q == spec.q < 0.0:  # the cosine law at unit scale
         lb = (
             -math.pi * math.sqrt(-q) / 2.0
             - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / T) * w_half))
@@ -409,9 +372,10 @@ def psi_conditional_profile(
     arccos construction at unit scale and at its own ``q`` the analytic lower
     bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     arr = np.asarray(w_half_grid, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("midpoint states must be finite")
     values, lb = _conditional_values(spec, q, arr, n_inner, seed)
     return [
         _log_mean_estimate(
@@ -514,24 +478,20 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
     integrals after the midpoint, and the terminal node is pinned to the
     contract value 0.
     """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     grid = ensemble.grid
     n, m = ensemble.n_paths, grid.n_nodes
     if q == 0.0 or spec.kind == "zero":
         zeros = np.zeros((n, m))
         return SolutionTriple(
             ensemble=ensemble, psi=zeros, z=zeros.copy(),
-            d_w=ensemble.increments, provenance="Explicit",
+            d_w=ensemble.increments,
         )
 
     fn = evaluate_mpr(spec, ensemble, need_nodes=True)
-    cs = spec.c_scale
-    i1_T = cs * fn.int_lam_dw[:, None]
-    i2_T = cs**2 * fn.int_lam2[:, None]
-    node_i1 = cs * fn.node_int_dw
-    node_i2 = cs**2 * fn.node_int2
-    value = np.exp(-q * (i1_T - node_i1) - 0.5 * q * (i2_T - node_i2))
+    node_i1, node_i2 = fn.node_int_dw, fn.node_int2
+    value = np.exp(-q * (fn.int_lam_dw[:, None] - node_i1)
+                   - 0.5 * q * (fn.int_lam2[:, None] - node_i2))
 
     wiener = ensemble.wiener
     clock_kind = TRAITS[spec.kind].clock
@@ -576,10 +536,7 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
             cols = [wiener[:, k]]
             z[:, k] = _fit_conditional(cols, zi_target)
 
-    return SolutionTriple(
-        ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments,
-        provenance="Explicit",
-    )
+    return SolutionTriple(ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments)
 
 
 def constant_closed_form_triple(
@@ -593,17 +550,13 @@ def constant_closed_form_triple(
     """
     if not TRAITS[spec.kind].bounded:
         raise ValueError("closed-form triple exists for the constant and zero kinds")
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     level = spec.c_scale * spec.level if spec.kind == "constant" else 0.0
     grid = ensemble.grid
     psi_curve = -0.5 * q * level**2 * (grid.T - grid.nodes)
     psi = np.broadcast_to(psi_curve, (ensemble.n_paths, grid.n_nodes)).copy()
     z = np.zeros_like(psi)
-    return SolutionTriple(
-        ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments,
-        provenance="Explicit",
-    )
+    return SolutionTriple(ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +596,8 @@ def mult_rep(
     """
     xi_arr = np.asarray(xi, dtype=np.float64)
     if xi_arr.ndim > 0:
-        if xi_arr.size != ensemble.n_paths or np.ptp(xi_arr) > 1e-12 * abs(xi_arr[0]):
+        if (xi_arr.size != ensemble.n_paths
+                or not np.ptp(xi_arr) <= 1e-12 * abs(xi_arr[0])):  # NaN fails too
             raise ValueError(
                 "only constant functionals are supported: pass a scalar or a "
                 "constant per-path array"
@@ -651,6 +605,9 @@ def mult_rep(
         xi_val = float(xi_arr.flat[0])
     else:
         xi_val = float(xi_arr)
+    if not (math.isfinite(xi_val) and math.isfinite(c)):
+        raise ValueError(
+            f"the functional and c must be finite, got xi={xi_val!r}, c={c!r}")
     if xi_val <= 0.0:
         raise ValueError(f"the functional must be positive, got {xi_val!r}")
     # E[xi] = xi exactly (zero standard error), so the supermartingale
@@ -728,8 +685,7 @@ def continuum(
     and the exact martingale-test statistic
     ``E([(1-q)Z^b - q lambda] . W)_T`` per path.
     """
-    if q >= 1.0:
-        raise ValueError(f"exposure power must satisfy q < 1, got {q!r}")
+    _require_power(q)
     if not TRAITS[spec.kind].bounded:
         bounded_kinds = tuple(k for k in KINDS if TRAITS[k].bounded)
         raise ValueError(
@@ -761,7 +717,6 @@ def continuum(
         mart = np.exp(-q * level * w_T - 0.5 * q**2 * level**2 * T)
         return SolutionTriple(
             ensemble=ensemble, psi=psi, z=z, d_w=d_w,
-            provenance=f"Continuum(b={b_offset})",
             extras={
                 "psi0": math.log(c) / (1.0 - q), "c": c, "xi": xi,
                 "v_star": np.zeros(n), "tau_star": np.zeros(n),
@@ -833,7 +788,6 @@ def continuum(
 
     return SolutionTriple(
         ensemble=ensemble, psi=psi, z=z, d_w=d_w,
-        provenance=f"Continuum(b={b_offset})",
         extras={
             "psi0": math.log(c) / (1.0 - q), "c": c, "xi": xi,
             "v_star": v_star, "tau_star": tau_star, "censored": hits.censored,

@@ -7,13 +7,16 @@ import pytest
 
 from qbsde import (
     BOUNDED,
+    KINDS,
     NO_SOLUTION,
+    TRAITS,
     UNBOUNDED,
     apriori_bound,
     bmo_norm,
     classify,
     critical_exponent,
     dyn_exp_moment,
+    evaluate_mpr,
     kq_curve,
     kq_numeric,
     kq_threshold,
@@ -23,6 +26,7 @@ from qbsde import (
     mpr_reverting,
     mpr_scaled,
     mpr_sigma_gamma,
+    mpr_tilde,
     mpr_zero,
     reverse_holder,
     reverting_rh_lower,
@@ -104,7 +108,6 @@ def test_bmo_norm_constant_kind(ens_mid):
     est = bmo_norm(mpr_constant(0.5), ens_mid)
     assert not est.unbounded
     assert est.estimate == pytest.approx(0.25, rel=0.05)
-    assert est.estimate <= est.upper_confidence
 
 
 def test_bmo_norm_reverting_finite_but_growing(ens_mid):
@@ -121,6 +124,9 @@ def test_dyn_exp_moment_constant_all_finite(ens_mid):
     assert not dyn.diverged
     assert math.isfinite(dyn.estimate)
     assert dyn.as_row() == (1.0, dyn.estimate, False)
+    for k in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="moment order"):
+            dyn_exp_moment(mpr_constant(0.5), ens_mid, k=k)
 
 
 def test_dyn_exp_moment_nosol_top_cell_diverges(ens_mid):
@@ -138,7 +144,7 @@ def test_dyn_exp_moment_nosol_top_cell_diverges(ens_mid):
 
 def test_critical_exponent_zero_kind_infinite(ens_small):
     ce = critical_exponent(mpr_zero(), ens_small)
-    assert ce.infinite and math.isinf(ce.interval[1])
+    assert ce.infinite and math.isinf(ce.hi)
     ks = [k for (k, _, _) in ce.probes]
     assert ks == sorted(ks)
 
@@ -148,6 +154,68 @@ def test_critical_exponent_nosol_brackets_half(ens_mid):
     assert not ce.infinite
     assert ce.lo <= 0.5 <= ce.hi
     assert ce.hi / ce.lo <= 1.5  # bisection tightened the bracket
+
+
+# ---------------------------------------------------------------------------
+# The restricted stopping family
+# ---------------------------------------------------------------------------
+
+_A, _B = scaled_params(Q, mode="critical")
+_KIND_SPECS = {
+    "zero": mpr_zero(), "constant": mpr_constant(0.5), "reverting": mpr_reverting(),
+    "nosol": mpr_nosol(Q), "alpha_arccos": mpr_alpha_arccos(Q),
+    "sigma_gamma": mpr_sigma_gamma(Q), "tilde": mpr_tilde(0.5),
+    "scaled": mpr_scaled(Q, _A, _B),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cells_come_from_one_stopping_family(kind, ens_small):
+    spec, grid = _KIND_SPECS[kind], ens_small.grid
+    clock = TRAITS[kind].clock
+    # The family written out from the grid: the nodes nearest 0, T/4, T/2,
+    # 3T/4 for grid kinds; 0, the T/2 entry and clock-line nodes before the
+    # last for clock kinds.
+    if clock:
+        early = {0.0, grid.T / 2.0}
+        late_nodes = set(grid.nodes[grid.half_index + 1:-1])
+    else:
+        early = {float(grid.nodes[np.argmin(np.abs(grid.nodes - t))])
+                 for t in (0.0, grid.T / 4.0, grid.T / 2.0, 3.0 * grid.T / 4.0)}
+        late_nodes = set()
+    fn = evaluate_mpr(spec, ens_small, need_nodes=True)
+    for name, cells, n_late in (
+        ("bmo_norm", bmo_norm(spec, ens_small, functionals=fn).cells, 4),
+        ("dyn_exp_moment",
+         dyn_exp_moment(spec, ens_small, 0.25, functionals=fn).cells, 4),
+        ("reverse_holder", reverse_holder(spec, Q, ens_small, functionals=fn).cells, 2),
+    ):
+        times = {c.time for c in cells}
+        assert times <= early | late_nodes, name
+        late = sorted(times - early)
+        assert len(late) <= n_late, name
+        # The cut retires all but a few sigma_gamma paths before the first
+        # clock-line node, too few for a cell.
+        assert bool(late) == (clock and kind != "sigma_gamma"), name
+        for t in late:
+            j = int(np.flatnonzero(grid.nodes == t)[0]) - (grid.half_index + 1)
+            n_alive = int(np.count_nonzero(fn.u_kill > grid.clock_nodes[j]))
+            member = [c for c in cells if c.time == t
+                      and not c.statistic.endswith("-edge")]
+            assert sum(c.count for c in member) <= n_alive, name
+            if name == "bmo_norm":  # retired paths have no exposure left
+                assert all(np.all(c.samples > 0.0) for c in member)
+
+
+@pytest.mark.parametrize("make", [mpr_nosol, mpr_alpha_arccos])
+def test_clock_family_needs_node_tracks(make, ens_small):
+    spec = make(Q)
+    fn = evaluate_mpr(spec, ens_small)  # built without node tracks
+    for check in (lambda: bmo_norm(spec, ens_small, functionals=fn),
+                  lambda: dyn_exp_moment(spec, ens_small, 1.0, functionals=fn),
+                  lambda: reverse_holder(spec, Q, ens_small, functionals=fn)):
+        with pytest.raises(ValueError, match="need_nodes=True"):
+            check()
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +240,9 @@ def test_reverse_holder_verdicts(spec, verdict, ens_mid):
 def test_reverse_holder_accepts_positive_q(ens_mid):
     rh = reverse_holder(mpr_constant(0.5), 0.5, ens_mid)
     assert rh.verdict == "Bounded"
-    with pytest.raises(ValueError):
-        reverse_holder(mpr_constant(0.5), 1.0, ens_mid)
+    for q in (1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exposure power"):
+            reverse_holder(mpr_constant(0.5), q, ens_mid)
 
 
 def test_apriori_bound_trivial_at_q_zero(ens_small):
@@ -253,17 +322,6 @@ def test_classify_arccos_at_positive_q(ens_small):
 
 
 def test_classify_rejects_q_at_one(ens_small):
-    with pytest.raises(ValueError):
-        classify(mpr_zero(), 1.0, ens_small)
-
-
-def test_bootstrap_chunks_match_one_shot_draw():
-    from qbsde.bmo import _BOOT_CHUNK, _bootstrap_upper
-    from qbsde.core import philox_stream
-
-    samples = philox_stream(11, "boot-test").exponential(size=301)
-    n_boot = 4 * _BOOT_CHUNK + 17  # several full chunks and a partial one
-    idx = philox_stream(11, "boot").integers(0, samples.size, size=(n_boot, samples.size))
-    one_shot = float(np.quantile(samples[idx].mean(axis=1), 0.999))
-    chunked = _bootstrap_upper(samples, philox_stream(11, "boot"), n_boot=n_boot)
-    assert chunked == one_shot
+    for q in (1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exposure power"):
+            classify(mpr_zero(), q, ens_small)

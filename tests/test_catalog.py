@@ -14,6 +14,7 @@ from qbsde import (
     alpha_from_w_half,
     evaluate_mpr,
     kq_threshold,
+    lambda_at_nodes,
     mpr_alpha_arccos,
     mpr_constant,
     mpr_nosol,
@@ -29,7 +30,6 @@ from qbsde.cli import ExperimentConfig, build_spec
 from qbsde.solver import (
     constant_closed_form_triple,
     continuum,
-    lambda_at_nodes,
     psi_conditional_profile,
 )
 
@@ -172,17 +172,6 @@ def test_evaluate_constant_identities(ens_small, grid):
     assert np.allclose(fn.int_lam_dw, level * ens_small.wiener[:, -1], rtol=1e-12)
 
 
-def test_scaled_integrals_and_summands(ens_small):
-    fn = evaluate_mpr(mpr_constant(0.5).with_scale(2.0), ens_small)
-    i1, i2 = fn.scaled_integrals()
-    assert np.allclose(i1, 2.0 * fn.int_lam_dw, rtol=1e-12)
-    assert np.allclose(i2, 4.0 * fn.int_lam2, rtol=1e-12)
-    q = -1.0
-    assert np.allclose(
-        fn.summand_power(q), np.exp(-q * i1 - 0.5 * q * i2), rtol=1e-12
-    )
-
-
 def test_evaluate_reverting_matches_direct_integral(ens_small, grid):
     fn = evaluate_mpr(mpr_reverting(), ens_small)
     w_left = ens_small.wiener[:, :-1]
@@ -292,3 +281,23 @@ def test_trait_table_matches_behaviour(kind, ens_small):
     cfg = ExperimentConfig(suite="classify", out=Path("unused"), spec_kind=kind,
                            spec_q=-1.0, spec_level=0.5, spec_a=_A, spec_b=_B)
     assert _spec_record(build_spec(cfg)) == _spec_record(spec)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_functionals_are_those_of_the_scaled_premium(kind, ens_small):
+    unit = evaluate_mpr(_SPECS[kind], ens_small, need_nodes=True)
+    for c in (0.5, 2.0, 1.5):
+        fn = evaluate_mpr(_SPECS[kind].with_scale(c), ens_small, need_nodes=True)
+        pairs = [(fn.int_lam_dw, c * unit.int_lam_dw),
+                 (fn.node_int_dw, c * unit.node_int_dw),
+                 (fn.int_lam2, c * c * unit.int_lam2),
+                 (fn.node_int2, c * c * unit.node_int2)]
+        if fn.coeff is not None:
+            pairs.append((fn.coeff, c * unit.coeff))
+            # The scale multiplies the premium, not the clock it runs on.
+            assert np.array_equal(fn.u_kill, unit.u_kill)
+        for got, want in pairs:
+            if c == 1.5:  # not a power of two: rounding may differ in the last bit
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want)

@@ -66,7 +66,7 @@ def test_alpha_validation(ens_small):
         hitting_time(ens_small, alpha=1.5)
 
 
-def test_two_sided_exit_engine_contract():
+def test_two_sided_exit_engine_contract(ens_small):
     exits = simulate_two_sided_exit(4000, dv=1e-3, u_max=6.0, seed=11,
                                     stream=("unit-test",))
     # Bridge-corrected exits land exactly on a barrier.
@@ -79,6 +79,14 @@ def test_two_sided_exit_engine_contract():
         assert np.allclose(exits.u_exit[cen], 6.0, atol=1e-12)
     # Survival at u=6 is about exp(-pi^2 * 6 / 8) ~ 6e-4.
     assert exits.censored_fraction < 0.01
+    for bad in (dict(u_max=-1.0), dict(u_max=math.nan), dict(u_max=math.inf),
+                dict(u_max=6.0, drift=math.nan), dict(u_max=6.0, dv=-1e-3),
+                dict(u_max=6.0, stop_u=np.full(100, math.nan)),
+                dict(u_max=6.0, stop_u=np.full(100, -1.0))):
+        with pytest.raises(ValueError):
+            simulate_two_sided_exit(100, seed=11, **bad)
+    with pytest.raises(ValueError, match="finite"):
+        hitting_time(ens_small, math.nan)
 
 
 def test_stop_u_truncates_exit():
@@ -122,10 +130,13 @@ def test_line_hit_engine_contract():
     bm_part = exits.x_exit[cen] - drift_cum(exits.u_max)
     assert np.allclose(exits.ckpt_wsum[:, cen].sum(axis=0), bm_part, rtol=0.0,
                        atol=1e-12)
-    for bad in (0.0, np.r_[-np.ones(1999), 0.5]):
+    for bad in (0.0, math.nan, -math.inf, np.r_[-np.ones(1999), 0.5],
+                np.r_[-np.ones(1999), math.nan]):
         with pytest.raises(ValueError, match="negative"):
             simulate_line_hit(2000, v_max=v_max, seed=14, level=bad,
                               drift_cum=drift_cum)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_line_hit(2000, v_max=-1.0, seed=14, level=-0.5, drift_cum=drift_cum)
 
 
 @pytest.mark.parametrize("engine", ["two_sided", "line_hit"])

@@ -80,8 +80,9 @@ def test_psi_unconditional_constant_matches_closed_form(ens_mid):
 
 
 def test_psi_unconditional_rejects_q_above_one(ens_small):
-    with pytest.raises(ValueError):
-        psi_unconditional(mpr_constant(LEVEL), 1.0, ens_small)
+    for q in (1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="exposure power"):
+            psi_unconditional(mpr_constant(LEVEL), q, ens_small)
 
 
 def test_psi_unconditional_nosol_diverges(ens_mid):
@@ -99,6 +100,14 @@ def test_psi_conditional_rejects_kinds_without_midpoint_factorization():
     with pytest.raises(ValueError, match="midpoint factorization"):
         psi_conditional_profile(mpr_constant(LEVEL), Q, [0.0], n_inner=500,
                                 seed=7)[0]
+
+
+def test_psi_conditional_profile_rejects_bad_input():
+    spec = mpr_sigma_gamma(Q)
+    for q, states, n_inner in ((math.nan, [0.0], 500), (0.5, [math.nan], 500),
+                               (0.5, [0.0, math.inf], 500), (0.5, [0.0], 1)):
+        with pytest.raises(ValueError):
+            psi_conditional_profile(spec, q, states, n_inner=n_inner, seed=7)
 
 
 def test_psi_conditional_profile_alpha_bounds():
@@ -142,7 +151,6 @@ def test_constant_closed_form_triple_exact(ens_small, grid):
     spec = mpr_constant(LEVEL)
     triple = constant_closed_form_triple(spec, Q, ens_small)
     assert triple.psi[0, 0] == pytest.approx(PSI0_CONSTANT, rel=1e-15)
-    assert np.all(triple.terminal_psi == triple.psi[:, -1])
     curve = -0.5 * Q * LEVEL**2 * (1.0 - grid.nodes)
     assert np.allclose(triple.psi, curve[None, :], rtol=1e-12)
     # Z = 0 and the curve solves the ODE part exactly: zero residual.
@@ -223,6 +231,9 @@ def test_mult_rep_refinement_shrinks_overshoot(ens_small):
 def test_mult_rep_rejects_unattainable_level(ens_small):
     with pytest.raises(ValueError):
         mult_rep(1.0, 0.5, ens_small)  # c below E[xi]
+    for xi, c in ((1.0, math.nan), (math.nan, 2.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            mult_rep(xi, c, ens_small)
 
 
 def test_mult_rep_rejects_nonconstant_xi(ens_small):
