@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -253,22 +254,19 @@ class PathEnsemble:
     def clock_exit(self) -> ClockExits:
         """Driftless exit of the ensemble's clock Brownian motion from (-1, 1).
 
-        Simulated once, on the stream ``(seed, "hit", 0.0)`` up to the grid's
-        clock depth, with the state recorded at :attr:`TimeGrid.clock_nodes`.
-        Every undrifted construction and :func:`hitting_time` read this one
-        exit, so its arrays are read-only.
+        Simulated on the stream ``(seed, "hit", 0.0)`` up to the grid's clock
+        depth, with the state recorded at :attr:`TimeGrid.clock_nodes`.  Every
+        undrifted construction and :func:`hitting_time` read this one exit.
+        The ensemble holds it for its lifetime, whatever the engine's memo
+        evicts; like every two-sided exit, its arrays are read-only.
         """
-        exits = simulate_two_sided_exit(
+        return simulate_two_sided_exit(
             self.n_paths,
             u_max=self.grid.clock_depth,
             seed=self.seed,
             stream=("hit", 0.0),
             checkpoints=self.grid.clock_nodes,
         )
-        for value in vars(exits).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        return exits
 
 
 def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -598,6 +596,21 @@ def _euler_exit(
     )
 
 
+#: Distinct two-sided exits kept by :func:`simulate_two_sided_exit`: one Table 2
+#: seed's working set (the ensemble exit, the cut exit and two inner exits).
+EXIT_MEMO_SIZE = 4
+
+_exit_memo: OrderedDict[tuple, ClockExits] = OrderedDict()
+
+
+def _array_key(value) -> tuple | None:
+    """Exact key of a float array parameter: its float64 shape and bytes."""
+    if value is None:
+        return None
+    arr = np.asarray(value, dtype=np.float64)
+    return arr.shape, arr.tobytes()
+
+
 def simulate_two_sided_exit(
     n_paths: int,
     *,
@@ -621,11 +634,30 @@ def simulate_two_sided_exit(
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
     down to the step grid) if it has not exited earlier.  ``checkpoints``
     records the state at fixed clock times.
+
+    The exit is a pure function of the arguments, so the last
+    :data:`EXIT_MEMO_SIZE` distinct results are memoized on their exact
+    inputs (the stream by its entropy words, so ``-0.0`` and ``0.0`` stay
+    apart; arrays by their float64 bytes).  A repeated call returns the same
+    object, and every array of a result is read-only.
     """
-    return _euler_exit(
-        n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
-        lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
-    )
+    key = (n_paths, dv, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
+           _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
+    exits = _exit_memo.get(key)
+    if exits is None:
+        exits = _euler_exit(
+            n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
+            lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
+        )
+        for value in vars(exits).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        _exit_memo[key] = exits
+        if len(_exit_memo) > EXIT_MEMO_SIZE:
+            _exit_memo.popitem(last=False)
+    else:
+        _exit_memo.move_to_end(key)
+    return exits
 
 
 def simulate_line_hit(
@@ -740,8 +772,17 @@ def exit_time_exp_moment(clock: HittingClock, c: float) -> tuple[float, float]:
 
     Censored paths contribute at their censoring depth (a lower bound whose
     bias at the default truncation is orders below the stated tolerances).
+    The moment is infinite once the rate ``c^2 pi^2 / 8`` reaches the exit
+    law's decay rate ``pi^2 / 8 + mu^2 / 2`` (by Girsanov, for the clock's
+    effective drift ``mu``); there the result is ``(inf, nan)``, never a
+    finite sample mean.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"moment scale c must be finite, got {c!r}")
     rate = c * c * math.pi * math.pi / 8.0
+    mu = clock.drift_slope * math.pi * clock.alpha / math.sqrt(8.0)
+    if rate >= math.pi * math.pi / 8.0 + 0.5 * mu * mu:
+        return math.inf, math.nan
     vals = np.exp(rate * clock.H)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))

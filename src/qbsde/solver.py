@@ -368,12 +368,18 @@ def psi_conditional_profile(
     The midpoint state fixes the construction's conditioning quantity (the
     arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
     one-dimensional expectation over the exposure clock, estimated by plain
-    Monte Carlo on ``n_inner`` clock paths shared by every state.  For the
-    arccos construction at unit scale and at its own ``q`` the analytic lower
-    bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
+    Monte Carlo on ``n_inner`` clock paths.  The inner clock is shared by every
+    state and, through the engine's memo, by every call with the same
+    ``n_inner`` and ``seed``; the drifted and cut kinds also need the same
+    states.  For the arccos construction at unit scale and at its own ``q``
+    the analytic lower bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is
+    attached.
     """
     _require_power(q)
     arr = np.asarray(w_half_grid, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(
+            f"midpoint states must be a non-empty 1-d grid, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("midpoint states must be finite")
     values, lb = _conditional_values(spec, q, arr, n_inner, seed)

@@ -3,6 +3,7 @@
 import inspect
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ import pytest
 import qbsde
 from qbsde import (
     catalog,
+    classify,
     core,
     evaluate_mpr,
     exit_time_exp_moment,
     hitting_time,
     mpr_nosol,
+    mpr_sigma_gamma,
     sample_paths,
 )
 from qbsde.core import simulate_line_hit, simulate_two_sided_exit
@@ -52,6 +55,26 @@ def test_exit_exp_moment_against_cosine_law(ens_mid, c):
     mean, se = exit_time_exp_moment(clock, c)
     target = 1.0 / math.cos(c * math.pi / 2.0)
     assert abs(mean - target) <= max(4.0 * se, 0.02 * target)
+
+
+def test_exit_exp_moment_flags_infinite_moments(ens_mid):
+    # 1/cos(c pi/2) diverges for |c| >= 1: no finite sample mean is reported.
+    clock = hitting_time(ens_mid)
+    for c in (1.0, -1.0, 1.5):
+        mean, se = exit_time_exp_moment(clock, c)
+        assert mean == math.inf and math.isnan(se), c
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            exit_time_exp_moment(clock, c)
+    # By Girsanov a drifted clock keeps the moment finite up to the rate
+    # pi^2/8 + mu^2/2, i.e. c^2 < 1 + 4 mu^2 / pi^2.
+    drifted = hitting_time(ens_mid, drift_slope=2.0)
+    mean, se = exit_time_exp_moment(drifted, 1.05)
+    assert math.isfinite(mean) and math.isfinite(se) and 1.9 < mean < 2.1
+    mu = 2.0 * math.pi / math.sqrt(8.0)
+    c_crit = math.sqrt(1.0 + 4.0 * mu * mu / math.pi**2)
+    assert math.isfinite(exit_time_exp_moment(drifted, 0.999 * c_crit)[0])
+    assert exit_time_exp_moment(drifted, 1.001 * c_crit)[0] == math.inf
 
 
 def test_drifted_clock_biases_exit_side(ens_mid):
@@ -201,3 +224,103 @@ def test_only_engines_and_mult_rep_take_a_clock_step():
         and "dv" in inspect.signature(getattr(qbsde, name)).parameters
     )
     assert takes_dv == ["mult_rep", "simulate_line_hit", "simulate_two_sided_exit"]
+
+
+def _counting_engine(monkeypatch) -> list:
+    """Start from an empty exit memo; return the list of engine runs."""
+    monkeypatch.setattr(core, "_exit_memo", OrderedDict())
+    runs = []
+    engine = core._euler_exit
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_euler_exit", counting)
+    return runs
+
+
+def test_two_sided_exit_memo_returns_the_same_read_only_exit(monkeypatch):
+    runs = _counting_engine(monkeypatch)
+    kwargs = dict(u_max=3.0, seed=43, stream=("unit-test-memo",),
+                  drift=np.linspace(-0.5, 0.5, 700), stop_u=np.full(700, 2.0),
+                  checkpoints=np.array([0.5, 1.5]))
+    first = simulate_two_sided_exit(700, **kwargs)
+    again = simulate_two_sided_exit(700, **kwargs)
+    assert again is first and len(runs) == 1
+    arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+    # A memo hit carries the same bits as an unmemoized engine run.
+    fresh = core._euler_exit(700, dv=core.DEFAULT_DV, lower=-1.0, upper=1.0,
+                             rate=kwargs.pop("drift"), **kwargs)
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == getattr(again, name).tobytes(), name
+        else:
+            assert value == getattr(again, name), name
+
+
+def test_two_sided_exit_memo_keys_on_every_input(monkeypatch):
+    runs = _counting_engine(monkeypatch)
+    base = dict(u_max=2.0, seed=44, stream=("hit", 0.0), drift=np.full(500, 0.2))
+    drift_one = np.full(500, 0.2)
+    drift_one[7] = 0.25
+    variants = [
+        dict(stream=("hit", -0.0)),  # 0.0 == -0.0, yet another stream
+        dict(drift=drift_one),
+        dict(checkpoints=np.array([0.5, 1.0])),
+        dict(stop_u=np.full(500, 1.0)),
+        dict(seed=45),
+        dict(dv=5e-4),
+    ]
+    for change in variants:
+        simulate_two_sided_exit(500, **base)
+        before = len(runs)
+        changed = simulate_two_sided_exit(500, **{**base, **change})
+        assert len(runs) == before + 1, change
+        assert simulate_two_sided_exit(500, **{**base, **change}) is changed
+        assert len(runs) == before + 1, change
+        assert len(core._exit_memo) <= core.EXIT_MEMO_SIZE
+    # Seeds equal modulo 2**64 key the same Philox stream, hence one exit.
+    before = len(runs)
+    a = simulate_two_sided_exit(500, **{**base, "seed": -1})
+    assert simulate_two_sided_exit(500, **{**base, "seed": 2**64 - 1}) is a
+    assert len(runs) == before + 1
+
+
+def test_two_sided_exit_memo_stays_bounded(monkeypatch):
+    runs = _counting_engine(monkeypatch)
+    for seed in range(2 * core.EXIT_MEMO_SIZE):
+        simulate_two_sided_exit(200, u_max=1.0, seed=seed, stream=("unit-test-lru",))
+        assert len(core._exit_memo) == min(seed + 1, core.EXIT_MEMO_SIZE)
+    # The oldest entries were evicted and run again; the newest were kept.
+    simulate_two_sided_exit(200, u_max=1.0, seed=2 * core.EXIT_MEMO_SIZE - 1,
+                            stream=("unit-test-lru",))
+    assert len(runs) == 2 * core.EXIT_MEMO_SIZE
+    simulate_two_sided_exit(200, u_max=1.0, seed=0, stream=("unit-test-lru",))
+    assert len(runs) == 2 * core.EXIT_MEMO_SIZE + 1
+
+
+def test_classify_scales_run_each_distinct_exit_once(grid, monkeypatch):
+    ens = sample_paths(grid, 600, seed=47)
+    runs = _counting_engine(monkeypatch)
+    calls = []
+    memoized = core.simulate_two_sided_exit
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return memoized(*args, **kwargs)
+
+    for module in (core, catalog, qbsde.solver):
+        monkeypatch.setattr(module, "simulate_two_sided_exit", counting)
+    for c in (0.5, 1.0, 1.5):
+        classify(mpr_sigma_gamma(-1.0).with_scale(c), -1.0, ens, with_exponent=False)
+
+    def key(kw):
+        arrays = tuple(None if kw.get(n) is None else np.asarray(kw[n]).tobytes()
+                       for n in ("stop_u", "checkpoints"))
+        return kw["u_max"], kw["seed"], kw["stream"], arrays
+
+    distinct = {key(kw) for kw in calls}
+    assert len(calls) > len(distinct)  # the scales repeat exits ...
+    assert len(runs) == len(distinct)  # ... which the engine runs once each

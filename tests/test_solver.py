@@ -103,11 +103,18 @@ def test_psi_conditional_rejects_kinds_without_midpoint_factorization():
 
 
 def test_psi_conditional_profile_rejects_bad_input():
+    from qbsde import mpr_alpha_arccos, mpr_tilde
+
     spec = mpr_sigma_gamma(Q)
     for q, states, n_inner in ((math.nan, [0.0], 500), (0.5, [math.nan], 500),
                                (0.5, [0.0, math.inf], 500), (0.5, [0.0], 1)):
         with pytest.raises(ValueError):
             psi_conditional_profile(spec, q, states, n_inner=n_inner, seed=7)
+    # An empty or non-1-d state grid fails before any engine runs.
+    for spec in (mpr_sigma_gamma(Q), mpr_alpha_arccos(Q), mpr_tilde(0.5)):
+        for states in ([], np.zeros((0, 2)), 0.0, [[0.0, 0.5]]):
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                psi_conditional_profile(spec, Q, states, n_inner=500, seed=7)
 
 
 def test_psi_conditional_profile_alpha_bounds():
