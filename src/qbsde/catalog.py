@@ -42,6 +42,7 @@ on the raw time grid.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -51,6 +52,8 @@ from scipy import integrate, special
 from qbsde.core import (
     ClockExits,
     PathEnsemble,
+    _array_key,
+    _memoized,
     ito_integral,
     simulate_two_sided_exit,
 )
@@ -243,6 +246,13 @@ def scaled_params(
 # ---------------------------------------------------------------------------
 
 
+#: Distinct midpoint-state vectors whose cut :meth:`SigmaSampler.from_w_half`
+#: keeps: one Table 2 seed's ensemble and profile grid, for two seeds.
+SIGMA_MEMO_SIZE = 4
+
+_sigma_memo: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+
+
 class SigmaSampler:
     """Sampler for the terminal-concentrated cut time ``sigma``.
 
@@ -314,7 +324,15 @@ class SigmaSampler:
         """Map midpoint states to ``(sigma, u_sigma)``.
 
         ``u_sigma = log((T/2)/(T - sigma))`` is the clock image of the cut.
+        Every ``sigma_gamma`` functional and cut-kind profile of an ensemble
+        maps the same states, so the last :data:`SIGMA_MEMO_SIZE` results are
+        memoized on ``T`` and the states' float64 bytes, like the two-sided
+        exits; a repeat returns the same read-only arrays.
         """
+        key = (self.T, _array_key(w_half))
+        return _memoized(_sigma_memo, SIGMA_MEMO_SIZE, key, lambda: self._cut(w_half))
+
+    def _cut(self, w_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = special.ndtr(np.sqrt(2.0 / self.T) * np.asarray(w_half, np.float64))
         sigma = self.inverse_cdf(u)
         u_sigma = np.log((self.T / 2.0) / (self.T - sigma))

@@ -11,7 +11,12 @@ This module owns every primitive the rest of the package simulates with:
   behind both clock engines: the exit from (-1, 1) in the logarithmic clock
   ``u = log((T/2)/(T-t))``, in which the singular integrands used by the
   market-price-of-risk catalog become unit-rate Brownian motions, and the
-  one-sided crossing of a moving line in the clock ``v = t/(T(T-t))``,
+  one-sided crossing of a moving line in the clock ``v = t/(T(T-t))``.
+  The two-sided exit takes single steps in lockstep.  A line-hit path far
+  above its level (more than ``SKIP_Z sqrt(m dv) + r m dv``) draws its next
+  ``m`` steps as one Gaussian step, so that the Euler chain would have
+  crossed inside with probability below ``2 Phi(-SKIP_Z)``; checkpoints
+  inside a skip are filled in by a Brownian bridge from a separate stream,
 * each ensemble's driftless clock exit, simulated once and shared by every
   construction that reads it.
 
@@ -59,6 +64,16 @@ DEFAULT_RATIO = 0.5
 
 _MASK64 = (1 << 64) - 1
 _BLOCK_SIZE = 1 << 14
+
+#: Skip threshold of the line-hit engine, in standard deviations: a path
+#: farther above its level than ``SKIP_Z sqrt(m dv) + r m dv`` draws its next
+#: ``m`` Euler steps as one Gaussian step, and the Euler chain would have
+#: crossed inside with probability below ``2 Phi(-SKIP_Z)`` (about 1e-15).
+#: ``inf`` switches skipping off.
+SKIP_Z = 8.0
+
+#: Longest skip, in Euler steps; skips are powers of two up to it.
+SKIP_MAX = 4096
 
 
 def default_gap(T: float) -> float:
@@ -386,6 +401,11 @@ class ClockExits:
     by a per-path stop time or censored at the horizon.  ``raw_end`` keeps the
     un-snapped end-of-step state of the detection step as an overshoot
     diagnostic.
+
+    ``single_steps`` and ``skips`` count the engine's moves over all paths: a
+    skip draws several Euler steps of a line-hit path as one Gaussian step
+    (the two-sided exit never skips), and ``skip_exits`` counts crossings
+    that landed inside a skip, which the skip rule makes vanishingly rare.
     """
 
     dv: float
@@ -402,6 +422,9 @@ class ClockExits:
     ckpt_pos: np.ndarray | None = None
     ckpt_alive: np.ndarray | None = None
     ckpt_wsum: np.ndarray | None = None
+    single_steps: int = 0
+    skips: int = 0
+    skip_exits: int = 0
 
     @property
     def censored_fraction(self) -> float:
@@ -417,6 +440,70 @@ def _as_per_path(value, n_paths: int) -> np.ndarray | None:
     if arr.shape != (n_paths,):
         raise ValueError(f"per-path parameter has shape {arr.shape}, expected ({n_paths},)")
     return arr
+
+
+def _record_due(ck_ext, cur, kk, pos, cols, ckpt_pos, ckpt_alive) -> np.ndarray:
+    """Record ``pos`` at every checkpoint a path stands on; return the cursors.
+
+    ``cur`` holds each path's next checkpoint index, ``ck_ext`` the
+    checkpoint steps with a sentinel past the horizon.
+    """
+    due = ck_ext[cur] == kk
+    while due.any():
+        ckpt_pos[cur[due], cols[due]] = pos[due]
+        ckpt_alive[cur[due], cols[due]] = True
+        cur = cur + due
+        due = ck_ext[cur] == kk
+    return cur
+
+
+def _piece_wsum(w1, w2, dv, a, b, bsum, g) -> np.ndarray:
+    """Weighted sum ``sum w dB`` over steps ``[a, b)`` given ``bsum = sum dB``.
+
+    The increments are i.i.d. ``N(0, dv)``, so the weighted sum given their
+    sum is Gaussian with mean ``(sum w / len) bsum`` and variance
+    ``dv (sum w^2 - (sum w)^2 / len)``; ``w1``/``w2`` are the prefix sums of
+    ``w`` and ``w^2`` and ``g`` is a standard normal draw per path.
+    """
+    n = np.maximum(b - a, 1)
+    sw = w1[b] - w1[a]
+    var = dv * np.maximum((w2[b] - w2[a]) - sw * sw / n, 0.0)
+    return sw / n * bsum + np.sqrt(var) * g
+
+
+def _fill_skips(brng, dv, a, b, x, bsum, cur, ck_ext, at, cols,
+                ckpt_pos, ckpt_alive, ckpt_wsum, w1, w2):
+    """Fill in the checkpoints strictly inside the skips ``[a, b)``.
+
+    A skip from state ``x`` at step ``a`` drew only its Brownian sum
+    ``bsum``; each checkpoint inside it gets the Brownian bridge value drawn
+    from ``brng``, plus the exact drift ``at``.  With weights, every
+    checkpoint-interval piece gets its weighted sum given its Brownian sum.
+    Returns the advanced cursors and the last piece's weighted sum (None
+    without weights).
+    """
+    weighted = ckpt_wsum is not None
+    s = ck_ext[cur]
+    inside = s < b
+    while inside.any():
+        i = np.flatnonzero(inside)
+        ai, si, left = a[i], s[i], b[i] - a[i]
+        span = si - ai
+        g = brng.standard_normal((2 if weighted else 1, i.size))
+        piece = bsum[i] * (span / left) + np.sqrt(dv * span * (left - span) / left) * g[0]
+        x[i] += (at[si] - at[ai]) + piece
+        ckpt_pos[cur[i], cols[i]] = x[i]
+        ckpt_alive[cur[i], cols[i]] = True
+        if weighted:
+            ckpt_wsum[cur[i], cols[i]] += _piece_wsum(w1, w2, dv, ai, si, piece, g[1])
+        bsum[i] -= piece
+        a[i] = si
+        cur[i] += 1
+        s = ck_ext[cur]
+        inside = s < b
+    if not weighted:
+        return cur, None
+    return cur, _piece_wsum(w1, w2, dv, a, b, bsum, brng.standard_normal(a.size))
 
 
 def _euler_exit(
@@ -437,11 +524,26 @@ def _euler_exit(
     """Euler + Brownian-bridge first passage of ``X = B + drift`` from 0.
 
     The path is killed at or below ``lower`` (a scalar, or one level per
-    path) and, when ``upper`` is given, at or above that scalar.  The drift
-    adds ``rate * dv`` per step (a per-path constant) or, without ``rate``,
-    the exact increment ``drift_cum(u + dv) - drift_cum(u)``.  See
-    :func:`simulate_two_sided_exit` and :func:`simulate_line_hit` for the
-    blocking, stop, checkpoint and weight semantics.
+    path) and, when ``upper`` is given, at or above that scalar.
+
+    The two-sided exit passes ``upper`` and a per-path constant ``rate``
+    (adding ``rate * dv`` per step); all its paths step in lockstep, one
+    Euler step per pass.  The line hit passes ``drift_cum`` instead: a step
+    from ``u`` adds the exact increment ``drift_cum(u + dv) - drift_cum(u)``,
+    tabulated once per step, and each path keeps its own step index.  A path
+    farther above its level than ``SKIP_Z sqrt(m dv) + r m dv`` (``r`` the
+    largest per-step drift over ``dv``) replaces its next ``m`` steps by one
+    draw ``N(drift_cum(u + m dv) - drift_cum(u), m dv)``, with ``m`` the
+    largest power of two up to :data:`SKIP_MAX` that fits, capped at the
+    horizon.  The Euler chain would have crossed inside with probability
+    below ``2 Phi(-SKIP_Z)``.  Checkpoints never cap a skip: one falling
+    inside it is filled in by a Brownian bridge drawn from the separate
+    stream ``(seed, *stream, "bridge", block)``, as are the skip's weighted
+    sums, so the main stream and every exit field do not depend on the
+    checkpoints.  With ``SKIP_Z = inf`` nothing skips and the bridge stream
+    is never read.  See :func:`simulate_two_sided_exit` and
+    :func:`simulate_line_hit` for the blocking, stop, checkpoint and weight
+    semantics.
     """
     if not 0.0 < dv <= DEFAULT_DV * (1.0 + 1e-12):
         raise ValueError(f"clock step dv={dv!r} violates the 0 < dv <= 1e-3 contract")
@@ -455,6 +557,9 @@ def _euler_exit(
             raise ValueError("checkpoints must be a strictly increasing 1-d array")
         ck_steps = np.clip(np.round(ck / dv).astype(np.int64), 0, n_steps)
         n_ck = len(ck_steps)
+    if weight_fn is not None and not n_ck:
+        raise ValueError("weight_fn needs checkpoints: its sums are kept per "
+                         "checkpoint interval")
 
     lower_arr = _as_per_path(lower, n_paths) if np.ndim(lower) else None
     if not np.all((np.asarray(lower) < 0.0) & np.isfinite(lower)):
@@ -472,6 +577,26 @@ def _euler_exit(
         stop_steps = np.full(n_paths, n_steps + 1, dtype=np.int64)
         stop_steps[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
 
+    line = rate is None
+    if line:
+        at = np.fromiter((drift_cum(k * dv) for k in range(n_steps + 1)),
+                         np.float64, n_steps + 1)
+        inc = np.fromiter((drift_cum(k * dv + dv) for k in range(n_steps)),
+                          np.float64, n_steps) - at[:-1]
+        lengths = 2 ** np.arange(int(math.log2(SKIP_MAX)) + 1)
+        # need(m) = SKIP_Z sqrt(m dv) + r m dv, with r = max |inc| / dv
+        need = SKIP_Z * np.sqrt(lengths * dv) + np.abs(inc).max() * lengths
+        jumps = np.r_[1, lengths]  # jumps[j]: the longest of the j lengths that fit
+        if n_ck:
+            ck_ext = np.r_[ck_steps, n_steps + 1]
+        if weight_fn is not None:
+            w = np.fromiter((weight_fn((k + 0.5) * dv) for k in range(n_steps)),
+                            np.float64, n_steps)
+            w1 = np.r_[0.0, np.cumsum(w)]
+            w2 = np.r_[0.0, np.cumsum(w * w)]
+        else:
+            w1 = w2 = None
+
     u_exit = np.full(n_paths, n_steps * dv)
     x_exit = np.zeros(n_paths)
     raw_end = np.zeros(n_paths)
@@ -482,11 +607,12 @@ def _euler_exit(
     endpoint_detected = np.zeros(n_paths, dtype=bool)
     ckpt_pos = np.full((n_ck, n_paths), np.nan) if n_ck else None
     ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
-    ckpt_wsum = (
-        np.zeros((n_ck + 1, n_paths)) if (n_ck and weight_fn is not None) else None
-    )
+    ckpt_wsum = np.zeros((n_ck + 1, n_paths)) if weight_fn is not None else None
 
     sq = math.sqrt(dv)
+    span = dv  # step length; the line hit's varies per path
+    n_lock = 0 if line else n_ck  # checkpoints recorded in lockstep
+    moves = skips = skip_exits = 0
     for blk_start in range(0, n_paths, _BLOCK_SIZE):
         blk = slice(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
         nb = blk.stop - blk.start
@@ -497,9 +623,15 @@ def _euler_exit(
         rate_blk = rate_arr[blk] if rate_arr is not None else None
         stop_blk = stop_steps[blk] if stop_steps is not None else None
         ci = 0
+        if line:
+            kk = np.zeros(nb, dtype=np.int64)  # steps taken, per path
+            if n_ck:
+                brng = philox_stream(seed, *stream, "bridge", blk_start // _BLOCK_SIZE)
+                cur = _record_due(ck_ext, np.zeros(nb, dtype=np.int64), kk, pos,
+                                  blk_start + ia, ckpt_pos, ckpt_alive)
 
-        for k in range(n_steps):
-            while ci < n_ck and ck_steps[ci] == k:
+        for k in range(n_steps):  # every path advances at least one step per pass
+            while ci < n_lock and ck_steps[ci] == k:
                 ckpt_pos[ci, blk_start + ia] = pos
                 ckpt_alive[ci, blk_start + ia] = True
                 ci += 1
@@ -515,21 +647,27 @@ def _euler_exit(
                     pos = pos[~fz]
             if ia.size == 0:
                 break
+            moves += ia.size
 
             z = rng.standard_normal(ia.size)
             uc = rng.random(ia.size)
-            step = sq * z
-            if rate_blk is not None:
-                step = step + rate_blk[ia] * dv
+            lo = lower_blk[ia] if lower_blk is not None else lower
+            if line:
+                m = np.minimum(jumps[np.searchsorted(need, pos - lo)], n_steps - kk)
+                end = kk + m
+                span = m * dv
+                bsum = np.sqrt(span) * z
+                step = bsum + np.where(m == 1, inc[kk], at[end] - at[kk])
+                sk = m > 1
+                n_sk = int(np.count_nonzero(sk))
+                skips += n_sk
             else:
-                u0 = k * dv
-                step = step + (drift_cum(u0 + dv) - drift_cum(u0))
+                step = sq * z + rate_blk[ia] * dv
             newpos = pos + step
 
-            lo = lower_blk[ia] if lower_blk is not None else lower
             hit = newpos <= lo
             p_cross = np.exp(-2.0 * np.clip(pos - lo, 0.0, None)
-                             * np.clip(newpos - lo, 0.0, None) / dv)
+                             * np.clip(newpos - lo, 0.0, None) / span)
             if upper is not None:
                 up = newpos >= upper
                 hit = up | hit
@@ -539,22 +677,35 @@ def _euler_exit(
             bridge = ~hit & (uc < p_cross)
             ex = hit | bridge
 
-            if ckpt_wsum is not None:  # ci is this step's checkpoint interval
-                ckpt_wsum[ci, blk_start + ia] += weight_fn((k + 0.5) * dv) * sq * z
+            if line and n_ck:
+                if ckpt_wsum is not None:
+                    wstep = w[kk] * sq * z
+                if n_sk:
+                    i = np.flatnonzero(sk)
+                    cur[i], last = _fill_skips(
+                        brng, dv, kk[i], end[i], pos[i], bsum[i], cur[i], ck_ext, at,
+                        blk_start + ia[i], ckpt_pos, ckpt_alive, ckpt_wsum, w1, w2)
+                    if ckpt_wsum is not None:
+                        wstep[i] = last
+                if ckpt_wsum is not None:  # cur is this step's checkpoint interval
+                    ckpt_wsum[cur, blk_start + ia] += wstep
 
             if ex.any():
                 gi = blk_start + ia[ex]
-                if upper is None:
-                    barrier = lo
+                denom = np.where(step == 0.0, np.inf, step)
+                if line:
                     sign[gi] = -1
+                    theta = np.where(hit, np.clip((lo - pos) / denom, 0.0, 1.0), 0.5)
+                    u_exit[gi] = (kk[ex] + theta[ex] * m[ex]) * dv
+                    x_exit[gi] = lo[ex] if np.ndim(lo) else lo
+                    skip_exits += int(np.count_nonzero(sk[ex]))
                 else:
                     up_exit = up | (bridge & (uc < p_up))
                     barrier = np.where(up_exit, upper, lo)
                     sign[gi] = np.where(up_exit[ex], 1, -1)
-                denom = np.where(step == 0.0, np.inf, step)
-                theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
-                u_exit[gi] = (k + theta[ex]) * dv
-                x_exit[gi] = barrier[ex] if np.ndim(barrier) else barrier
+                    theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
+                    u_exit[gi] = (k + theta[ex]) * dv
+                    x_exit[gi] = barrier[ex]
                 raw_end[gi] = newpos[ex]
                 exited[gi] = True
                 endpoint_detected[gi] = hit[ex]
@@ -562,6 +713,21 @@ def _euler_exit(
             keep = ~ex
             ia = ia[keep]
             pos = newpos[keep]
+            if line:
+                kk = end[keep]
+                if n_ck:
+                    cur = _record_due(ck_ext, cur[keep], kk, pos, blk_start + ia,
+                                      ckpt_pos, ckpt_alive)
+                fin = kk == n_steps
+                if fin.any():  # censored at the horizon
+                    gi = blk_start + ia[fin]
+                    censored[gi] = True
+                    x_exit[gi] = pos[fin]
+                    raw_end[gi] = pos[fin]
+                    live = ~fin
+                    ia, pos, kk = ia[live], pos[live], kk[live]
+                    if n_ck:
+                        cur = cur[live]
 
         if ia.size:
             gi = blk_start + ia
@@ -593,6 +759,9 @@ def _euler_exit(
         ckpt_pos=ckpt_pos,
         ckpt_alive=ckpt_alive,
         ckpt_wsum=ckpt_wsum,
+        single_steps=moves - skips,
+        skips=skips,
+        skip_exits=skip_exits,
     )
 
 
@@ -609,6 +778,27 @@ def _array_key(value) -> tuple | None:
         return None
     arr = np.asarray(value, dtype=np.float64)
     return arr.shape, arr.tobytes()
+
+
+def _memoized(memo: OrderedDict, size: int, key, compute: Callable):
+    """Return ``memo[key]``, or store ``compute()`` there, keeping ``size`` keys.
+
+    ``memo`` is least-recently-used ordered.  A stored result (a tuple of
+    arrays, or a dataclass) has its arrays made read-only, since every hit
+    hands out the same objects.
+    """
+    value = memo.get(key)
+    if value is None:
+        value = compute()
+        for array in value if isinstance(value, tuple) else vars(value).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        memo[key] = value
+        if len(memo) > size:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
 
 
 def simulate_two_sided_exit(
@@ -629,7 +819,8 @@ def simulate_two_sided_exit(
     correction is drift-free because the bridge law conditional on the step
     endpoints does not depend on the drift.  Paths are processed in fixed
     blocks of ``2**14`` paths with one Philox stream per block, so results are
-    reproducible and independent of scheduling.
+    reproducible and independent of scheduling.  Every path takes single
+    Euler steps in lockstep: near a barrier at all times, it never skips.
 
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
     down to the step grid) if it has not exited earlier.  ``checkpoints``
@@ -643,21 +834,10 @@ def simulate_two_sided_exit(
     """
     key = (n_paths, dv, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
            _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
-    exits = _exit_memo.get(key)
-    if exits is None:
-        exits = _euler_exit(
-            n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
-            lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
-        )
-        for value in vars(exits).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        _exit_memo[key] = exits
-        if len(_exit_memo) > EXIT_MEMO_SIZE:
-            _exit_memo.popitem(last=False)
-    else:
-        _exit_memo.move_to_end(key)
-    return exits
+    return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _euler_exit(
+        n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
+        lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
+    ))
 
 
 def simulate_line_hit(
@@ -677,14 +857,29 @@ def simulate_line_hit(
     The deterministic drift is the exact cumulative term ``drift_cum(v)``
     evaluated at step boundaries, so the deterministic part carries no Euler
     error.  Same bridge correction, blocking and checkpoint semantics as
-    :func:`simulate_two_sided_exit`; with ``weight_fn`` the engine also
-    accumulates ``sum weight_fn(v_mid) * dB`` per checkpoint interval (the
-    Brownian part only), which callers use to reconstruct time-grid Wiener
-    increments from the clock path.
+    :func:`simulate_two_sided_exit`; with ``weight_fn`` (which needs
+    ``checkpoints``) the engine also accumulates
+    ``sum weight_fn(v_mid) * dB`` per checkpoint interval (the Brownian part
+    only), which callers use to reconstruct time-grid Wiener increments from
+    the clock path.
     ``x_exit`` is snapped to the level for detected crossings; ``raw_end``
     keeps the raw end-of-step state, and for censored paths ``x_exit`` is the
     running state at ``v_max`` (callers use it for analytic closure of
     first-passage transforms).
+
+    Each path keeps its own step index.  While it is farther above its level
+    than ``SKIP_Z sqrt(m dv) + r m dv`` (``r``: the largest per-step drift
+    over ``dv``), its next ``m`` Euler steps (a power of two up to
+    :data:`SKIP_MAX`, capped at the horizon) are one Gaussian draw of their
+    sum.  The Euler chain would have crossed inside such a skip with
+    probability below ``2 Phi(-SKIP_Z)``, about 1e-15 at ``SKIP_Z = 8``;
+    near the level the engine takes single steps with the bridge test, so
+    the crossing and overshoot law is the Euler one.  A checkpoint inside a
+    skip, and each checkpoint interval's weighted sum over it, are drawn
+    given the skip's Brownian sum from the stream
+    ``(seed, *stream, "bridge", block)``; the main stream and every exit field
+    are the same with or without checkpoints.  ``SKIP_Z = inf`` switches
+    skipping off and gives the plain Euler chain's bits.
     """
     return _euler_exit(
         n_paths, dv=dv, u_max=v_max, seed=seed, stream=stream,

@@ -1,5 +1,6 @@
 """Clock exit engine: hitting times, censoring, exit-time transforms."""
 
+import hashlib
 import inspect
 import math
 import warnings
@@ -160,6 +161,12 @@ def test_line_hit_engine_contract():
                               drift_cum=drift_cum)
     with pytest.raises(ValueError, match="horizon"):
         simulate_line_hit(2000, v_max=-1.0, seed=14, level=-0.5, drift_cum=drift_cum)
+    # Weighted sums are kept per checkpoint interval: none without checkpoints.
+    for ck in (None, np.array([])):
+        with pytest.raises(ValueError, match="checkpoints"):
+            simulate_line_hit(2000, v_max=v_max, seed=14, level=-0.5,
+                              drift_cum=drift_cum, checkpoints=ck,
+                              weight_fn=lambda v: 1.0)
 
 
 @pytest.mark.parametrize("engine", ["two_sided", "line_hit"])
@@ -179,6 +186,79 @@ def test_checkpoints_leave_exits_unchanged(engine):
                  "endpoint_detected"):
         assert np.array_equal(getattr(plain, name), getattr(marked, name)), name
     assert plain.ckpt_pos is None and marked.ckpt_pos.shape == (3, 1500)
+
+
+def _line_digest(exits) -> str:
+    h = hashlib.sha256()
+    for name in ("u_exit", "x_exit", "raw_end", "ckpt_pos", "ckpt_wsum"):
+        value = getattr(exits, name)
+        if value is not None:
+            h.update(value.tobytes())
+    return h.hexdigest()
+
+
+def _weighted_line_hit():
+    # Checkpoints on the first and the last step, weights T/(1+Tv).
+    return simulate_line_hit(
+        1500, v_max=3.0, seed=17, stream=("unit-test-skip",), level=-0.6,
+        drift_cum=lambda v: -0.5 * math.log1p(v) - 0.5 * v,
+        checkpoints=np.array([0.0, 0.1, 0.5, 2.0, 3.0]),
+        weight_fn=lambda v: 1.0 / (1.0 + v))
+
+
+def _mult_rep_line():
+    # mult_rep(1, 4)'s line: level -log 4, drift -v/2, horizon 8.
+    return simulate_line_hit(
+        2000, v_max=8.0, seed=20240817, stream=("mrep", 4.0, 1.0),
+        level=-math.log(4.0), drift_cum=lambda v: -0.5 * v)
+
+
+def test_line_hit_without_skips_is_the_euler_chain(monkeypatch):
+    # With skipping off every path takes single Euler steps in lockstep:
+    # the bits are those of the plain Euler + bridge engine, recorded before
+    # the skip-ahead existed.
+    monkeypatch.setattr(core, "SKIP_Z", math.inf)
+    weighted = _weighted_line_hit()
+    line = _mult_rep_line()
+    assert _line_digest(weighted) == (
+        "add31c3424d64092b25f97e18064d43be789e14a85986b541fcc37ddcc39884f")
+    assert _line_digest(line) == (
+        "b0b68a02d28f9dfdf31da003ab1d64ed0c453c4cb19fca881bf13245e55eb76c")
+    for exits in (weighted, line):
+        assert exits.skips == 0 and exits.single_steps > 0
+
+
+def test_engines_count_their_moves():
+    line = _mult_rep_line()
+    assert line.skips > 0 and line.single_steps > 0
+    assert line.skip_exits == 0
+    # Each move advances a path by at least one Euler step.
+    euler_steps = np.ceil(line.u_exit / line.dv - 1e-9).sum()
+    assert line.single_steps + line.skips < euler_steps
+    two = simulate_two_sided_exit(1000, u_max=3.0, seed=18, stream=("unit-test-moves",))
+    assert two.skips == 0 and two.skip_exits == 0 and two.single_steps > 0
+
+
+def test_skip_pieces_carry_the_bridge_law():
+    # Far from its level every path skips, so each checkpoint state is a
+    # Brownian bridge value and each interval's weighted sum is drawn given
+    # its piece of the skip: their variances must be v and dv sum(w^2).
+    n, v_max = 20000, 8.0
+    ck = np.array([0.25, 1.0, 3.0, 7.0])
+    weight = lambda v: 1.0 / (1.0 + v)  # noqa: E731  (T = 1)
+    exits = simulate_line_hit(n, v_max=v_max, seed=19, stream=("unit-test-pieces",),
+                              level=-60.0, drift_cum=lambda v: 0.0, checkpoints=ck,
+                              weight_fn=weight)
+    assert exits.censored.all() and exits.single_steps == 0 and exits.skips == 2 * n
+    band = 4.0 * math.sqrt(2.0 / (n - 1))  # relative SE of a sample variance
+    for j, v in enumerate(ck):
+        assert abs(np.var(exits.ckpt_pos[j], ddof=1) / v - 1.0) <= band, v
+    dv = exits.dv
+    steps = np.round(np.r_[0.0, ck, v_max] / dv).astype(int)
+    for j, (a, b) in enumerate(zip(steps[:-1], steps[1:])):
+        w = np.array([weight((k + 0.5) * dv) for k in range(a, b)])
+        target = dv * np.sum(w * w)
+        assert abs(np.var(exits.ckpt_wsum[j], ddof=1) / target - 1.0) <= band, j
 
 
 def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):

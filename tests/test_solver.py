@@ -11,6 +11,7 @@ from qbsde import (
     bsde_drift,
     constant_closed_form_triple,
     continuum,
+    core,
     default_eps0,
     driver_residual,
     lambda_at_nodes,
@@ -235,6 +236,29 @@ def test_mult_rep_refinement_shrinks_overshoot(ens_small):
     assert coarse.overshoot_median / fine.overshoot_median >= 1.5
 
 
+def _median_boot_se(x: np.ndarray, rng, n_boot: int = 200) -> float:
+    meds = [np.median(x[rng.integers(0, x.size, x.size)]) for _ in range(n_boot)]
+    return float(np.std(meds, ddof=1))
+
+
+def test_mult_rep_skips_keep_the_euler_law(ens_mid, monkeypatch):
+    # Skipping far from the level changes the draws, not the law: the
+    # overshoot (set by the single steps near the level), the censored share
+    # and the crossing-clock moment match the plain Euler chain's.
+    skip = mult_rep(1.0, 4.0, ens_mid)
+    monkeypatch.setattr(core, "SKIP_Z", math.inf)
+    euler = mult_rep(1.0, 4.0, ens_mid)
+    rng = np.random.default_rng(7)
+    over = [r.overshoot_error[~r.censored] for r in (skip, euler)]
+    se = math.hypot(*(_median_boot_se(x, rng) for x in over))
+    assert abs(skip.overshoot_median - euler.overshoot_median) <= 2.0 * se
+    p = 0.5 * (skip.censored_fraction + euler.censored_fraction)
+    se = math.sqrt(2.0 * p * (1.0 - p) / ens_mid.n_paths)
+    assert abs(skip.censored_fraction - euler.censored_fraction) <= 3.0 * se
+    mean, se = skip.clock_exp_moment()
+    assert abs(mean - 2.0) <= 4.0 * se
+
+
 def test_mult_rep_rejects_unattainable_level(ens_small):
     with pytest.raises(ValueError):
         mult_rep(1.0, 0.5, ens_small)  # c below E[xi]
@@ -289,6 +313,17 @@ def test_continuum_constant_kind_family(ens_mid):
             assert mean + 3.0 * se < 1.0
     assert psi0s[0] == pytest.approx(PSI0_CONSTANT, rel=1e-12)
     assert psi0s == sorted(psi0s)
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0])
+def test_continuum_martingale_mean_is_xi_over_c(ens_mid, b):
+    # The statistic is e^{-d} = xi/c times a unit-mean Girsanov factor, so
+    # a wrong variance of the reconstructed increments moves its mean.
+    spec = mpr_constant(LEVEL)
+    triple = continuum(spec, Q, b, ens_mid)
+    xi = triple.extras["xi"]
+    mean, se, _ = martingale_check(triple, spec, Q)
+    assert abs(mean - xi / (xi + b)) <= 4.0 * se
 
 
 def test_continuum_rejects_clock_kinds(ens_small):
