@@ -34,6 +34,7 @@ from qbsde.catalog import (
     TRAITS,
     MprFunctionals,
     MprSpec,
+    _checked_functionals,
     evaluate_mpr,
     kq_threshold,
 )
@@ -190,20 +191,19 @@ def reverting_rh_lower(t: float, w: np.ndarray | float, q: float, T: float):
     return np.exp(-q * (T - t) / 2.0 * np.abs(w))
 
 
-def sigma_cut_lower_bound(u_cut: np.ndarray | float, q: float, c_scale: float = 1.0):
+def sigma_cut_lower_bound(u_cut: np.ndarray | float, q: float):
     """Lower bound for ``exp((1-q) Psi_{T/2})`` of the density-cut premium.
 
-    At the critical scale the conditional inner mean given a cut depth ``u``
-    grows at least linearly: truncating the exit-time series to its leading
-    term gives ``E[exp(rate * (H ^ u))] >= exp(-s) * ((pi^2/4) u - 7/4)``
-    with ``s`` the worst exit-state factor, valid once the bracket is
-    positive.  Only the critical scale ``|c| = 1`` has this linear growth;
-    other scales return the trivial bound 1.
+    At the critical (unit) scale the conditional inner mean given a cut
+    depth ``u`` grows at least linearly: truncating the exit-time series to
+    its leading term gives ``E[exp(rate * (H ^ u))] >= exp(-s) *
+    ((pi^2/4) u - 7/4)`` with ``s = pi sqrt(-q) / 2`` the worst exit-state
+    factor, valid once the bracket is positive; below it the bound is the
+    floor ``1e-300``.  Other scales lack this linear growth and have no
+    bound here.
     """
     u = np.asarray(u_cut, dtype=np.float64)
-    if abs(abs(c_scale) - 1.0) > 1e-12:
-        return np.ones_like(u)
-    s = -q * abs(c_scale) * math.pi / (2.0 * math.sqrt(-q))
+    s = -q * math.pi / (2.0 * math.sqrt(-q))
     linear = (math.pi ** 2 / 4.0) * u - 1.75
     return np.maximum(math.exp(-s) * linear, 1e-300)
 
@@ -404,14 +404,13 @@ class NormEstimate:
     root) and is a *lower bound*: the stopping family is restricted and the
     conditioning is binned.  ``unbounded`` flags conditional means that grow
     along an unbounded state grid (not BMO); the estimate is then ``inf``.
+    The zero and constant premiums get their exact value.
     """
 
     estimate: float
     unbounded: bool
     cells: list[BinCell]
-    family: list[str]
     growth_note: str | None = None
-    exact: bool = False
 
 
 def bmo_norm(
@@ -430,29 +429,21 @@ def bmo_norm(
     linear-growth check against the analytic slope flags "not BMO".
     """
     if spec.kind == "zero":
-        return NormEstimate(
-            estimate=0.0, unbounded=False, cells=[], family=["t=0"], exact=True,
-        )
-    fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, need_nodes=True
-    )
+        return NormEstimate(estimate=0.0, unbounded=False, cells=[])
+    fn = _checked_functionals(spec, ensemble, functionals)
     cells = _family_cells(
         spec, ensemble, fn, lambda k: fn.int_lam2 - fn.node_int2[:, k],
         n_late=4, min_bin=MIN_BIN, max_bins=max_bins,
     )
-    family = sorted({c.member for c in cells})
 
     if spec.kind == "constant":
         exact_value = (spec.c_scale * spec.level) ** 2 * ensemble.grid.T
-        return NormEstimate(
-            estimate=exact_value, unbounded=False, cells=cells, family=family,
-            exact=True,
-        )
+        return NormEstimate(estimate=exact_value, unbounded=False, cells=cells)
 
     if spec.kind == "reverting":
         # Conditional remaining exposure grows like (T-t)|W_t|; a slope at
         # that rate on an unbounded state certifies an infinite norm.
-        for member in family:
+        for member in sorted({c.member for c in cells}):
             mc = [c for c in cells if c.member == member]
             if not mc or math.isnan(mc[0].center):
                 continue
@@ -465,12 +456,11 @@ def bmo_norm(
                     f"{fit['slope']:.3f} >= (T-t)(1-tol)={rate:.3f} in |W_t|: not BMO"
                 )
                 return NormEstimate(
-                    estimate=math.inf, unbounded=True, cells=cells, family=family,
-                    growth_note=note,
+                    estimate=math.inf, unbounded=True, cells=cells, growth_note=note,
                 )
 
     best = max(cells, key=lambda c: c.mean)
-    return NormEstimate(estimate=best.mean, unbounded=False, cells=cells, family=family)
+    return NormEstimate(estimate=best.mean, unbounded=False, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +582,8 @@ def dyn_exp_moment(
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"moment order must be finite and positive, got {k!r}")
     if _cells is None:
-        fn = functionals if functionals is not None else evaluate_mpr(
-            spec, ensemble, need_nodes=True
-        )
-        exp_cells = _dyn_cells(spec, ensemble, fn)
+        exp_cells = _dyn_cells(spec, ensemble,
+                               _checked_functionals(spec, ensemble, functionals))
     else:
         exp_cells = _cells
 
@@ -676,9 +664,7 @@ def critical_exponent(
     finer at this scale).  All probes reuse one set of exposure cells, so
     the recorded moment table is exactly monotone in the order.
     """
-    fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, need_nodes=True
-    )
+    fn = _checked_functionals(spec, ensemble, functionals)
     # The critical order is set by the full remaining exposure; later
     # members condition on survival and can only be lighter.  Keeping the
     # t <= T/2 members concentrates the samples where the decision lives and
@@ -795,9 +781,7 @@ def reverse_holder(
         return RhCheck(verdict="Bounded", max_cell=1.0, cells=[], top_evidence=None,
                        state_ratio=1.0, instability=0.0,
                        note="zero premium: conditional means are exactly 1")
-    fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, need_nodes=True
-    )
+    fn = _checked_functionals(spec, ensemble, functionals)
     min_bin = max(MIN_BIN, ensemble.n_paths // 50)
 
     def tail_power(k: int) -> np.ndarray:
@@ -923,9 +907,7 @@ def apriori_bound(
             max_upper_violation=0.0, max_lower_violation=0.0,
             note="q=0: the solution is exactly zero and both bounds are 0",
         )
-    fn = functionals if functionals is not None else evaluate_mpr(
-        spec, ensemble, need_nodes=True
-    )
+    fn = _checked_functionals(spec, ensemble, functionals)
     eps0 = default_eps0(q)
     c_q = 0.5 * max(q * (q - eps0) / eps0, q / (1.0 - q))
     gamma = 1.0 - q + eps0

@@ -176,50 +176,46 @@ def mpr_constant(level: float, T: float = 1.0) -> MprSpec:
     return MprSpec(kind="constant", T=T, level=float(level))
 
 
-def mpr_reverting(T: float = 1.0) -> MprSpec:
-    return MprSpec(kind="reverting", T=T)
+def mpr_reverting() -> MprSpec:
+    return MprSpec(kind="reverting")
 
 
-def mpr_nosol(q: float, T: float = 1.0, c_scale: float = 1.0) -> MprSpec:
-    return MprSpec(kind="nosol", T=T, q=float(q), c_scale=c_scale)
+def mpr_nosol(q: float) -> MprSpec:
+    return MprSpec(kind="nosol", q=float(q))
 
 
-def mpr_alpha_arccos(q: float, T: float = 1.0, c_scale: float = 1.0) -> MprSpec:
-    return MprSpec(kind="alpha_arccos", T=T, q=float(q), c_scale=c_scale)
+def mpr_alpha_arccos(q: float) -> MprSpec:
+    return MprSpec(kind="alpha_arccos", q=float(q))
 
 
-def mpr_sigma_gamma(q: float, T: float = 1.0, c_scale: float = 1.0) -> MprSpec:
-    return MprSpec(kind="sigma_gamma", T=T, q=float(q), c_scale=c_scale)
+def mpr_sigma_gamma(q: float) -> MprSpec:
+    return MprSpec(kind="sigma_gamma", q=float(q))
 
 
-def mpr_tilde(b: float, T: float = 1.0) -> MprSpec:
-    return MprSpec(kind="tilde", T=T, b=float(b))
+def mpr_tilde(b: float) -> MprSpec:
+    return MprSpec(kind="tilde", b=float(b))
 
 
-def mpr_scaled(q: float, a: float, b: float, T: float = 1.0) -> MprSpec:
-    return MprSpec(kind="scaled", T=T, q=float(q), a=float(a), b=float(b))
+def mpr_scaled(q: float, a: float, b: float) -> MprSpec:
+    return MprSpec(kind="scaled", q=float(q), a=float(a), b=float(b))
 
 
-def scaled_params(
-    q: float, k: float | None = None, mode: str = "auto"
-) -> tuple[float, float]:
+def scaled_params(q: float, k: float | None = None, *, mode: str) -> tuple[float, float]:
     """Solve the scaled-family parameters ``(a, b)`` for a target regime.
 
-    ``mode="below"`` (or ``k`` given): the scaled premium's moment threshold
-    strictly exceeds ``k`` (which must satisfy ``k < kq_threshold(q)``) while
-    the solution is unbounded — the below-threshold witness.  The tilted
-    exposure order then lands exactly at its own critical value
-    (``q b / a - q / (2 a^2) - b^2 / 2 = 1``).
+    ``mode`` is keyword-required and names the regime.  ``mode="below"``:
+    the scaled premium's moment threshold strictly exceeds ``k`` (which must
+    satisfy ``k < kq_threshold(q)``) while the solution is unbounded — the
+    below-threshold witness.  The tilted exposure order then lands exactly
+    at its own critical value (``q b / a - q / (2 a^2) - b^2 / 2 = 1``).
 
-    ``mode="critical"``: the moment threshold equals ``kq_threshold(q)``
-    exactly (``kq/a^2 - b^2/2 = 1``) with a bounded solution — the boundary
-    witness certificate.
+    ``mode="critical"`` (``k`` is not read): the moment threshold equals
+    ``kq_threshold(q)`` exactly (``kq/a^2 - b^2/2 = 1``) with a bounded
+    solution — the boundary witness certificate.
     """
     if not q < 0.0:
         raise ValueError(f"scaled params require q < 0, got {q!r}")
     kq = kq_threshold(q)
-    if mode == "auto":
-        mode = "below" if k is not None else "critical"
     if mode == "below":
         if k is None:
             raise ValueError("mode 'below' requires a target order k")
@@ -404,27 +400,25 @@ class MprFunctionals:
     ``int_lam_dw`` and ``int_lam2`` are the terminal values of
     ``integral lambda dW`` (physical-measure Brownian) and
     ``integral lambda^2 dt`` for the premium scaled by the spec's
-    ``c_scale``, and so are ``coeff`` and the node tracks.
+    ``c_scale``, and so are the node tracks.
     For clock-driven kinds the exposure dies at clock time ``u_kill`` (exit,
-    cut, or censoring) and ``exit_state`` keeps the clock-line state there;
-    ``alpha`` / ``u_sigma`` carry the midpoint conditioning.  When built with
-    ``need_nodes=True``, ``node_int_dw`` / ``node_int2`` hold cumulative
-    integrals at every grid node (zeros before the construction switches on).
+    cut, or censoring); ``clock`` is the two-sided exit it was read from
+    (its ``x_exit`` the clock-line state at ``u_kill``), and
+    :func:`clock_coefficients` gives the coefficient and drift that map the
+    clock onto the exposure.  ``alpha`` / ``u_sigma`` carry the midpoint
+    conditioning.  When built with ``need_nodes=True``, ``node_int_dw`` /
+    ``node_int2`` hold cumulative integrals at every grid node (zeros before
+    the construction switches on).
     """
 
     spec: MprSpec
     ensemble: PathEnsemble
     int_lam_dw: np.ndarray
     int_lam2: np.ndarray
-    w_half: np.ndarray
     alpha: np.ndarray | None = None
     u_sigma: np.ndarray | None = None
     u_kill: np.ndarray | None = None
-    exit_state: np.ndarray | None = None
-    censored: np.ndarray | None = None
     clock: ClockExits | None = None
-    coeff: np.ndarray | None = None
-    drift: np.ndarray | None = None
     node_int_dw: np.ndarray | None = None
     node_int2: np.ndarray | None = None
 
@@ -449,7 +443,8 @@ def evaluate_mpr(
 ) -> MprFunctionals:
     """Evaluate a catalog spec along an ensemble.
 
-    Grid-resident kinds integrate on the time grid; clock kinds run the
+    Grid-resident kinds (``zero`` among them) integrate on the time grid;
+    clock kinds run the
     bridge-corrected clock engine on an independent stream keyed by the
     ensemble seed (legitimate because the post-midpoint driver increments
     are independent of the midpoint state, whose functionals ``alpha`` /
@@ -465,19 +460,6 @@ def evaluate_mpr(
     w_half = ensemble.w_half
     n = ensemble.n_paths
 
-    if spec.kind == "zero":
-        zeros_T = np.zeros(n)
-        nodes = np.zeros((n, grid.n_nodes)) if need_nodes else None
-        return MprFunctionals(
-            spec=spec,
-            ensemble=ensemble,
-            int_lam_dw=zeros_T,
-            int_lam2=zeros_T.copy(),
-            w_half=w_half,
-            node_int_dw=nodes,
-            node_int2=None if nodes is None else nodes.copy(),
-        )
-
     if not TRAITS[spec.kind].clock:
         pf = ito_integral(ensemble, lambda_at_nodes(spec, ensemble)[:, :-1])
         return MprFunctionals(
@@ -485,7 +467,6 @@ def evaluate_mpr(
             ensemble=ensemble,
             int_lam_dw=pf.terminal_int_dw,
             int_lam2=pf.terminal_quad_var,
-            w_half=w_half,
             node_int_dw=pf.int_dw if need_nodes else None,
             node_int2=pf.quad_var if need_nodes else None,
         )
@@ -544,15 +525,31 @@ def evaluate_mpr(
         ensemble=ensemble,
         int_lam_dw=int_lam_dw,
         int_lam2=int_lam2,
-        w_half=w_half,
         alpha=alpha,
         u_sigma=u_sigma,
         u_kill=u_kill,
-        exit_state=exits.x_exit,
-        censored=exits.censored,
         clock=exits,
-        coeff=coeff,
-        drift=drift,
         node_int_dw=node_int_dw,
         node_int2=node_int2,
     )
+
+
+def _checked_functionals(
+    spec: MprSpec,
+    ensemble: PathEnsemble,
+    functionals: MprFunctionals | None,
+    *,
+    need_nodes: bool = True,
+) -> MprFunctionals:
+    """``functionals`` if they were evaluated for ``(spec, ensemble)``.
+
+    ``None`` evaluates them here.  Functionals of another spec or another
+    ensemble raise ``ValueError`` rather than answer for the wrong
+    construction.
+    """
+    if functionals is None:
+        return evaluate_mpr(spec, ensemble, need_nodes=need_nodes)
+    if functionals.spec != spec or functionals.ensemble is not ensemble:
+        raise ValueError("functionals were evaluated for another spec or ensemble; "
+                         "pass those of (spec, ensemble) or None")
+    return functionals

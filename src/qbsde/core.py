@@ -3,22 +3,25 @@
 This module owns every primitive the rest of the package simulates with:
 
 * time grids that are uniform on ``[0, T/2]`` and geometrically clustered
-  toward the horizon ``T`` (truncated at ``T - gap``),
+  toward the horizon ``T`` (truncated at ``T - gap``, ``gap = T 2**-20``),
 * Brownian increment ensembles driven by counter-based Philox streams so a
   fixed ``(seed, grid, n_paths)`` triple reproduces bit-identical paths,
-* left-endpoint Ito integration,
+* left-endpoint Ito integration of a finite per-path integrand array,
 * one vectorized Euler loop (with Brownian-bridge crossing correction)
   behind both clock engines: the exit from (-1, 1) in the logarithmic clock
   ``u = log((T/2)/(T-t))``, in which the singular integrands used by the
   market-price-of-risk catalog become unit-rate Brownian motions, and the
-  one-sided crossing of a moving line in the clock ``v = t/(T(T-t))``.
-  The two-sided exit takes single steps in lockstep.  A line-hit path far
+  one-sided crossing of a moving line below one scalar level in the clock
+  ``v = t/(T(T-t))``.  The two-sided exit takes single steps of
+  :data:`DEFAULT_DV` in lockstep; the line hit takes the caller's step
+  ``dv``.  A line-hit path far
   above its level (more than ``SKIP_Z sqrt(m dv) + r m dv``) draws its next
   ``m`` steps as one Gaussian step, so that the Euler chain would have
   crossed inside with probability below ``2 Phi(-SKIP_Z)``; checkpoints
   inside a skip are filled in by a Brownian bridge from a separate stream,
 * each ensemble's driftless clock exit, simulated once and shared by every
-  construction that reads it.
+  construction that reads it; :func:`hitting_time` is a view of it.  The
+  drifted two-sided clocks belong to the catalog's drifted constructions.
 
 Integrands proportional to ``1/sqrt(T-t)`` or ``1/(T-t)`` are never summed on
 the raw time grid near ``T``; they are always evaluated through the clock
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,12 +176,7 @@ class TimeGrid:
         return u
 
 
-def build_grid(
-    T: float,
-    n_coarse: int,
-    ratio: float = DEFAULT_RATIO,
-    gap: float | None = None,
-) -> TimeGrid:
+def build_grid(T: float, n_coarse: int, ratio: float = DEFAULT_RATIO) -> TimeGrid:
     """Build the uniform-then-geometric time grid on ``[0, T - gap]``.
 
     Parameters
@@ -193,9 +190,8 @@ def build_grid(
     ratio:
         Geometric clustering ratio in ``(0, 1)`` applied to distances from
         ``T`` after ``T/2``.
-    gap:
-        Truncation distance: the final node is ``T - gap``.  Defaults to
-        ``T * 2**-20``.
+
+    The truncation distance ``gap`` is :func:`default_gap`, ``T * 2**-20``.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
@@ -203,10 +199,7 @@ def build_grid(
         raise ValueError(f"n_coarse must be an integer >= 2, got {n_coarse!r}")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must lie in (0, 1), got {ratio!r}")
-    if gap is None:
-        gap = default_gap(T)
-    if not (0.0 < gap < T / 2.0):
-        raise ValueError(f"gap must lie in (0, T/2), got {gap!r}")
+    gap = default_gap(T)
 
     n_half = max(1, int(math.ceil(n_coarse / 2)))
     uniform = np.linspace(0.0, T / 2.0, n_half + 1)
@@ -222,7 +215,7 @@ def build_grid(
 
     nodes = np.concatenate([uniform, np.asarray(clustered, dtype=np.float64)])
     if not np.all(np.diff(nodes) > 0.0):
-        raise ValueError("grid nodes are not strictly increasing; check gap/ratio")
+        raise ValueError("grid nodes are not strictly increasing; check ratio")
     return TimeGrid(T=float(T), gap=float(gap), ratio=float(ratio), nodes=nodes)
 
 
@@ -310,16 +303,12 @@ class PathFunctionals:
 
     ``int_dw`` holds the left-endpoint Ito sums at each node and ``quad_var``
     the matching ``integral theta^2 dt``; both have shape
-    ``(n_paths, n_nodes)``.  Paths on which the integrand fails to evaluate
-    finitely are aborted: flagged in ``nan_flag`` and NaN from the first bad
-    interval onward.
+    ``(n_paths, n_nodes)``.
     """
 
     grid: TimeGrid
-    theta: np.ndarray
     int_dw: np.ndarray
     quad_var: np.ndarray
-    nan_flag: np.ndarray
 
     @property
     def terminal_int_dw(self) -> np.ndarray:
@@ -330,58 +319,28 @@ class PathFunctionals:
         return self.quad_var[:, -1]
 
 
-def ito_integral(
-    ensemble: PathEnsemble,
-    integrand: np.ndarray | Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> PathFunctionals:
+def ito_integral(ensemble: PathEnsemble, integrand: np.ndarray) -> PathFunctionals:
     """Left-endpoint Ito sums of ``integrand`` against the ensemble.
 
-    ``integrand`` is either an array of values at the left node of each
-    interval — shape ``(n_paths, n_intervals)`` or ``(n_intervals,)`` — or a
-    callable ``f(t_left, w_left) -> values`` receiving the left node times
-    (shape ``(n_intervals,)``) and the path values at those nodes.
-
-    Non-finite integrand values abort the affected path: its cumulative
-    integrals are NaN from that interval onward and the path is flagged.
+    ``integrand`` holds the values at the left node of each interval, shape
+    ``(n_paths, n_intervals)``.  Any other shape, or a non-finite value,
+    raises ``ValueError``: a NaN integral is never returned.
     """
     grid = ensemble.grid
-    t_left = grid.nodes[:-1]
-    if callable(integrand):
-        theta = np.asarray(
-            integrand(t_left, ensemble.wiener[:, :-1]), dtype=np.float64
-        )
-    else:
-        theta = np.asarray(integrand, dtype=np.float64)
-    if theta.ndim == 1:
-        theta = np.broadcast_to(theta, (ensemble.n_paths, grid.n_intervals)).copy()
+    theta = np.asarray(integrand, dtype=np.float64)
     if theta.shape != (ensemble.n_paths, grid.n_intervals):
         raise ValueError(
             f"integrand shape {theta.shape} does not match "
             f"({ensemble.n_paths}, {grid.n_intervals})"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("integrand must be finite")
 
-    bad = ~np.isfinite(theta)
-    nan_flag = bad.any(axis=1)
-    if nan_flag.any():
-        warnings.warn(
-            f"integrand not finite on {int(nan_flag.sum())} path(s); "
-            "those paths are aborted with NaN integrals",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        # Poison from the first bad interval onward so cumulative sums stay NaN.
-        first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), grid.n_intervals)
-        cols = np.arange(grid.n_intervals)
-        theta = np.where(cols[None, :] >= first_bad[:, None], np.nan, theta)
-
-    n_nodes = grid.n_nodes
-    int_dw = np.zeros((ensemble.n_paths, n_nodes), dtype=np.float64)
+    int_dw = np.zeros((ensemble.n_paths, grid.n_nodes), dtype=np.float64)
     quad_var = np.zeros_like(int_dw)
     np.cumsum(theta * ensemble.increments, axis=1, out=int_dw[:, 1:])
     np.cumsum(theta * theta * grid.dt, axis=1, out=quad_var[:, 1:])
-    return PathFunctionals(
-        grid=grid, theta=theta, int_dw=int_dw, quad_var=quad_var, nan_flag=nan_flag
-    )
+    return PathFunctionals(grid=grid, int_dw=int_dw, quad_var=quad_var)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +472,7 @@ def _euler_exit(
     u_max: float,
     seed: int,
     stream: Sequence,
-    lower: float | np.ndarray,
+    lower: float,
     upper: float | None = None,
     rate: float | np.ndarray | None = None,
     drift_cum: Callable[[float], float] | None = None,
@@ -523,8 +482,8 @@ def _euler_exit(
 ) -> ClockExits:
     """Euler + Brownian-bridge first passage of ``X = B + drift`` from 0.
 
-    The path is killed at or below ``lower`` (a scalar, or one level per
-    path) and, when ``upper`` is given, at or above that scalar.
+    The path is killed at or below the scalar ``lower`` and, when ``upper``
+    is given, at or above that scalar.
 
     The two-sided exit passes ``upper`` and a per-path constant ``rate``
     (adding ``rate * dv`` per step); all its paths step in lockstep, one
@@ -561,8 +520,7 @@ def _euler_exit(
         raise ValueError("weight_fn needs checkpoints: its sums are kept per "
                          "checkpoint interval")
 
-    lower_arr = _as_per_path(lower, n_paths) if np.ndim(lower) else None
-    if not np.all((np.asarray(lower) < 0.0) & np.isfinite(lower)):
+    if not (math.isfinite(lower) and lower < 0.0):
         raise ValueError("crossing level must be finite and negative "
                          "(paths start at 0)")
     rate_arr = _as_per_path(rate, n_paths)
@@ -619,7 +577,6 @@ def _euler_exit(
         rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         ia = np.arange(nb, dtype=np.int64)
         pos = np.zeros(nb)
-        lower_blk = lower_arr[blk] if lower_arr is not None else None
         rate_blk = rate_arr[blk] if rate_arr is not None else None
         stop_blk = stop_steps[blk] if stop_steps is not None else None
         ci = 0
@@ -651,9 +608,8 @@ def _euler_exit(
 
             z = rng.standard_normal(ia.size)
             uc = rng.random(ia.size)
-            lo = lower_blk[ia] if lower_blk is not None else lower
             if line:
-                m = np.minimum(jumps[np.searchsorted(need, pos - lo)], n_steps - kk)
+                m = np.minimum(jumps[np.searchsorted(need, pos - lower)], n_steps - kk)
                 end = kk + m
                 span = m * dv
                 bsum = np.sqrt(span) * z
@@ -665,9 +621,9 @@ def _euler_exit(
                 step = sq * z + rate_blk[ia] * dv
             newpos = pos + step
 
-            hit = newpos <= lo
-            p_cross = np.exp(-2.0 * np.clip(pos - lo, 0.0, None)
-                             * np.clip(newpos - lo, 0.0, None) / span)
+            hit = newpos <= lower
+            p_cross = np.exp(-2.0 * np.clip(pos - lower, 0.0, None)
+                             * np.clip(newpos - lower, 0.0, None) / span)
             if upper is not None:
                 up = newpos >= upper
                 hit = up | hit
@@ -695,13 +651,13 @@ def _euler_exit(
                 denom = np.where(step == 0.0, np.inf, step)
                 if line:
                     sign[gi] = -1
-                    theta = np.where(hit, np.clip((lo - pos) / denom, 0.0, 1.0), 0.5)
+                    theta = np.where(hit, np.clip((lower - pos) / denom, 0.0, 1.0), 0.5)
                     u_exit[gi] = (kk[ex] + theta[ex] * m[ex]) * dv
-                    x_exit[gi] = lo[ex] if np.ndim(lo) else lo
+                    x_exit[gi] = lower
                     skip_exits += int(np.count_nonzero(sk[ex]))
                 else:
                     up_exit = up | (bridge & (uc < p_up))
-                    barrier = np.where(up_exit, upper, lo)
+                    barrier = np.where(up_exit, upper, lower)
                     sign[gi] = np.where(up_exit[ex], 1, -1)
                     theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
                     u_exit[gi] = (k + theta[ex]) * dv
@@ -804,7 +760,6 @@ def _memoized(memo: OrderedDict, size: int, key, compute: Callable):
 def simulate_two_sided_exit(
     n_paths: int,
     *,
-    dv: float = DEFAULT_DV,
     u_max: float,
     seed: int,
     stream: Sequence = ("two-sided",),
@@ -814,10 +769,10 @@ def simulate_two_sided_exit(
 ) -> ClockExits:
     """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
 
-    Euler steps of size ``dv`` (contract: ``dv <= 1e-3``) plus a
-    Brownian-bridge correction that detects intra-step barrier touches; the
-    correction is drift-free because the bridge law conditional on the step
-    endpoints does not depend on the drift.  Paths are processed in fixed
+    Euler steps of size :data:`DEFAULT_DV` plus a Brownian-bridge
+    correction that detects intra-step barrier touches; the correction is
+    drift-free because the bridge law conditional on the step endpoints does
+    not depend on the drift.  Paths are processed in fixed
     blocks of ``2**14`` paths with one Philox stream per block, so results are
     reproducible and independent of scheduling.  Every path takes single
     Euler steps in lockstep: near a barrier at all times, it never skips.
@@ -832,10 +787,10 @@ def simulate_two_sided_exit(
     apart; arrays by their float64 bytes).  A repeated call returns the same
     object, and every array of a result is read-only.
     """
-    key = (n_paths, dv, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
+    key = (n_paths, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
            _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
     return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _euler_exit(
-        n_paths, dv=dv, u_max=u_max, seed=seed, stream=stream,
+        n_paths, dv=DEFAULT_DV, u_max=u_max, seed=seed, stream=stream,
         lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
     ))
 
@@ -847,14 +802,15 @@ def simulate_line_hit(
     v_max: float,
     seed: int,
     stream: Sequence = ("line",),
-    level: float | np.ndarray,
+    level: float,
     drift_cum: Callable[[float], float],
     checkpoints: np.ndarray | None = None,
     weight_fn: Callable[[float], float] | None = None,
 ) -> ClockExits:
-    """First passage of ``X_v = B_v + drift`` below a per-path level < 0.
+    """First passage of ``X_v = B_v + drift`` below one scalar ``level < 0``.
 
-    The deterministic drift is the exact cumulative term ``drift_cum(v)``
+    Euler steps of size ``dv`` (contract: ``0 < dv <= 1e-3``).  The
+    deterministic drift is the exact cumulative term ``drift_cum(v)``
     evaluated at step boundaries, so the deterministic part carries no Euler
     error.  Same bridge correction, blocking and checkpoint semantics as
     :func:`simulate_two_sided_exit`; with ``weight_fn`` (which needs
@@ -895,17 +851,15 @@ def simulate_line_hit(
 
 @dataclass
 class HittingClock:
-    """Exit data of the (possibly drifted) clock Brownian motion.
+    """Exit data of the driftless clock Brownian motion.
 
-    ``H`` is the clock exit time of ``|B_u + slope * u| >= 1`` started at
-    ``T/2`` (clock origin), ``tau = T - (T/2) * exp(-H)`` the corresponding
-    calendar time.  Paths that reach the truncated grid horizon without
-    exiting are flagged ``censored`` and carry their censoring state.
+    ``H`` is the clock exit time of ``|B_u| >= 1`` started at ``T/2`` (clock
+    origin), ``tau = T - (T/2) * exp(-H)`` the corresponding calendar time.
+    Paths that reach the truncated grid horizon without exiting are flagged
+    ``censored`` and carry their censoring state.
     """
 
     T: float
-    drift_slope: float
-    alpha: float
     H: np.ndarray
     tau: np.ndarray
     sign: np.ndarray
@@ -918,43 +872,21 @@ class HittingClock:
         return float(np.mean(self.censored))
 
 
-def hitting_time(
-    ensemble: PathEnsemble,
-    drift_slope: float = 0.0,
-    alpha: float = 1.0,
-) -> HittingClock:
-    """Simulate the clock exit attached to ``ensemble``'s horizon.
+def hitting_time(ensemble: PathEnsemble) -> HittingClock:
+    """The ensemble's driftless clock exit, :attr:`PathEnsemble.clock_exit`.
 
-    The clock Brownian motion is an independent stream keyed by the ensemble
-    seed and the effective drift ``drift_slope * pi * alpha / sqrt(8)`` (the
-    drifted-line construction); a zero drift, of either sign, gives the plain
-    symmetric exit :attr:`PathEnsemble.clock_exit` shared by all undrifted
-    constructions.
-    The clock horizon is the grid's ``log((T/2)/gap)``; survivors are
-    censored and flagged.
+    A view of the exit every undrifted construction reads, in exit-time and
+    calendar-time terms.  The clock horizon is the grid's
+    ``log((T/2)/gap)``; survivors are censored and flagged.  Drifted
+    two-sided clocks belong to the drifted catalog kinds and are simulated
+    by :func:`qbsde.catalog.evaluate_mpr`.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    grid = ensemble.grid
-    mu = drift_slope * math.pi * alpha / math.sqrt(8.0)
-    if mu == 0.0:
-        exits = ensemble.clock_exit
-    else:
-        exits = simulate_two_sided_exit(
-            ensemble.n_paths,
-            u_max=grid.clock_depth,
-            seed=ensemble.seed,
-            stream=("hit", mu),
-            drift=mu,
-        )
-    H = exits.u_exit
-    tau = grid.T - (grid.T / 2.0) * np.exp(-H)
+    exits = ensemble.clock_exit
+    T = ensemble.grid.T
     return HittingClock(
-        T=grid.T,
-        drift_slope=float(drift_slope),
-        alpha=float(alpha),
-        H=H,
-        tau=tau,
+        T=T,
+        H=exits.u_exit,
+        tau=T - (T / 2.0) * np.exp(-exits.u_exit),
         sign=exits.sign,
         exited=exits.exited,
         censored=exits.censored,
@@ -967,16 +899,15 @@ def exit_time_exp_moment(clock: HittingClock, c: float) -> tuple[float, float]:
 
     Censored paths contribute at their censoring depth (a lower bound whose
     bias at the default truncation is orders below the stated tolerances).
-    The moment is infinite once the rate ``c^2 pi^2 / 8`` reaches the exit
-    law's decay rate ``pi^2 / 8 + mu^2 / 2`` (by Girsanov, for the clock's
-    effective drift ``mu``); there the result is ``(inf, nan)``, never a
+    By the cosine law the moment is ``1/cos(c pi/2)`` for ``|c| < 1`` and
+    infinite once the rate ``c^2 pi^2 / 8`` reaches the driftless exit law's
+    decay rate ``pi^2 / 8``; there the result is ``(inf, nan)``, never a
     finite sample mean.
     """
     if not math.isfinite(c):
         raise ValueError(f"moment scale c must be finite, got {c!r}")
     rate = c * c * math.pi * math.pi / 8.0
-    mu = clock.drift_slope * math.pi * clock.alpha / math.sqrt(8.0)
-    if rate >= math.pi * math.pi / 8.0 + 0.5 * mu * mu:
+    if rate >= math.pi * math.pi / 8.0:
         return math.inf, math.nan
     vals = np.exp(rate * clock.H)
     mean = float(np.mean(vals))

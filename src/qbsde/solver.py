@@ -42,6 +42,7 @@ from qbsde.catalog import (
     MprSpec,
     SigmaSampler,
     alpha_from_w_half,
+    _checked_functionals,
     clock_coefficients,
     evaluate_mpr,
     lambda_at_nodes,
@@ -272,7 +273,7 @@ def psi_unconditional(
             t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
             n_inner=1, n_outer=ensemble.n_paths,
         )
-    fn = functionals if functionals is not None else evaluate_mpr(spec, ensemble)
+    fn = _checked_functionals(spec, ensemble, functionals, need_nodes=False)
     values = fn.summand_power(q)
     return _log_mean_estimate(
         values, q, t=0.0, state=None, n_inner=1, n_outer=ensemble.n_paths,
@@ -698,8 +699,8 @@ def continuum(
             f"kind {spec.kind!r} does not have pathwise-bounded quadratic "
             f"exposure; the continuum construction needs one of {bounded_kinds}"
         )
-    if b_offset < 0.0:
-        raise ValueError(f"b_offset must be nonnegative, got {b_offset!r}")
+    if not (math.isfinite(b_offset) and b_offset >= 0.0):
+        raise ValueError(f"b_offset must be finite and nonnegative, got {b_offset!r}")
     grid = ensemble.grid
     T = grid.T
     n = ensemble.n_paths

@@ -28,8 +28,10 @@ from qbsde import (
     mpr_sigma_gamma,
     mpr_tilde,
     mpr_zero,
+    psi_unconditional,
     reverse_holder,
     reverting_rh_lower,
+    sample_paths,
     scaled_params,
     scaled_tilted_order,
     sigma_cut_lower_bound,
@@ -82,8 +84,7 @@ def test_reverting_rh_lower_values_and_domain():
 
 
 def test_sigma_cut_lower_bound():
-    # Trivial off the unit scale, nontrivial formula at |c| = 1.
-    assert sigma_cut_lower_bound(3.0, Q, c_scale=0.5) == 1.0
+    # The linear-growth bound of the unit scale.
     u = 2.0
     s = -Q * math.pi / (2.0 * math.sqrt(-Q))
     expected = max(math.exp(-s) * ((math.pi**2 / 4.0) * u - 1.75), 1e-300)
@@ -205,6 +206,30 @@ def test_cells_come_from_one_stopping_family(kind, ens_small):
             assert sum(c.count for c in member) <= n_alive, name
             if name == "bmo_norm":  # retired paths have no exposure left
                 assert all(np.all(c.samples > 0.0) for c in member)
+
+
+#: The functions that take precomputed functionals beside (spec, ensemble).
+_TAKES_FUNCTIONALS = {
+    "psi_unconditional": lambda s, e, fn: psi_unconditional(s, Q, e, functionals=fn),
+    "bmo_norm": lambda s, e, fn: bmo_norm(s, e, functionals=fn),
+    "dyn_exp_moment": lambda s, e, fn: dyn_exp_moment(s, e, 1.0, functionals=fn),
+    "critical_exponent": lambda s, e, fn: critical_exponent(s, e, functionals=fn),
+    "reverse_holder": lambda s, e, fn: reverse_holder(s, Q, e, functionals=fn),
+    "apriori_bound": lambda s, e, fn: apriori_bound(s, 0.5, e, functionals=fn),
+}
+
+
+@pytest.mark.parametrize("name", _TAKES_FUNCTIONALS)
+def test_functionals_of_another_construction_rejected(name, ens_small, grid):
+    # Functionals of another spec, or of another ensemble, never stand in
+    # for the pair's own.
+    spec = mpr_nosol(Q)
+    other_spec = evaluate_mpr(mpr_alpha_arccos(Q), ens_small, need_nodes=True)
+    other_ensemble = evaluate_mpr(spec, sample_paths(grid, 300, seed=5),
+                                  need_nodes=True)
+    for fn in (other_spec, other_ensemble):
+        with pytest.raises(ValueError, match="another spec or ensemble"):
+            _TAKES_FUNCTIONALS[name](spec, ens_small, fn)
 
 
 @pytest.mark.parametrize("make", [mpr_nosol, mpr_alpha_arccos])

@@ -14,6 +14,7 @@ from qbsde import (
     SigmaSampler,
     alpha_from_w_half,
     catalog,
+    clock_coefficients,
     evaluate_mpr,
     kq_threshold,
     lambda_at_nodes,
@@ -211,25 +212,34 @@ def test_evaluate_reverting_matches_direct_integral(ens_small, grid):
     )
 
 
+def _coefficients(fn):
+    """Clock coefficient and drift of a clock kind's functionals."""
+    return clock_coefficients(fn.spec, 1.0 if fn.alpha is None else fn.alpha)
+
+
 @pytest.mark.parametrize("make", [mpr_nosol, mpr_alpha_arccos, mpr_sigma_gamma])
 def test_clock_kind_exposure_identity(make, ens_small, grid):
     spec = make(-1.0)
     fn = evaluate_mpr(spec, ens_small)
-    # The clock change of variables makes the exposure exactly coeff^2 * u.
-    assert np.allclose(fn.int_lam2, fn.coeff**2 * fn.u_kill, rtol=1e-12)
+    coeff, _ = _coefficients(fn)
+    # The clock change of variables makes the exposure exactly coeff^2 * u
+    # and the Ito integral coeff times the clock state where it dies.
+    assert np.allclose(fn.int_lam2, coeff**2 * fn.u_kill, rtol=1e-12)
+    assert np.allclose(fn.int_lam_dw, coeff * fn.clock.x_exit, rtol=1e-12)
+    assert np.array_equal(fn.u_kill, fn.clock.u_exit)
     assert np.all(fn.u_kill <= grid.clock_depth + 1e-9)
     assert np.all(fn.u_kill >= 0.0)
 
 
 def test_nosol_coefficient_value(ens_small):
     fn = evaluate_mpr(mpr_nosol(-1.0), ens_small)
-    assert np.allclose(fn.coeff, math.pi / 2.0, rtol=1e-12)
+    assert _coefficients(fn) == (pytest.approx(math.pi / 2.0, rel=1e-12), None)
 
 
 def test_alpha_kind_couples_to_midpoint(ens_small):
     fn = evaluate_mpr(mpr_alpha_arccos(-1.0), ens_small)
     assert np.allclose(
-        fn.coeff, math.pi * fn.alpha / 2.0, rtol=1e-12
+        _coefficients(fn)[0], math.pi * fn.alpha / 2.0, rtol=1e-12
     )
     assert np.array_equal(fn.alpha, alpha_from_w_half(ens_small.w_half, 1.0))
 
@@ -238,15 +248,19 @@ def test_sigma_kind_cuts_at_sampled_time(ens_small):
     fn = evaluate_mpr(mpr_sigma_gamma(-1.0), ens_small)
     # The cut retires every path at or before its sampled clock image.
     assert np.all(fn.u_kill <= fn.u_sigma + 1e-9)
-    cut = ~fn.clock.exited & ~fn.censored
+    cut = ~fn.clock.exited & ~fn.clock.censored
     assert cut.any()  # some paths are cut before exiting
-    assert np.all(np.abs(fn.exit_state[cut]) < 1.0)
+    assert np.all(np.abs(fn.clock.x_exit[cut]) < 1.0)
 
 
 def test_tilde_drift(ens_mid):
     spec = mpr_tilde(0.5)
     fn = evaluate_mpr(spec, ens_mid)
-    assert np.allclose(fn.drift, 0.5 * math.pi * fn.alpha / math.sqrt(8.0),
+    coeff, drift = _coefficients(fn)
+    assert np.allclose(drift, 0.5 * math.pi * fn.alpha / math.sqrt(8.0),
+                       rtol=1e-12)
+    # The exposure reads the Brownian part of the drifted clock line.
+    assert np.allclose(fn.int_lam_dw, coeff * (fn.clock.x_exit - drift * fn.u_kill),
                        rtol=1e-12)
 
 
@@ -320,10 +334,12 @@ def test_functionals_are_those_of_the_scaled_premium(kind, ens_small):
                  (fn.node_int_dw, c * unit.node_int_dw),
                  (fn.int_lam2, c * c * unit.int_lam2),
                  (fn.node_int2, c * c * unit.node_int2)]
-        if fn.coeff is not None:
-            pairs.append((fn.coeff, c * unit.coeff))
+        if TRAITS[kind].clock:
+            (coeff, drift), (unit_coeff, unit_drift) = map(_coefficients, (fn, unit))
+            pairs.append((coeff, c * unit_coeff))
             # The scale multiplies the premium, not the clock it runs on.
             assert np.array_equal(fn.u_kill, unit.u_kill)
+            assert np.array_equal(drift, unit_drift)
         for got, want in pairs:
             if c == 1.5:  # not a power of two: rounding may differ in the last bit
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

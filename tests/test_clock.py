@@ -67,31 +67,40 @@ def test_exit_exp_moment_flags_infinite_moments(ens_mid):
     for c in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             exit_time_exp_moment(clock, c)
+
+
+def _drifted_exit(ens, mu):
+    """The two-sided exit of ``B_u + mu u`` over the ensemble's clock depth."""
+    return simulate_two_sided_exit(ens.n_paths, u_max=ens.grid.clock_depth,
+                                   seed=ens.seed, stream=("unit-test-drift", mu),
+                                   drift=mu)
+
+
+def _exp_moment(H, c):
+    vals = np.exp(c * c * math.pi**2 / 8.0 * H)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def test_drifted_exit_moment_is_finite_past_the_driftless_rate(ens_mid):
     # By Girsanov a drifted clock keeps the moment finite up to the rate
-    # pi^2/8 + mu^2/2, i.e. c^2 < 1 + 4 mu^2 / pi^2.
-    drifted = hitting_time(ens_mid, drift_slope=2.0)
-    mean, se = exit_time_exp_moment(drifted, 1.05)
-    assert math.isfinite(mean) and math.isfinite(se) and 1.9 < mean < 2.1
+    # pi^2/8 + mu^2/2, i.e. c^2 < 1 + 4 mu^2 / pi^2; at c = 1.05 it is
+    # cosh(mu) / cosh(sqrt(mu^2 - 1.05^2 pi^2 / 4)) = 2.006.
     mu = 2.0 * math.pi / math.sqrt(8.0)
+    H = _drifted_exit(ens_mid, mu).u_exit
+    mean, se = _exp_moment(H, 1.05)
+    assert math.isfinite(mean) and math.isfinite(se) and 1.9 < mean < 2.1
     c_crit = math.sqrt(1.0 + 4.0 * mu * mu / math.pi**2)
-    assert math.isfinite(exit_time_exp_moment(drifted, 0.999 * c_crit)[0])
-    assert exit_time_exp_moment(drifted, 1.001 * c_crit)[0] == math.inf
+    assert math.isfinite(_exp_moment(H, 0.999 * c_crit)[0])
 
 
 def test_drifted_clock_biases_exit_side(ens_mid):
-    clock = hitting_time(ens_mid, drift_slope=1.0, alpha=0.8)
-    up = float(np.mean(clock.sign[clock.exited] > 0))
+    exits = _drifted_exit(ens_mid, 1.0 * math.pi * 0.8 / math.sqrt(8.0))
+    up = float(np.mean(exits.sign[exits.exited] > 0))
     assert up > 0.6  # positive drift pushes the exit to the upper barrier
-    assert clock.drift_slope == 1.0
-
-
-def test_alpha_validation(ens_small):
-    with pytest.raises(ValueError):
-        hitting_time(ens_small, alpha=1.5)
 
 
 def test_two_sided_exit_engine_contract(ens_small):
-    exits = simulate_two_sided_exit(4000, dv=1e-3, u_max=6.0, seed=11,
+    exits = simulate_two_sided_exit(4000, u_max=6.0, seed=11,
                                     stream=("unit-test",))
     # Bridge-corrected exits land exactly on a barrier.
     assert np.allclose(np.abs(exits.x_exit[exits.exited]), 1.0, atol=1e-12)
@@ -104,18 +113,16 @@ def test_two_sided_exit_engine_contract(ens_small):
     # Survival at u=6 is about exp(-pi^2 * 6 / 8) ~ 6e-4.
     assert exits.censored_fraction < 0.01
     for bad in (dict(u_max=-1.0), dict(u_max=math.nan), dict(u_max=math.inf),
-                dict(u_max=6.0, drift=math.nan), dict(u_max=6.0, dv=-1e-3),
+                dict(u_max=6.0, drift=math.nan),
                 dict(u_max=6.0, stop_u=np.full(100, math.nan)),
                 dict(u_max=6.0, stop_u=np.full(100, -1.0))):
         with pytest.raises(ValueError):
             simulate_two_sided_exit(100, seed=11, **bad)
-    with pytest.raises(ValueError, match="finite"):
-        hitting_time(ens_small, math.nan)
 
 
 def test_stop_u_truncates_exit():
     stop = np.full(1000, 0.5)
-    exits = simulate_two_sided_exit(1000, dv=1e-3, u_max=6.0, seed=12,
+    exits = simulate_two_sided_exit(1000, u_max=6.0, seed=12,
                                     stream=("unit-test-cut",), stop_u=stop)
     assert np.all(exits.u_exit <= 0.5 + 1e-9)
     # Paths cut before reaching a barrier keep their interior state.
@@ -129,7 +136,7 @@ def test_stop_u_with_infinite_entries_is_silent():
     stop[::2] = np.inf  # these paths are never stopped
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        exits = simulate_two_sided_exit(1000, dv=1e-3, u_max=6.0, seed=12,
+        exits = simulate_two_sided_exit(1000, u_max=6.0, seed=12,
                                         stream=("unit-test-cut",), stop_u=stop)
     assert not exits.frozen[::2].any()
     assert exits.frozen[1::2].any()
@@ -138,26 +145,29 @@ def test_stop_u_with_infinite_entries_is_silent():
 def test_line_hit_engine_contract():
     v_max = 3.0
     drift_cum = lambda v: -0.5 * v  # noqa: E731
-    level = -np.linspace(0.1, 1.5, 2000)
+    level = -0.8
     exits = simulate_line_hit(2000, v_max=v_max, seed=14, stream=("unit-test-line",),
                               level=level, drift_cum=drift_cum,
                               checkpoints=np.array([0.2, 1.0, 2.5]),
                               weight_fn=lambda v: 1.0)
     # Detected crossings sit exactly on the level.
-    assert np.array_equal(exits.x_exit[exits.exited], level[exits.exited])
+    assert np.all(exits.x_exit[exits.exited] == level)
     assert np.all(exits.u_exit <= exits.u_max)
     cen = exits.censored
     assert cen.any() and exits.exited.any()
-    assert np.all(exits.x_exit[cen] > level[cen])
+    assert np.all(exits.x_exit[cen] > level)
     # With unit weight the checkpoint sums telescope to the Brownian part of
     # the state at the horizon.
     bm_part = exits.x_exit[cen] - drift_cum(exits.u_max)
     assert np.allclose(exits.ckpt_wsum[:, cen].sum(axis=0), bm_part, rtol=0.0,
                        atol=1e-12)
-    for bad in (0.0, math.nan, -math.inf, np.r_[-np.ones(1999), 0.5],
-                np.r_[-np.ones(1999), math.nan]):
+    for bad in (0.0, 0.5, math.nan, -math.inf):
         with pytest.raises(ValueError, match="negative"):
             simulate_line_hit(2000, v_max=v_max, seed=14, level=bad,
+                              drift_cum=drift_cum)
+    for dv in (0.0, -1e-3, 2e-3, math.nan):
+        with pytest.raises(ValueError, match="contract"):
+            simulate_line_hit(2000, dv=dv, v_max=v_max, seed=14, level=-0.5,
                               drift_cum=drift_cum)
     with pytest.raises(ValueError, match="horizon"):
         simulate_line_hit(2000, v_max=-1.0, seed=14, level=-0.5, drift_cum=drift_cum)
@@ -273,12 +283,9 @@ def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):
     monkeypatch.setattr(catalog, "simulate_two_sided_exit", counting)
     clock = hitting_time(ens)
     fn = evaluate_mpr(mpr_nosol(-1.0), ens)
-    # A -0.0 effective drift is the same zero drift.
-    negative_zero = [hitting_time(ens, -1.0, 0.0), hitting_time(ens, drift_slope=-0.0)]
-    assert calls == [("hit", 0.0)]  # one engine call serves all four
+    assert calls == [("hit", 0.0)]  # one engine call serves both
     assert np.array_equal(clock.H, fn.u_kill)
-    for other in negative_zero:
-        assert other.clock is clock.clock
+    assert fn.clock is clock.clock is ens.clock_exit
     # The same bits as the explicitly zero-drift engine call on that stream.
     direct = simulate_two_sided_exit(600, u_max=grid.clock_depth, seed=31,
                                      stream=("hit", 0.0), drift=0.0)
@@ -303,7 +310,7 @@ def test_only_engines_and_mult_rep_take_a_clock_step():
         if inspect.isfunction(getattr(qbsde, name))
         and "dv" in inspect.signature(getattr(qbsde, name)).parameters
     )
-    assert takes_dv == ["mult_rep", "simulate_line_hit", "simulate_two_sided_exit"]
+    assert takes_dv == ["mult_rep", "simulate_line_hit"]
 
 
 def _counting_engine(monkeypatch) -> list:
@@ -351,7 +358,6 @@ def test_two_sided_exit_memo_keys_on_every_input(monkeypatch):
         dict(checkpoints=np.array([0.5, 1.0])),
         dict(stop_u=np.full(500, 1.0)),
         dict(seed=45),
-        dict(dv=5e-4),
     ]
     for change in variants:
         simulate_two_sided_exit(500, **base)

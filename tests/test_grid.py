@@ -60,8 +60,8 @@ def test_horizon_scaling():
         {"T": 1.0, "n_coarse": 1},
         {"T": 1.0, "n_coarse": 8, "ratio": 0.0},
         {"T": 1.0, "n_coarse": 8, "ratio": 1.0},
-        {"T": 1.0, "n_coarse": 8, "gap": 0.6},
-        {"T": 1.0, "n_coarse": 8, "gap": 0.0},
+        {"T": math.nan, "n_coarse": 8},
+        {"T": 1.0, "n_coarse": 8.0},
     ],
 )
 def test_build_grid_rejects_bad_parameters(kwargs):

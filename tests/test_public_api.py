@@ -1,11 +1,13 @@
-"""Static guard: every public name has a reader outside the unit tests.
+"""Static guards: public names and options need callers outside the unit tests.
 
 A name in ``qbsde.__all__`` must be read somewhere other than its own
 definition and its ``__all__`` entry: in the package itself, in the
 benchmark harness (``perfbench/``), in the experiment configs, or in the
-import list of the acceptance suite.  A name that only its own unit tests
-read is dead API and should be deleted with those tests.  The check parses
-source files only; it imports nothing.
+import list of the acceptance suite.  An optional parameter of a public
+function must be set by some call in the package, the benchmark harness or
+the acceptance suite.  A name or option that only its own unit tests reach
+is dead API and should be deleted with those tests.  The checks parse
+source files only; they import nothing.
 """
 
 import ast
@@ -99,3 +101,66 @@ def test_every_public_name_has_a_reader():
     assert ALLOWED_UNREAD <= public
     unread = sorted(public - _read_names() - ALLOWED_UNREAD)
     assert not unread, f"public names read only by their own unit tests: {unread}"
+
+
+#: Optional parameters no call sets, each kept for a stated reason.
+ALLOWED_UNSET = {
+    # ROADMAP item 6 varies the clustering ratio to measure the grid bias.
+    ("build_grid", "ratio"),
+}
+
+
+def _public_functions() -> dict[str, ast.FunctionDef]:
+    """Module-level functions of ``qbsde.__all__``, by name."""
+    public = _public_names()
+    out = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                out[node.name] = node
+    return out
+
+
+def _optional(fn: ast.FunctionDef) -> list[str]:
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    optional = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    optional += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                 if d is not None]
+    return optional
+
+
+def _set_parameters(functions: dict[str, ast.FunctionDef]) -> set[tuple[str, str]]:
+    """``(function, parameter)`` pairs some call sets, by keyword or position.
+
+    A call is matched on the called name (``f(...)`` or ``mod.f(...)``).  A
+    ``*args`` argument counts as setting every positional parameter from its
+    place on.
+    """
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in functions:
+                continue
+            fn = functions[name].args
+            positional = [a.arg for a in [*fn.posonlyargs, *fn.args]]
+            starred = next((i for i, a in enumerate(node.args)
+                            if isinstance(a, ast.Starred)), None)
+            n_set = len(positional) if starred is not None else len(node.args)
+            out.update((name, p) for p in positional[:n_set])
+            out.update((name, k.arg) for k in node.keywords if k.arg is not None)
+    return out
+
+
+def test_every_optional_parameter_has_a_caller():
+    functions = _public_functions()
+    optional = {(f, p) for f, fn in functions.items() for p in _optional(fn)}
+    assert ALLOWED_UNSET <= optional
+    unset = sorted(optional - _set_parameters(functions) - ALLOWED_UNSET)
+    assert not unset, f"optional parameters no caller outside unit tests sets: {unset}"

@@ -332,5 +332,6 @@ def test_continuum_rejects_clock_kinds(ens_small):
 
 
 def test_continuum_rejects_negative_offset(ens_small):
-    with pytest.raises(ValueError):
-        continuum(mpr_zero(), Q, -0.1, ens_small)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="b_offset"):
+            continuum(mpr_zero(), Q, bad, ens_small)
