@@ -186,7 +186,7 @@ def reverting_rh_lower(t: float, w: np.ndarray | float, q: float, T: float):
     ``W_t = w`` is at least this value, which is unbounded in ``|w|`` - the
     mechanism behind its unbounded solution.
     """
-    if t < 0.0 or t >= T:
+    if not 0.0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t!r}")
     return np.exp(-q * (T - t) / 2.0 * np.abs(w))
 
@@ -202,6 +202,8 @@ def sigma_cut_lower_bound(u_cut: np.ndarray | float, q: float):
     floor ``1e-300``.  Other scales lack this linear growth and have no
     bound here.
     """
+    if not (math.isfinite(q) and q < 0.0):
+        raise ValueError(f"the cut bound needs a finite q < 0, got q={q!r}")
     u = np.asarray(u_cut, dtype=np.float64)
     s = -q * math.pi / (2.0 * math.sqrt(-q))
     linear = (math.pi ** 2 / 4.0) * u - 1.75
@@ -429,6 +431,8 @@ def bmo_norm(
     linear-growth check against the analytic slope flags "not BMO".
     """
     if spec.kind == "zero":
+        if functionals is not None:
+            _checked_functionals(spec, ensemble, functionals)
         return NormEstimate(estimate=0.0, unbounded=False, cells=[])
     fn = _checked_functionals(spec, ensemble, functionals)
     cells = _family_cells(
@@ -778,6 +782,8 @@ def reverse_holder(
     """
     _require_power(q)
     if spec.kind == "zero":
+        if functionals is not None:
+            _checked_functionals(spec, ensemble, functionals)
         return RhCheck(verdict="Bounded", max_cell=1.0, cells=[], top_evidence=None,
                        state_ratio=1.0, instability=0.0,
                        note="zero premium: conditional means are exactly 1")
@@ -901,6 +907,8 @@ def apriori_bound(
     if not 0.0 <= q < 1.0:
         raise ValueError(f"a priori bounds cover q in [0, 1), got {q!r}")
     if q == 0.0:
+        if functionals is not None:
+            _checked_functionals(spec, ensemble, functionals)
         return AprioriCheck(
             status="pass", gamma_tilde=1.0, eta_sq=0.0, upper=0.0,
             nodes=None, psi_curve=None, lower_curve=None,

@@ -36,7 +36,12 @@ Kinds
     witness both sides of the sharp moment threshold.
 
 All singular integrands are evaluated in the logarithmic clock, never summed
-on the raw time grid.
+on the raw time grid.  One helper, ``_clock_exits``, builds every clock kind's
+clock: for :func:`evaluate_mpr` on the streams ``("hit-cut",)``,
+``("hit-drift", b)`` or the ensemble's driftless exit, and for
+:func:`~qbsde.solver.psi_conditional_profile` on ``("cond-exit-cut",)``,
+``("cond-exit-drift", b)`` or one driftless inner clock on ``("cond-exit",)``
+that every state shares.  One exposure map reads both.
 """
 
 from __future__ import annotations
@@ -47,13 +52,14 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from qbsde.core import (
     ClockExits,
     PathEnsemble,
     _array_key,
     _memoized,
+    default_gap,
     ito_integral,
     simulate_two_sided_exit,
 )
@@ -253,10 +259,9 @@ class SigmaSampler:
     """Sampler for the terminal-concentrated cut time ``sigma``.
 
     The cut time has density ``f(s) = c0 * exp(-1/(T-s))`` on ``(T/2, T)``;
-    the normalizer ``c0`` is computed by adaptive quadrature of the
-    substituted integrand ``u^-2 exp(-u)`` on ``[2/T, inf)`` (truncated where
-    the integrand tail drops below 1e-14, relative tolerance 1e-10), and the
-    inverse CDF is resolved by bisection to 1e-12 in the time variable.
+    the normalizer ``c0`` is the reciprocal of the substituted integral
+    ``integral_{2/T}^inf u^-2 exp(-u) du = E_2(2/T) / (2/T)`` in closed form,
+    and the inverse CDF is resolved by bisection to 1e-12 in the time variable.
     Sampling maps the midpoint state through the Gaussian CDF (a uniform
     variate by the probability integral transform) and inverts.
     """
@@ -267,19 +272,9 @@ class SigmaSampler:
         self.T = float(T)
         self.y_lo = 2.0 / self.T
 
-    @staticmethod
-    def _integrand(u: float) -> float:
-        return math.exp(-u) / (u * u)
-
     @cached_property
     def c0(self) -> float:
-        upper = max(self.y_lo * 2.0, 4.0)
-        while self._integrand(upper) >= 1e-14:
-            upper *= 2.0
-        value, _ = integrate.quad(
-            self._integrand, self.y_lo, upper, epsrel=1e-10, limit=200
-        )
-        return 1.0 / value
+        return 1.0 / self._tail(self.y_lo)
 
     def _tail(self, y: np.ndarray | float) -> np.ndarray | float:
         """``integral_y^inf u^-2 exp(-u) du`` via the exponential integral."""
@@ -435,6 +430,65 @@ class MprFunctionals:
         return np.exp(-q * self.int_lam_dw - 0.5 * q * self.int_lam2)
 
 
+def _clock_exits(
+    spec: MprSpec,
+    w_half: np.ndarray,
+    seed: int,
+    *,
+    n_inner: int = 1,
+    ensemble: PathEnsemble | None = None,
+    checkpoints: np.ndarray | None = None,
+) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
+           np.ndarray | None]:
+    """The clock of a clock kind after each midpoint state, ``n_inner`` paths each.
+
+    Returns ``(exits, coeff, drift, alpha, u_sigma)``, the last four per
+    state (``drift`` is ``None`` when undrifted).  The exit's paths are
+    state-major: one cut exit with per-path ``stop_u``, or one drifted exit
+    with per-path ``drift``.  The undrifted uncut kinds share one driftless
+    exit: the ``ensemble``'s :attr:`~qbsde.core.PathEnsemble.clock_exit` when
+    given (:func:`evaluate_mpr`, one path per state, to the grid's depth),
+    else one of ``n_inner`` paths (the profile, to the default grid's depth).
+    """
+    T = spec.T
+    entry = TRAITS[spec.kind].entry
+    alpha = alpha_from_w_half(w_half, T) if entry == _ARCCOS else None
+    u_sigma = SigmaSampler(T).from_w_half(w_half)[1] if entry == _CUT else None
+    coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
+    if alpha is None:
+        coeff = np.full(w_half.size, coeff)
+    if ensemble is None:
+        tag, u_max = "cond-exit", math.log((T / 2.0) / default_gap(T))
+    else:
+        tag, u_max = "hit", ensemble.grid.clock_depth
+
+    n_paths = w_half.size * n_inner
+    if u_sigma is not None:
+        exits = simulate_two_sided_exit(
+            n_paths, u_max=u_max, seed=seed, stream=(f"{tag}-cut",),
+            stop_u=np.repeat(u_sigma, n_inner), checkpoints=checkpoints)
+    elif drift is not None:
+        exits = simulate_two_sided_exit(
+            n_paths, u_max=u_max, seed=seed, stream=(f"{tag}-drift", spec.b),
+            drift=np.repeat(drift, n_inner), checkpoints=checkpoints)
+    elif ensemble is not None:
+        exits = ensemble.clock_exit
+    else:
+        exits = simulate_two_sided_exit(n_inner, u_max=u_max, seed=seed, stream=(tag,))
+    return exits, coeff, drift, alpha, u_sigma
+
+
+def _exposure(coeff, drift, x, u) -> tuple[np.ndarray, np.ndarray]:
+    """``(integral lambda dW, integral lambda^2 dt)`` from the clock at ``u``.
+
+    The exposure map ``(coeff (x - drift u), coeff^2 u)`` of a clock kind:
+    ``x`` is the clock-line state at clock time ``u``, and subtracting the
+    deterministic drift accrued by then leaves the Brownian part.
+    """
+    bm = x - (drift * u if drift is not None else 0.0)
+    return coeff * bm, coeff * coeff * u
+
+
 def evaluate_mpr(
     spec: MprSpec,
     ensemble: PathEnsemble,
@@ -444,13 +498,16 @@ def evaluate_mpr(
     """Evaluate a catalog spec along an ensemble.
 
     Grid-resident kinds (``zero`` among them) integrate on the time grid;
-    clock kinds run the
-    bridge-corrected clock engine on an independent stream keyed by the
-    ensemble seed (legitimate because the post-midpoint driver increments
-    are independent of the midpoint state, whose functionals ``alpha`` /
-    ``sigma`` are computed from the stored ensemble bit-exactly).  The
-    undrifted, uncut kinds read the ensemble's shared
-    :attr:`~qbsde.core.PathEnsemble.clock_exit`.
+    clock kinds read ``_clock_exits`` with one clock path per ensemble path,
+    on an independent stream keyed by the ensemble seed (legitimate because
+    the post-midpoint driver increments are independent of the midpoint
+    state, whose functionals ``alpha`` / ``sigma`` are computed from the
+    stored ensemble bit-exactly): the cut kind on ``("hit-cut",)`` with
+    per-path ``stop_u``, the drifted kinds on ``("hit-drift", b)`` with
+    per-path drift, and the undrifted, uncut kinds the ensemble's shared
+    :attr:`~qbsde.core.PathEnsemble.clock_exit`.  The terminal values and
+    the node tracks are the exposure map ``(coeff (x - drift u), coeff^2 u)``
+    of the clock state at the kill time and at each clock node.
     """
     if spec.T != ensemble.grid.T:
         raise ValueError(
@@ -473,52 +530,20 @@ def evaluate_mpr(
 
     # --- clock kinds ------------------------------------------------------
     checkpoints = grid.clock_nodes if need_nodes else None
-    entry = TRAITS[spec.kind].entry
-    alpha = alpha_from_w_half(w_half, grid.T) if entry == _ARCCOS else None
-    u_sigma = None
-    if entry == _CUT:
-        _, u_sigma = SigmaSampler(grid.T).from_w_half(w_half)
-    coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
-    if alpha is None:
-        coeff = np.full(n, coeff)
-
-    if u_sigma is not None:
-        exits = simulate_two_sided_exit(
-            n,
-            u_max=grid.clock_depth,
-            seed=ensemble.seed,
-            stream=("hit-cut",),
-            stop_u=u_sigma,
-            checkpoints=checkpoints,
-        )
-    elif drift is not None:
-        exits = simulate_two_sided_exit(
-            n,
-            u_max=grid.clock_depth,
-            seed=ensemble.seed,
-            stream=("hit-drift", spec.b),
-            drift=drift,
-            checkpoints=checkpoints,
-        )
-    else:
-        exits = ensemble.clock_exit
-
+    exits, coeff, drift, alpha, u_sigma = _clock_exits(
+        spec, w_half, ensemble.seed, ensemble=ensemble, checkpoints=checkpoints)
     u_kill = exits.u_exit
-    # Brownian-part state at the kill time: the engine's state minus the
-    # deterministic drift accrued up to it.
-    bm_state = exits.x_exit - (drift * u_kill if drift is not None else 0.0)
-    int_lam_dw = coeff * bm_state
-    int_lam2 = coeff * coeff * u_kill
+    int_lam_dw, int_lam2 = _exposure(coeff, drift, exits.x_exit, u_kill)
 
     node_int_dw = node_int2 = None
     if need_nodes:
         node_int_dw = np.zeros((n, grid.n_nodes))
         node_int2 = np.zeros((n, grid.n_nodes))
         u_at = np.minimum(checkpoints[:, None], u_kill[None, :])
-        bm_at = exits.ckpt_pos - (drift[None, :] * u_at if drift is not None else 0.0)
         first_late = grid.half_index + 1
-        node_int_dw[:, first_late:] = coeff[:, None] * bm_at.T
-        node_int2[:, first_late:] = (coeff[:, None] ** 2) * u_at.T
+        node_int_dw[:, first_late:], node_int2[:, first_late:] = _exposure(
+            coeff[:, None], None if drift is None else drift[:, None],
+            exits.ckpt_pos.T, u_at.T)
 
     return MprFunctionals(
         spec=spec,

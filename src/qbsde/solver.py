@@ -27,23 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from qbsde.core import (
-    DEFAULT_DV,
-    PathEnsemble,
-    default_gap,
-    philox_stream,
-    simulate_line_hit,
-    simulate_two_sided_exit,
-)
+from qbsde.core import DEFAULT_DV, PathEnsemble, philox_stream, simulate_line_hit
 from qbsde.catalog import (
     KINDS,
     TRAITS,
     MprFunctionals,
     MprSpec,
-    SigmaSampler,
-    alpha_from_w_half,
     _checked_functionals,
-    clock_coefficients,
+    _clock_exits,
+    _exposure,
     evaluate_mpr,
     lambda_at_nodes,
 )
@@ -269,6 +261,8 @@ def psi_unconditional(
     """
     _require_power(q)
     if q == 0.0:
+        if functionals is not None:
+            _checked_functionals(spec, ensemble, functionals)
         return OpportunityEstimate(
             t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
             n_inner=1, n_outer=ensemble.n_paths,
@@ -279,81 +273,6 @@ def psi_unconditional(
         values, q, t=0.0, state=None, n_inner=1, n_outer=ensemble.n_paths,
         check_divergence=q < 0.0,
     )
-
-
-def _conditional_values(
-    spec: MprSpec,
-    q: float,
-    w_half: np.ndarray,
-    n_inner: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inner summands of ``exp((1-q) Psi_{T/2})`` per conditioning state.
-
-    Returns ``(values, lower_bounds)`` where ``values`` is
-    ``(n_states, n_inner)``.  All states share one clock simulation whenever
-    the construction allows it (undrifted exits), so profiles across a state
-    grid are monotone up to shared-noise fluctuations only.
-    """
-    entry = TRAITS[spec.kind].entry
-    if entry is None:
-        halft_kinds = tuple(k for k in KINDS if TRAITS[k].entry is not None)
-        raise ValueError(
-            f"kind {spec.kind!r} has no midpoint factorization; conditional "
-            f"estimates exist for kinds {halft_kinds}"
-        )
-    if n_inner < 2:
-        raise ValueError(f"n_inner={n_inner!r}: a standard error needs 2 inner paths")
-    if q < 0.0 and n_inner < MIN_SAMPLES:
-        raise ValueError(
-            f"n_inner={n_inner!r}: a divergence verdict needs at least "
-            f"{MIN_SAMPLES} inner paths"
-        )
-    T = spec.T
-    u_max = math.log((T / 2.0) / default_gap(T))  # the default grid's clock depth
-    if entry[0] == "u_sigma":
-        _, u_sigma = SigmaSampler(T).from_w_half(w_half)
-        coeff, _ = clock_coefficients(spec)
-        ck = np.unique(u_sigma)
-        exits = simulate_two_sided_exit(
-            n_inner, u_max=u_max, seed=seed, stream=("cond-exit",),
-            checkpoints=ck,
-        )
-        values = np.empty((w_half.size, n_inner))
-        for i, us in enumerate(u_sigma):
-            slot = int(np.searchsorted(ck, us))
-            x_at = exits.ckpt_pos[slot]  # exit state if retired before us
-            u_eff = np.minimum(exits.u_exit, us)
-            values[i] = np.exp(-q * coeff * x_at - 0.5 * q * coeff**2 * u_eff)
-        return values, None
-    coeff, drift = clock_coefficients(spec, alpha_from_w_half(w_half, T))
-    if drift is not None:
-        values = np.empty((w_half.size, n_inner))
-        for i in range(w_half.size):
-            mu = drift[i]
-            exits = simulate_two_sided_exit(
-                n_inner, u_max=u_max, seed=seed,
-                stream=("cond-exit-drift", mu), drift=mu,
-            )
-            bm = exits.x_exit - mu * exits.u_exit
-            values[i] = np.exp(
-                -q * coeff[i] * bm - 0.5 * q * coeff[i] ** 2 * exits.u_exit
-            )
-        return values, None
-    exits = simulate_two_sided_exit(
-        n_inner, u_max=u_max, seed=seed, stream=("cond-exit",)
-    )
-    expo = (
-        -q * coeff[:, None] * exits.x_exit[None, :]
-        - 0.5 * q * (coeff[:, None] ** 2) * exits.u_exit[None, :]
-    )
-    lb = None
-    if spec.c_scale == 1.0 and q == spec.q < 0.0:  # the cosine law at unit scale
-        lb = (
-            -math.pi * math.sqrt(-q) / 2.0
-            - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / T) * w_half))
-        ) / (1.0 - q)
-    return np.exp(expo), lb
 
 
 def psi_conditional_profile(
@@ -369,12 +288,16 @@ def psi_conditional_profile(
     The midpoint state fixes the construction's conditioning quantity (the
     arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
     one-dimensional expectation over the exposure clock, estimated by plain
-    Monte Carlo on ``n_inner`` clock paths.  The inner clock is shared by every
-    state and, through the engine's memo, by every call with the same
-    ``n_inner`` and ``seed``; the drifted and cut kinds also need the same
-    states.  For the arccos construction at unit scale and at its own ``q``
-    the analytic lower bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is
-    attached.
+    Monte Carlo on ``n_inner`` clock paths per state.  The clock is the
+    catalog's, the one :func:`~qbsde.catalog.evaluate_mpr` reads, with
+    ``n_inner`` paths per state: one cut exit with per-path stop times on the
+    stream ``("cond-exit-cut",)``, one drifted exit with per-path drift on
+    ``("cond-exit-drift", b)``, and for ``alpha_arccos`` one driftless exit of
+    ``n_inner`` paths on ``("cond-exit",)`` that every state shares.  Each
+    exit is reused, through the engine's memo, by every call with the same
+    ``n_inner`` and ``seed`` (and states, when they enter the exit).  For ``alpha_arccos`` at unit scale and
+    at its own ``q`` the analytic lower bound
+    ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
     _require_power(q)
     arr = np.asarray(w_half_grid, dtype=np.float64)
@@ -383,7 +306,30 @@ def psi_conditional_profile(
             f"midpoint states must be a non-empty 1-d grid, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("midpoint states must be finite")
-    values, lb = _conditional_values(spec, q, arr, n_inner, seed)
+    if TRAITS[spec.kind].entry is None:
+        halft_kinds = tuple(k for k in KINDS if TRAITS[k].entry is not None)
+        raise ValueError(
+            f"kind {spec.kind!r} has no midpoint factorization; conditional "
+            f"estimates exist for kinds {halft_kinds}"
+        )
+    if n_inner < 2:
+        raise ValueError(f"n_inner={n_inner!r}: a standard error needs 2 inner paths")
+    if q < 0.0 and n_inner < MIN_SAMPLES:
+        raise ValueError(
+            f"n_inner={n_inner!r}: a divergence verdict needs at least "
+            f"{MIN_SAMPLES} inner paths"
+        )
+    exits, coeff, drift, _, _ = _clock_exits(spec, arr, seed, n_inner=n_inner)
+    int_dw, int2 = _exposure(
+        coeff[:, None], None if drift is None else drift[:, None],
+        exits.x_exit.reshape(-1, n_inner), exits.u_exit.reshape(-1, n_inner))
+    values = np.exp(-q * int_dw - 0.5 * q * int2)
+    lb = None
+    if spec.kind == "alpha_arccos" and spec.c_scale == 1.0 and q == spec.q:
+        lb = (  # the cosine law at unit scale
+            -math.pi * math.sqrt(-q) / 2.0
+            - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / spec.T) * arr))
+        ) / (1.0 - q)
     return [
         _log_mean_estimate(
             values[i], q, t=spec.T / 2.0, state=float(arr[i]),

@@ -81,6 +81,8 @@ def test_reverting_rh_lower_values_and_domain():
         reverting_rh_lower(-0.1, 0.0, Q, 1.0)
     with pytest.raises(ValueError):
         reverting_rh_lower(1.0, 0.0, Q, 1.0)
+    with pytest.raises(ValueError, match="t=nan"):
+        reverting_rh_lower(math.nan, 0.0, Q, 1.0)
 
 
 def test_sigma_cut_lower_bound():
@@ -91,6 +93,9 @@ def test_sigma_cut_lower_bound():
     assert sigma_cut_lower_bound(u, Q) == pytest.approx(expected, rel=1e-12)
     # Floor kicks in where the bracket would go negative.
     assert sigma_cut_lower_bound(0.1, Q) == 1e-300
+    for q in (0.0, 0.5, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="got q="):
+            sigma_cut_lower_bound(u, q)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,8 @@ def test_cells_come_from_one_stopping_family(kind, ens_small):
                 assert all(np.all(c.samples > 0.0) for c in member)
 
 
-#: The functions that take precomputed functionals beside (spec, ensemble).
+#: The functions that take precomputed functionals beside (spec, ensemble),
+#: and the shortcuts that answer without them (q = 0, the zero premium).
 _TAKES_FUNCTIONALS = {
     "psi_unconditional": lambda s, e, fn: psi_unconditional(s, Q, e, functionals=fn),
     "bmo_norm": lambda s, e, fn: bmo_norm(s, e, functionals=fn),
@@ -216,6 +222,12 @@ _TAKES_FUNCTIONALS = {
     "critical_exponent": lambda s, e, fn: critical_exponent(s, e, functionals=fn),
     "reverse_holder": lambda s, e, fn: reverse_holder(s, Q, e, functionals=fn),
     "apriori_bound": lambda s, e, fn: apriori_bound(s, 0.5, e, functionals=fn),
+    "psi_unconditional-q0":
+        lambda s, e, fn: psi_unconditional(s, 0.0, e, functionals=fn),
+    "apriori_bound-q0": lambda s, e, fn: apriori_bound(s, 0.0, e, functionals=fn),
+    "bmo_norm-zero": lambda s, e, fn: bmo_norm(mpr_zero(), e, functionals=fn),
+    "reverse_holder-zero":
+        lambda s, e, fn: reverse_holder(mpr_zero(), Q, e, functionals=fn),
 }
 
 

@@ -397,7 +397,7 @@ def test_classify_scales_run_each_distinct_exit_once(grid, monkeypatch):
         calls.append(kwargs)
         return memoized(*args, **kwargs)
 
-    for module in (core, catalog, qbsde.solver):
+    for module in (core, catalog):  # the two modules that build clocks
         monkeypatch.setattr(module, "simulate_two_sided_exit", counting)
     for c in (0.5, 1.0, 1.5):
         classify(mpr_sigma_gamma(-1.0).with_scale(c), -1.0, ens, with_exponent=False)

@@ -164,3 +164,32 @@ def test_every_optional_parameter_has_a_caller():
     assert ALLOWED_UNSET <= optional
     unset = sorted(optional - _set_parameters(functions) - ALLOWED_UNSET)
     assert not unset, f"optional parameters no caller outside unit tests sets: {unset}"
+
+
+#: Names that build a clock kind's clock, and the modules that may name them:
+#: the engine and the catalog, whose ``_clock_exits`` is every caller's clock.
+CLOCK_BUILDERS = {"simulate_two_sided_exit", "SigmaSampler", "clock_coefficients"}
+CLOCK_MODULES = {"core.py", "catalog.py"}
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Identifiers a module names: loads, stores, attributes and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+    return out
+
+
+def test_only_the_engine_and_catalog_build_clocks():
+    offenders = {
+        path.name: sorted(CLOCK_BUILDERS & _named(ast.parse(path.read_text())))
+        for path in PACKAGE.glob("*.py") if path.name not in CLOCK_MODULES
+    }
+    offenders = {k: v for k, v in offenders.items() if v}
+    assert not offenders, f"clocks built outside core and catalog: {offenders}"

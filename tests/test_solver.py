@@ -8,7 +8,9 @@ import pytest
 
 from qbsde import (
     OpportunityEstimate,
+    alpha_from_w_half,
     bsde_drift,
+    clock_coefficients,
     constant_closed_form_triple,
     continuum,
     core,
@@ -16,10 +18,12 @@ from qbsde import (
     driver_residual,
     lambda_at_nodes,
     martingale_check,
+    mpr_alpha_arccos,
     mpr_constant,
     mpr_nosol,
     mpr_reverting,
     mpr_sigma_gamma,
+    mpr_tilde,
     mpr_zero,
     mult_rep,
     psi_conditional_profile,
@@ -142,6 +146,45 @@ def test_arccos_bound_only_at_its_own_q():
                                   seed=7)[0]
     assert est.lower_bound is None
     assert est.estimate == pytest.approx(0.0, abs=1e-12)
+
+
+def _exit_moment(x: float, beta: float) -> float:
+    """``cosh(x) E[exp(beta H)]`` for the driftless exit ``H`` from (-1, 1)."""
+    if beta >= math.pi**2 / 8.0:
+        return math.inf
+    root = math.sqrt(2.0 * abs(beta))
+    return math.cosh(x) / (math.cos(root) if beta > 0.0 else math.cosh(root))
+
+
+#: Seed of the inner clock in the conditional-profile oracle test.
+ORACLE_SEED = 7
+
+
+@pytest.mark.parametrize("spec,skipped", [
+    (mpr_alpha_arccos(Q).with_scale(0.5), ()),
+    # alpha(w) >= 1/sqrt(2) at w <= -sqrt(0.5): the summand's second moment is
+    # infinite there (2 lambda >= pi^2/8) and no standard error exists.
+    (mpr_alpha_arccos(Q), (-2.0, -1.0)),
+    (mpr_tilde(0.5), ()),
+], ids=["alpha_arccos-0.5", "alpha_arccos-1", "tilde-0.5"])
+def test_conditional_profile_matches_the_cosine_law(spec, skipped):
+    # Girsanov removes the clock drift mu; then B_H = +-1 is independent of H,
+    # so exp((1-q) Psi_{T/2}(w)) = cosh(a + mu) M(lambda - a mu - mu^2/2) with
+    # a = -q c, lambda = -q c^2/2 and M the driftless exit's moment function.
+    units = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    states = units * math.sqrt(0.5)
+    ests = psi_conditional_profile(spec, Q, states, n_inner=20000,
+                                   seed=ORACLE_SEED)
+    coeff, drift = clock_coefficients(spec, alpha_from_w_half(states, spec.T))
+    drift = np.zeros(units.size) if drift is None else drift
+    for unit, est, c, mu in zip(units, ests, coeff, drift):
+        a, lam = -Q * c, -Q * c * c / 2.0
+        second = _exit_moment(2.0 * a + mu, 2.0 * (lam - a * mu) - mu * mu / 2.0)
+        assert math.isinf(second) == (unit in skipped)
+        if unit in skipped:
+            continue
+        closed = math.log(_exit_moment(a + mu, lam - a * mu - mu * mu / 2.0)) / (1.0 - Q)
+        assert abs(est.estimate - closed) <= 4.0 * est.se, (unit, est, closed)
 
 
 def test_psi_conditional_profile_sigma_has_no_analytic_bound():
