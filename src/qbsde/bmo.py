@@ -592,9 +592,7 @@ def dyn_exp_moment(
         exp_cells = _cells
 
     out_cells: list[BinCell] = []
-    diverged = False
-    worst = None
-    worst_ev: DivergenceEvidence | None = None
+    judged: list[tuple[DivergenceEvidence, BinCell]] = []
     sup = 0.0
     for c in exp_cells:
         expo = k * c.samples
@@ -614,11 +612,12 @@ def dyn_exp_moment(
                     growth=ev.growth, n=ev.n, tail_k=ev.tail_k,
                     reason="exponent overflow: moment beyond double range",
                 )
-            if ev.diverged and (worst_ev is None or not worst_ev.diverged
-                                or m > (worst.mean if worst else -math.inf)):
-                diverged, worst, worst_ev = True, cell, ev
-            elif worst_ev is None or (not diverged and m > (worst.mean if worst else -math.inf)):
-                worst, worst_ev = cell, ev
+            judged.append((ev, cell))
+    # The worst cell: a diverged one before any other, then the largest mean
+    # (the first cell wins ties).
+    worst_ev, worst = max(judged, key=lambda j: (j[0].diverged, j[1].mean),
+                          default=(None, None))
+    diverged = worst_ev is not None and worst_ev.diverged
     if worst is None:
         label = None
     elif math.isnan(worst.center):

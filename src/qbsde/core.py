@@ -7,20 +7,16 @@ This module owns every primitive the rest of the package simulates with:
 * Brownian increment ensembles driven by counter-based Philox streams so a
   fixed ``(seed, grid, n_paths)`` triple reproduces bit-identical paths,
 * left-endpoint Ito integration of a finite per-path integrand array,
-* one vectorized Euler loop (with Brownian-bridge crossing correction)
-  behind both clock engines: the exit from (-1, 1) in the logarithmic clock
-  ``u = log((T/2)/(T-t))``, in which the singular integrands used by the
-  market-price-of-risk catalog become unit-rate Brownian motions, and the
-  one-sided crossing of a moving line below one scalar level in the clock
-  ``v = t/(T(T-t))``.  The two-sided exit takes single steps of
-  :data:`DEFAULT_DV` in lockstep; the line hit takes the caller's step
-  ``dv``.  A line-hit path far
-  above its level (more than ``SKIP_Z sqrt(m dv) + r m dv``) draws its next
-  ``m`` steps as one Gaussian step, so that the Euler chain would have
-  crossed inside with probability below ``2 Phi(-SKIP_Z)``; checkpoints
-  inside a skip are filled in by a Brownian bridge from a separate stream,
+* two Euler clock engines with a Brownian-bridge crossing correction: the
+  exit from (-1, 1) in the logarithmic clock ``u = log((T/2)/(T-t))``, in
+  which the singular integrands used by the market-price-of-risk catalog
+  become unit-rate Brownian motions, steps every path in lockstep at
+  :data:`DEFAULT_DV`; the one-sided crossing of a moving line below one
+  scalar level in the clock ``v = t/(T(T-t))`` steps each path on its own
+  at the caller's ``dv``, and a path far above its level draws up to
+  :data:`SKIP_MAX` steps as one Gaussian step,
 * each ensemble's driftless clock exit, simulated once and shared by every
-  construction that reads it; :func:`hitting_time` is a view of it.  The
+  construction that reads it; :func:`hitting_time` returns it.  The
   drifted two-sided clocks belong to the catalog's drifted constructions.
 
 Integrands proportional to ``1/sqrt(T-t)`` or ``1/(T-t)`` are never summed on
@@ -46,7 +42,6 @@ __all__ = [
     "PathEnsemble",
     "PathFunctionals",
     "ClockExits",
-    "HittingClock",
     "build_grid",
     "default_gap",
     "sample_paths",
@@ -390,9 +385,7 @@ class ClockExits:
         return float(np.mean(self.censored))
 
 
-def _as_per_path(value, n_paths: int) -> np.ndarray | None:
-    if value is None:
-        return None
+def _as_per_path(value, n_paths: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(n_paths, float(arr))
@@ -401,7 +394,64 @@ def _as_per_path(value, n_paths: int) -> np.ndarray | None:
     return arr
 
 
-def _record_due(ck_ext, cur, kk, pos, cols, ckpt_pos, ckpt_alive) -> np.ndarray:
+def _clock_steps(dv: float, u_max: float, checkpoints) -> tuple[int, np.ndarray]:
+    """Steps to the horizon ``u_max``, and the step of each checkpoint.
+
+    Requires ``0 < dv <= 1e-3``, a finite positive horizon, and checkpoints
+    that are finite, nonnegative and strictly increasing.  A checkpoint
+    rounds to its nearest step, capped at the horizon; ``None`` gives none.
+    """
+    if not 0.0 < dv <= DEFAULT_DV * (1.0 + 1e-12):
+        raise ValueError(f"clock step dv={dv!r} violates the 0 < dv <= 1e-3 contract")
+    if not (math.isfinite(u_max) and u_max > 0.0):
+        raise ValueError(f"clock horizon must be finite and positive, got {u_max!r}")
+    n_steps = int(math.ceil(u_max / dv - 1e-9))
+    ck = np.asarray(() if checkpoints is None else checkpoints, dtype=np.float64)
+    if ck.ndim != 1:
+        raise ValueError("checkpoints must be a strictly increasing 1-d array")
+    if not np.all(np.isfinite(ck) & (ck >= 0.0)):
+        raise ValueError("checkpoints must be finite and nonnegative clock times")
+    if np.any(np.diff(ck) <= 0):
+        raise ValueError("checkpoints must be a strictly increasing 1-d array")
+    return n_steps, np.minimum(np.round(ck / dv).astype(np.int64), n_steps)
+
+
+def _new_exits(n_paths: int, dv: float, n_steps: int, n_ck: int) -> ClockExits:
+    """Exit record with every path alive at the horizon ``n_steps dv``.
+
+    The checkpoint tracks (None without checkpoints) read NaN until recorded.
+    """
+    return ClockExits(
+        dv=dv,
+        u_max=n_steps * dv,
+        n_paths=n_paths,
+        u_exit=np.full(n_paths, n_steps * dv),
+        x_exit=np.zeros(n_paths),
+        raw_end=np.zeros(n_paths),
+        exited=np.zeros(n_paths, dtype=bool),
+        frozen=np.zeros(n_paths, dtype=bool),
+        censored=np.zeros(n_paths, dtype=bool),
+        sign=np.zeros(n_paths, dtype=np.int8),
+        endpoint_detected=np.zeros(n_paths, dtype=bool),
+        ckpt_pos=np.full((n_ck, n_paths), np.nan) if n_ck else None,
+        ckpt_alive=np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None,
+    )
+
+
+def _retire(exits: ClockExits, gi: np.ndarray, **fields) -> None:
+    """Write each named per-path field of the retiring paths ``gi``."""
+    for name, value in fields.items():
+        getattr(exits, name)[gi] = value
+
+
+def _fill_missing(exits: ClockExits) -> None:
+    """Paths retired before a checkpoint keep their retirement state there."""
+    if exits.ckpt_pos is not None:
+        missing = ~exits.ckpt_alive & np.isnan(exits.ckpt_pos)
+        exits.ckpt_pos[missing] = np.broadcast_to(exits.x_exit, missing.shape)[missing]
+
+
+def _record_due(exits, ck_ext, cur, kk, pos, gi) -> np.ndarray:
     """Record ``pos`` at every checkpoint a path stands on; return the cursors.
 
     ``cur`` holds each path's next checkpoint index, ``ck_ext`` the
@@ -409,8 +459,8 @@ def _record_due(ck_ext, cur, kk, pos, cols, ckpt_pos, ckpt_alive) -> np.ndarray:
     """
     due = ck_ext[cur] == kk
     while due.any():
-        ckpt_pos[cur[due], cols[due]] = pos[due]
-        ckpt_alive[cur[due], cols[due]] = True
+        exits.ckpt_pos[cur[due], gi[due]] = pos[due]
+        exits.ckpt_alive[cur[due], gi[due]] = True
         cur = cur + due
         due = ck_ext[cur] == kk
     return cur
@@ -430,8 +480,7 @@ def _piece_wsum(w1, w2, dv, a, b, bsum, g) -> np.ndarray:
     return sw / n * bsum + np.sqrt(var) * g
 
 
-def _fill_skips(brng, dv, a, b, x, bsum, cur, ck_ext, at, cols,
-                ckpt_pos, ckpt_alive, ckpt_wsum, w1, w2):
+def _fill_skips(exits, brng, a, b, x, bsum, cur, ck_ext, at, gi, w1, w2):
     """Fill in the checkpoints strictly inside the skips ``[a, b)``.
 
     A skip from state ``x`` at step ``a`` drew only its Brownian sum
@@ -441,7 +490,7 @@ def _fill_skips(brng, dv, a, b, x, bsum, cur, ck_ext, at, cols,
     Returns the advanced cursors and the last piece's weighted sum (None
     without weights).
     """
-    weighted = ckpt_wsum is not None
+    dv, weighted = exits.dv, exits.ckpt_wsum is not None
     s = ck_ext[cur]
     inside = s < b
     while inside.any():
@@ -451,10 +500,10 @@ def _fill_skips(brng, dv, a, b, x, bsum, cur, ck_ext, at, cols,
         g = brng.standard_normal((2 if weighted else 1, i.size))
         piece = bsum[i] * (span / left) + np.sqrt(dv * span * (left - span) / left) * g[0]
         x[i] += (at[si] - at[ai]) + piece
-        ckpt_pos[cur[i], cols[i]] = x[i]
-        ckpt_alive[cur[i], cols[i]] = True
+        exits.ckpt_pos[cur[i], gi[i]] = x[i]
+        exits.ckpt_alive[cur[i], gi[i]] = True
         if weighted:
-            ckpt_wsum[cur[i], cols[i]] += _piece_wsum(w1, w2, dv, ai, si, piece, g[1])
+            exits.ckpt_wsum[cur[i], gi[i]] += _piece_wsum(w1, w2, dv, ai, si, piece, g[1])
         bsum[i] -= piece
         a[i] = si
         cur[i] += 1
@@ -465,260 +514,95 @@ def _fill_skips(brng, dv, a, b, x, bsum, cur, ck_ext, at, cols,
     return cur, _piece_wsum(w1, w2, dv, a, b, bsum, brng.standard_normal(a.size))
 
 
-def _euler_exit(
+def _two_sided_euler(
     n_paths: int,
     *,
-    dv: float,
     u_max: float,
     seed: int,
     stream: Sequence,
-    lower: float,
-    upper: float | None = None,
-    rate: float | np.ndarray | None = None,
-    drift_cum: Callable[[float], float] | None = None,
-    stop_u: np.ndarray | None = None,
-    checkpoints: np.ndarray | None = None,
-    weight_fn: Callable[[float], float] | None = None,
+    rate: float | np.ndarray,
+    stop_u: np.ndarray | None,
+    checkpoints: np.ndarray | None,
 ) -> ClockExits:
-    """Euler + Brownian-bridge first passage of ``X = B + drift`` from 0.
+    """Euler + Brownian-bridge exit of ``X_u = B_u + rate u`` from (-1, 1).
 
-    The path is killed at or below the scalar ``lower`` and, when ``upper``
-    is given, at or above that scalar.
-
-    The two-sided exit passes ``upper`` and a per-path constant ``rate``
-    (adding ``rate * dv`` per step); all its paths step in lockstep, one
-    Euler step per pass.  The line hit passes ``drift_cum`` instead: a step
-    from ``u`` adds the exact increment ``drift_cum(u + dv) - drift_cum(u)``,
-    tabulated once per step, and each path keeps its own step index.  A path
-    farther above its level than ``SKIP_Z sqrt(m dv) + r m dv`` (``r`` the
-    largest per-step drift over ``dv``) replaces its next ``m`` steps by one
-    draw ``N(drift_cum(u + m dv) - drift_cum(u), m dv)``, with ``m`` the
-    largest power of two up to :data:`SKIP_MAX` that fits, capped at the
-    horizon.  The Euler chain would have crossed inside with probability
-    below ``2 Phi(-SKIP_Z)``.  Checkpoints never cap a skip: one falling
-    inside it is filled in by a Brownian bridge drawn from the separate
-    stream ``(seed, *stream, "bridge", block)``, as are the skip's weighted
-    sums, so the main stream and every exit field do not depend on the
-    checkpoints.  With ``SKIP_Z = inf`` nothing skips and the bridge stream
-    is never read.  See :func:`simulate_two_sided_exit` and
-    :func:`simulate_line_hit` for the blocking, stop, checkpoint and weight
-    semantics.
+    The paths of a block take single steps of :data:`DEFAULT_DV` in
+    lockstep, so a checkpoint is recorded on the pass that reaches its step.
+    A step from ``x`` to ``x'`` exits when ``x'`` lies on or beyond a
+    barrier (placed by linear interpolation inside the step), or when its
+    uniform draw falls below the bridge crossing probability
+    ``exp(-2 (1 - x)(1 - x') / dv) + exp(-2 (1 + x)(1 + x') / dv)`` (placed at
+    mid-step, on the upper barrier when the draw falls below the first
+    term).  A path whose ``stop_u`` step comes first is frozen there.
     """
-    if not 0.0 < dv <= DEFAULT_DV * (1.0 + 1e-12):
-        raise ValueError(f"clock step dv={dv!r} violates the 0 < dv <= 1e-3 contract")
-    if not (math.isfinite(u_max) and u_max > 0.0):
-        raise ValueError(f"clock horizon must be finite and positive, got {u_max!r}")
-    n_steps = int(math.ceil(u_max / dv - 1e-9))
-    n_ck = 0
-    if checkpoints is not None:
-        ck = np.asarray(checkpoints, dtype=np.float64)
-        if ck.ndim != 1 or np.any(np.diff(ck) <= 0):
-            raise ValueError("checkpoints must be a strictly increasing 1-d array")
-        ck_steps = np.clip(np.round(ck / dv).astype(np.int64), 0, n_steps)
-        n_ck = len(ck_steps)
-    if weight_fn is not None and not n_ck:
-        raise ValueError("weight_fn needs checkpoints: its sums are kept per "
-                         "checkpoint interval")
-
-    if not (math.isfinite(lower) and lower < 0.0):
-        raise ValueError("crossing level must be finite and negative "
-                         "(paths start at 0)")
-    rate_arr = _as_per_path(rate, n_paths)
-    if rate_arr is not None and not np.all(np.isfinite(rate_arr)):
+    dv = DEFAULT_DV
+    n_steps, ck_steps = _clock_steps(dv, u_max, checkpoints)
+    n_ck = ck_steps.size
+    rate = _as_per_path(rate, n_paths)
+    if not np.all(np.isfinite(rate)):
         raise ValueError("clock drift rate must be finite")
-    stop_steps = None
+    stop = None  # per-path step at which a path freezes
     if stop_u is not None:
         stop_arr = _as_per_path(stop_u, n_paths)
         if not np.all(stop_arr >= 0.0):
             raise ValueError("stop clock times must be nonnegative (inf: never stop)")
         finite = np.isfinite(stop_arr)
-        stop_steps = np.full(n_paths, n_steps + 1, dtype=np.int64)
-        stop_steps[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
+        stop = np.full(n_paths, n_steps + 1, dtype=np.int64)
+        stop[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
 
-    line = rate is None
-    if line:
-        at = np.fromiter((drift_cum(k * dv) for k in range(n_steps + 1)),
-                         np.float64, n_steps + 1)
-        inc = np.fromiter((drift_cum(k * dv + dv) for k in range(n_steps)),
-                          np.float64, n_steps) - at[:-1]
-        lengths = 2 ** np.arange(int(math.log2(SKIP_MAX)) + 1)
-        # need(m) = SKIP_Z sqrt(m dv) + r m dv, with r = max |inc| / dv
-        need = SKIP_Z * np.sqrt(lengths * dv) + np.abs(inc).max() * lengths
-        jumps = np.r_[1, lengths]  # jumps[j]: the longest of the j lengths that fit
-        if n_ck:
-            ck_ext = np.r_[ck_steps, n_steps + 1]
-        if weight_fn is not None:
-            w = np.fromiter((weight_fn((k + 0.5) * dv) for k in range(n_steps)),
-                            np.float64, n_steps)
-            w1 = np.r_[0.0, np.cumsum(w)]
-            w2 = np.r_[0.0, np.cumsum(w * w)]
-        else:
-            w1 = w2 = None
-
-    u_exit = np.full(n_paths, n_steps * dv)
-    x_exit = np.zeros(n_paths)
-    raw_end = np.zeros(n_paths)
-    exited = np.zeros(n_paths, dtype=bool)
-    frozen = np.zeros(n_paths, dtype=bool)
-    censored = np.zeros(n_paths, dtype=bool)
-    sign = np.zeros(n_paths, dtype=np.int8)
-    endpoint_detected = np.zeros(n_paths, dtype=bool)
-    ckpt_pos = np.full((n_ck, n_paths), np.nan) if n_ck else None
-    ckpt_alive = np.zeros((n_ck, n_paths), dtype=bool) if n_ck else None
-    ckpt_wsum = np.zeros((n_ck + 1, n_paths)) if weight_fn is not None else None
-
+    exits = _new_exits(n_paths, dv, n_steps, n_ck)
     sq = math.sqrt(dv)
-    span = dv  # step length; the line hit's varies per path
-    n_lock = 0 if line else n_ck  # checkpoints recorded in lockstep
-    moves = skips = skip_exits = 0
+    moves = 0
     for blk_start in range(0, n_paths, _BLOCK_SIZE):
-        blk = slice(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
-        nb = blk.stop - blk.start
         rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
-        ia = np.arange(nb, dtype=np.int64)
-        pos = np.zeros(nb)
-        rate_blk = rate_arr[blk] if rate_arr is not None else None
-        stop_blk = stop_steps[blk] if stop_steps is not None else None
-        ci = 0
-        if line:
-            kk = np.zeros(nb, dtype=np.int64)  # steps taken, per path
-            if n_ck:
-                brng = philox_stream(seed, *stream, "bridge", blk_start // _BLOCK_SIZE)
-                cur = _record_due(ck_ext, np.zeros(nb, dtype=np.int64), kk, pos,
-                                  blk_start + ia, ckpt_pos, ckpt_alive)
-
-        for k in range(n_steps):  # every path advances at least one step per pass
-            while ci < n_lock and ck_steps[ci] == k:
-                ckpt_pos[ci, blk_start + ia] = pos
-                ckpt_alive[ci, blk_start + ia] = True
+        gi = np.arange(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
+        pos = np.zeros(gi.size)
+        ci = 0  # the block's next checkpoint
+        for k in range(n_steps):
+            while ci < n_ck and ck_steps[ci] == k:
+                exits.ckpt_pos[ci, gi] = pos
+                exits.ckpt_alive[ci, gi] = True
                 ci += 1
-            if stop_blk is not None:
-                fz = stop_blk[ia] <= k
+            if stop is not None:
+                fz = stop[gi] <= k
                 if fz.any():
-                    gi = blk_start + ia[fz]
-                    u_exit[gi] = stop_blk[ia[fz]] * dv
-                    x_exit[gi] = pos[fz]
-                    raw_end[gi] = pos[fz]
-                    frozen[gi] = True
-                    ia = ia[~fz]
-                    pos = pos[~fz]
-            if ia.size == 0:
+                    _retire(exits, gi[fz], frozen=True, u_exit=stop[gi[fz]] * dv,
+                            x_exit=pos[fz], raw_end=pos[fz])
+                    gi, pos = gi[~fz], pos[~fz]
+            if gi.size == 0:
                 break
-            moves += ia.size
+            moves += gi.size
 
-            z = rng.standard_normal(ia.size)
-            uc = rng.random(ia.size)
-            if line:
-                m = np.minimum(jumps[np.searchsorted(need, pos - lower)], n_steps - kk)
-                end = kk + m
-                span = m * dv
-                bsum = np.sqrt(span) * z
-                step = bsum + np.where(m == 1, inc[kk], at[end] - at[kk])
-                sk = m > 1
-                n_sk = int(np.count_nonzero(sk))
-                skips += n_sk
-            else:
-                step = sq * z + rate_blk[ia] * dv
+            z = rng.standard_normal(gi.size)
+            uc = rng.random(gi.size)
+            step = sq * z + rate[gi] * dv
             newpos = pos + step
-
-            hit = newpos <= lower
-            p_cross = np.exp(-2.0 * np.clip(pos - lower, 0.0, None)
-                             * np.clip(newpos - lower, 0.0, None) / span)
-            if upper is not None:
-                up = newpos >= upper
-                hit = up | hit
-                p_up = np.exp(-2.0 * np.clip(upper - pos, 0.0, None)
-                              * np.clip(upper - newpos, 0.0, None) / dv)
-                p_cross = p_up + p_cross
-            bridge = ~hit & (uc < p_cross)
+            up = newpos >= 1.0
+            hit = up | (newpos <= -1.0)
+            p_up = np.exp(-2.0 * np.clip(1.0 - pos, 0.0, None)
+                          * np.clip(1.0 - newpos, 0.0, None) / dv)
+            p_down = np.exp(-2.0 * np.clip(pos + 1.0, 0.0, None)
+                            * np.clip(newpos + 1.0, 0.0, None) / dv)
+            bridge = ~hit & (uc < p_up + p_down)
             ex = hit | bridge
-
-            if line and n_ck:
-                if ckpt_wsum is not None:
-                    wstep = w[kk] * sq * z
-                if n_sk:
-                    i = np.flatnonzero(sk)
-                    cur[i], last = _fill_skips(
-                        brng, dv, kk[i], end[i], pos[i], bsum[i], cur[i], ck_ext, at,
-                        blk_start + ia[i], ckpt_pos, ckpt_alive, ckpt_wsum, w1, w2)
-                    if ckpt_wsum is not None:
-                        wstep[i] = last
-                if ckpt_wsum is not None:  # cur is this step's checkpoint interval
-                    ckpt_wsum[cur, blk_start + ia] += wstep
-
             if ex.any():
-                gi = blk_start + ia[ex]
+                up_exit = up | (bridge & (uc < p_up))
+                barrier = np.where(up_exit, 1.0, -1.0)
                 denom = np.where(step == 0.0, np.inf, step)
-                if line:
-                    sign[gi] = -1
-                    theta = np.where(hit, np.clip((lower - pos) / denom, 0.0, 1.0), 0.5)
-                    u_exit[gi] = (kk[ex] + theta[ex] * m[ex]) * dv
-                    x_exit[gi] = lower
-                    skip_exits += int(np.count_nonzero(sk[ex]))
-                else:
-                    up_exit = up | (bridge & (uc < p_up))
-                    barrier = np.where(up_exit, upper, lower)
-                    sign[gi] = np.where(up_exit[ex], 1, -1)
-                    theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
-                    u_exit[gi] = (k + theta[ex]) * dv
-                    x_exit[gi] = barrier[ex]
-                raw_end[gi] = newpos[ex]
-                exited[gi] = True
-                endpoint_detected[gi] = hit[ex]
+                theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
+                _retire(exits, gi[ex], exited=True, u_exit=(k + theta[ex]) * dv,
+                        x_exit=barrier[ex], raw_end=newpos[ex],
+                        sign=np.where(up_exit[ex], 1, -1), endpoint_detected=hit[ex])
+            gi, pos = gi[~ex], newpos[~ex]
 
-            keep = ~ex
-            ia = ia[keep]
-            pos = newpos[keep]
-            if line:
-                kk = end[keep]
-                if n_ck:
-                    cur = _record_due(ck_ext, cur[keep], kk, pos, blk_start + ia,
-                                      ckpt_pos, ckpt_alive)
-                fin = kk == n_steps
-                if fin.any():  # censored at the horizon
-                    gi = blk_start + ia[fin]
-                    censored[gi] = True
-                    x_exit[gi] = pos[fin]
-                    raw_end[gi] = pos[fin]
-                    live = ~fin
-                    ia, pos, kk = ia[live], pos[live], kk[live]
-                    if n_ck:
-                        cur = cur[live]
-
-        if ia.size:
-            gi = blk_start + ia
-            censored[gi] = True
-            x_exit[gi] = pos
-            raw_end[gi] = pos
-            while ci < n_ck:
-                ckpt_pos[ci, gi] = pos
-                ckpt_alive[ci, gi] = True
-                ci += 1
-
-    if n_ck:
-        # Paths retired before a checkpoint keep their retirement state there.
-        missing = ~ckpt_alive & np.isnan(ckpt_pos)
-        ckpt_pos[missing] = np.broadcast_to(x_exit, (n_ck, n_paths))[missing]
-
-    return ClockExits(
-        dv=dv,
-        u_max=n_steps * dv,
-        n_paths=n_paths,
-        u_exit=u_exit,
-        x_exit=x_exit,
-        raw_end=raw_end,
-        exited=exited,
-        frozen=frozen,
-        censored=censored,
-        sign=sign,
-        endpoint_detected=endpoint_detected,
-        ckpt_pos=ckpt_pos,
-        ckpt_alive=ckpt_alive,
-        ckpt_wsum=ckpt_wsum,
-        single_steps=moves - skips,
-        skips=skips,
-        skip_exits=skip_exits,
-    )
+        if gi.size:  # censored at the horizon, where the last checkpoints sit
+            _retire(exits, gi, censored=True, x_exit=pos, raw_end=pos)
+            if n_ck:
+                exits.ckpt_pos[ci:, gi] = pos
+                exits.ckpt_alive[ci:, gi] = True
+    _fill_missing(exits)
+    exits.single_steps = moves
+    return exits
 
 
 #: Distinct two-sided exits kept by :func:`simulate_two_sided_exit`: one Table 2
@@ -779,7 +663,8 @@ def simulate_two_sided_exit(
 
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
     down to the step grid) if it has not exited earlier.  ``checkpoints``
-    records the state at fixed clock times.
+    records the state at fixed clock times (finite and nonnegative, rounded
+    to the nearest step).
 
     The exit is a pure function of the arguments, so the last
     :data:`EXIT_MEMO_SIZE` distinct results are memoized on their exact
@@ -789,9 +674,9 @@ def simulate_two_sided_exit(
     """
     key = (n_paths, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
            _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
-    return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _euler_exit(
-        n_paths, dv=DEFAULT_DV, u_max=u_max, seed=seed, stream=stream,
-        lower=-1.0, upper=1.0, rate=drift, stop_u=stop_u, checkpoints=checkpoints,
+    return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _two_sided_euler(
+        n_paths, u_max=u_max, seed=seed, stream=stream, rate=drift,
+        stop_u=stop_u, checkpoints=checkpoints,
     ))
 
 
@@ -807,17 +692,19 @@ def simulate_line_hit(
     checkpoints: np.ndarray | None = None,
     weight_fn: Callable[[float], float] | None = None,
 ) -> ClockExits:
-    """First passage of ``X_v = B_v + drift`` below one scalar ``level < 0``.
+    """First passage of ``X_v = B_v + drift_cum(v)`` below one scalar ``level < 0``.
 
-    Euler steps of size ``dv`` (contract: ``0 < dv <= 1e-3``).  The
-    deterministic drift is the exact cumulative term ``drift_cum(v)``
-    evaluated at step boundaries, so the deterministic part carries no Euler
-    error.  Same bridge correction, blocking and checkpoint semantics as
-    :func:`simulate_two_sided_exit`; with ``weight_fn`` (which needs
-    ``checkpoints``) the engine also accumulates
-    ``sum weight_fn(v_mid) * dB`` per checkpoint interval (the Brownian part
-    only), which callers use to reconstruct time-grid Wiener increments from
-    the clock path.
+    Euler steps of size ``dv`` (contract: ``0 < dv <= 1e-3``) with the same
+    bridge correction and per-block streams as
+    :func:`simulate_two_sided_exit`, against the one level.  The
+    deterministic drift is the exact cumulative term ``drift_cum``,
+    tabulated once per step boundary (it must be finite there), so it
+    carries no Euler error.  ``checkpoints`` (finite, nonnegative, rounded
+    to the nearest step) record the state; with ``weight_fn`` (which needs
+    them, and must be finite at the step midpoints) the engine also
+    accumulates ``sum weight_fn(v_mid) * dB`` per checkpoint interval (the
+    Brownian part only), which callers use to reconstruct time-grid Wiener
+    increments from the clock path.
     ``x_exit`` is snapped to the level for detected crossings; ``raw_end``
     keeps the raw end-of-step state, and for censored paths ``x_exit`` is the
     running state at ``v_max`` (callers use it for analytic closure of
@@ -825,23 +712,116 @@ def simulate_line_hit(
 
     Each path keeps its own step index.  While it is farther above its level
     than ``SKIP_Z sqrt(m dv) + r m dv`` (``r``: the largest per-step drift
-    over ``dv``), its next ``m`` Euler steps (a power of two up to
-    :data:`SKIP_MAX`, capped at the horizon) are one Gaussian draw of their
-    sum.  The Euler chain would have crossed inside such a skip with
-    probability below ``2 Phi(-SKIP_Z)``, about 1e-15 at ``SKIP_Z = 8``;
-    near the level the engine takes single steps with the bridge test, so
-    the crossing and overshoot law is the Euler one.  A checkpoint inside a
-    skip, and each checkpoint interval's weighted sum over it, are drawn
-    given the skip's Brownian sum from the stream
-    ``(seed, *stream, "bridge", block)``; the main stream and every exit field
-    are the same with or without checkpoints.  ``SKIP_Z = inf`` switches
-    skipping off and gives the plain Euler chain's bits.
+    over ``dv``), its next ``m`` Euler steps (the largest power of two up to
+    :data:`SKIP_MAX` that fits, capped at the horizon) are one draw
+    ``N(drift_cum(v + m dv) - drift_cum(v), m dv)``.  The Euler chain would
+    have crossed inside such a skip with probability below
+    ``2 Phi(-SKIP_Z)``, about 1e-15 at ``SKIP_Z = 8``; near the level the
+    engine takes single steps with the bridge test, so the crossing and
+    overshoot law is the Euler one.  Checkpoints never cap a skip: one
+    inside it, and each checkpoint interval's weighted sum over it, are
+    drawn given the skip's Brownian sum from the stream
+    ``(seed, *stream, "bridge", block)``; the main stream and every exit
+    field are the same with or without checkpoints.  ``SKIP_Z = inf``
+    switches skipping off and gives the plain Euler chain's bits.
     """
-    return _euler_exit(
-        n_paths, dv=dv, u_max=v_max, seed=seed, stream=stream,
-        lower=level, drift_cum=drift_cum,
-        checkpoints=checkpoints, weight_fn=weight_fn,
-    )
+    n_steps, ck_steps = _clock_steps(dv, v_max, checkpoints)
+    n_ck = ck_steps.size
+    if weight_fn is not None and not n_ck:
+        raise ValueError("weight_fn needs checkpoints: its sums are kept per "
+                         "checkpoint interval")
+    if not (math.isfinite(level) and level < 0.0):
+        raise ValueError("crossing level must be finite and negative "
+                         "(paths start at 0)")
+    at = np.fromiter((drift_cum(k * dv) for k in range(n_steps + 1)),
+                     np.float64, n_steps + 1)
+    # drift_cum at each step's end, made each step's increment in place
+    inc = np.fromiter((drift_cum(k * dv + dv) for k in range(n_steps)),
+                      np.float64, n_steps)
+    if not (np.all(np.isfinite(at)) and np.all(np.isfinite(inc))):
+        raise ValueError("drift_cum must be finite at every step boundary")
+    inc -= at[:-1]
+    lengths = 2 ** np.arange(int(math.log2(SKIP_MAX)) + 1)
+    # need(m) = SKIP_Z sqrt(m dv) + r m dv, with r = max |inc| / dv
+    need = SKIP_Z * np.sqrt(lengths * dv) + np.abs(inc).max() * lengths
+    jumps = np.r_[1, lengths]  # jumps[j]: the longest of the j lengths that fit
+    ck_ext = np.r_[ck_steps, n_steps + 1]
+
+    exits = _new_exits(n_paths, dv, n_steps, n_ck)
+    weighted = weight_fn is not None
+    w1 = w2 = None
+    if weighted:
+        w = np.fromiter((weight_fn((k + 0.5) * dv) for k in range(n_steps)),
+                        np.float64, n_steps)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weight_fn must be finite at every step midpoint")
+        w1 = np.r_[0.0, np.cumsum(w)]
+        w2 = np.r_[0.0, np.cumsum(w * w)]
+        exits.ckpt_wsum = np.zeros((n_ck + 1, n_paths))
+
+    sq = math.sqrt(dv)
+    moves = skips = skip_exits = 0
+    for blk_start in range(0, n_paths, _BLOCK_SIZE):
+        rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
+        brng = philox_stream(seed, *stream, "bridge", blk_start // _BLOCK_SIZE)
+        gi = np.arange(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
+        pos = np.zeros(gi.size)
+        kk = np.zeros(gi.size, dtype=np.int64)  # steps taken, per path
+        if n_ck:
+            cur = _record_due(exits, ck_ext, np.zeros(gi.size, dtype=np.int64), kk,
+                              pos, gi)
+        while gi.size:  # every path advances at least one step per pass
+            moves += gi.size
+            z = rng.standard_normal(gi.size)
+            uc = rng.random(gi.size)
+            m = np.minimum(jumps[np.searchsorted(need, pos - level)], n_steps - kk)
+            end = kk + m
+            span = m * dv
+            bsum = np.sqrt(span) * z
+            step = bsum + np.where(m == 1, inc[kk], at[end] - at[kk])
+            sk = m > 1
+            n_sk = int(np.count_nonzero(sk))
+            skips += n_sk
+            newpos = pos + step
+            hit = newpos <= level
+            p_cross = np.exp(-2.0 * np.clip(pos - level, 0.0, None)
+                             * np.clip(newpos - level, 0.0, None) / span)
+            ex = hit | (uc < p_cross)
+
+            if n_ck:
+                if weighted:
+                    wstep = w[kk] * sq * z
+                if n_sk:
+                    i = np.flatnonzero(sk)
+                    cur[i], last = _fill_skips(exits, brng, kk[i], end[i], pos[i],
+                                               bsum[i], cur[i], ck_ext, at, gi[i], w1, w2)
+                    if weighted:
+                        wstep[i] = last
+                if weighted:  # cur is this step's checkpoint interval
+                    exits.ckpt_wsum[cur, gi] += wstep
+
+            if ex.any():
+                denom = np.where(step == 0.0, np.inf, step)
+                theta = np.where(hit, np.clip((level - pos) / denom, 0.0, 1.0), 0.5)
+                _retire(exits, gi[ex], exited=True, u_exit=(kk[ex] + theta[ex] * m[ex]) * dv,
+                        x_exit=level, raw_end=newpos[ex], sign=-1,
+                        endpoint_detected=hit[ex])
+                skip_exits += int(np.count_nonzero(sk[ex]))
+
+            gi, pos, kk = gi[~ex], newpos[~ex], end[~ex]
+            if n_ck:
+                cur = _record_due(exits, ck_ext, cur[~ex], kk, pos, gi)
+            fin = kk == n_steps
+            if fin.any():  # censored at the horizon
+                _retire(exits, gi[fin], censored=True, x_exit=pos[fin], raw_end=pos[fin])
+                gi, pos, kk = gi[~fin], pos[~fin], kk[~fin]
+                if n_ck:
+                    cur = cur[~fin]
+    _fill_missing(exits)
+    exits.single_steps = moves - skips
+    exits.skips = skips
+    exits.skip_exits = skip_exits
+    return exits
 
 
 # ---------------------------------------------------------------------------
@@ -849,53 +829,20 @@ def simulate_line_hit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HittingClock:
-    """Exit data of the driftless clock Brownian motion.
-
-    ``H`` is the clock exit time of ``|B_u| >= 1`` started at ``T/2`` (clock
-    origin), ``tau = T - (T/2) * exp(-H)`` the corresponding calendar time.
-    Paths that reach the truncated grid horizon without exiting are flagged
-    ``censored`` and carry their censoring state.
-    """
-
-    T: float
-    H: np.ndarray
-    tau: np.ndarray
-    sign: np.ndarray
-    exited: np.ndarray
-    censored: np.ndarray
-    clock: ClockExits
-
-    @property
-    def censored_fraction(self) -> float:
-        return float(np.mean(self.censored))
-
-
-def hitting_time(ensemble: PathEnsemble) -> HittingClock:
+def hitting_time(ensemble: PathEnsemble) -> ClockExits:
     """The ensemble's driftless clock exit, :attr:`PathEnsemble.clock_exit`.
 
-    A view of the exit every undrifted construction reads, in exit-time and
-    calendar-time terms.  The clock horizon is the grid's
-    ``log((T/2)/gap)``; survivors are censored and flagged.  Drifted
-    two-sided clocks belong to the drifted catalog kinds and are simulated
-    by :func:`qbsde.catalog.evaluate_mpr`.
+    ``u_exit`` is the clock exit time of ``|B_u| >= 1`` started at ``T/2``
+    (clock origin), on the grid's clock horizon ``log((T/2)/gap)``;
+    survivors are censored and flagged.  Drifted two-sided clocks belong to
+    the drifted catalog kinds and are simulated by
+    :func:`qbsde.catalog.evaluate_mpr`.
     """
-    exits = ensemble.clock_exit
-    T = ensemble.grid.T
-    return HittingClock(
-        T=T,
-        H=exits.u_exit,
-        tau=T - (T / 2.0) * np.exp(-exits.u_exit),
-        sign=exits.sign,
-        exited=exits.exited,
-        censored=exits.censored,
-        clock=exits,
-    )
+    return ensemble.clock_exit
 
 
-def exit_time_exp_moment(clock: HittingClock, c: float) -> tuple[float, float]:
-    """Mean and standard error of ``exp(c^2 pi^2 / 8 * H)``.
+def exit_time_exp_moment(clock: ClockExits, c: float) -> tuple[float, float]:
+    """Mean and standard error of ``exp(c^2 pi^2 / 8 * H)``, ``H = clock.u_exit``.
 
     Censored paths contribute at their censoring depth (a lower bound whose
     bias at the default truncation is orders below the stated tolerances).
@@ -909,7 +856,7 @@ def exit_time_exp_moment(clock: HittingClock, c: float) -> tuple[float, float]:
     rate = c * c * math.pi * math.pi / 8.0
     if rate >= math.pi * math.pi / 8.0:
         return math.inf, math.nan
-    vals = np.exp(rate * clock.H)
+    vals = np.exp(rate * clock.u_exit)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
     return mean, se

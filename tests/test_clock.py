@@ -24,12 +24,9 @@ from qbsde import (
 from qbsde.core import simulate_line_hit, simulate_two_sided_exit
 
 
-def test_hitting_time_basic_laws(ens_mid, grid):
+def test_hitting_time_basic_laws(ens_mid):
     clock = hitting_time(ens_mid)
-    assert np.all(clock.H[clock.exited] > 0.0)
-    # tau = T - (T/2) exp(-H) lies in (T/2, T).
-    assert np.all(clock.tau > grid.T / 2.0)
-    assert np.all(clock.tau < grid.T)
+    assert np.all(clock.u_exit[clock.exited] > 0.0)
     assert set(np.unique(clock.sign[clock.exited])) <= {-1.0, 1.0}
     # Two-sided exit survival decays like exp(-pi^2 u / 8); at the default
     # clock depth ~13.2 censoring is astronomically unlikely.
@@ -39,14 +36,14 @@ def test_hitting_time_basic_laws(ens_mid, grid):
 def test_hitting_time_deterministic_in_seed(ens_mid):
     a = hitting_time(ens_mid)
     b = hitting_time(ens_mid)
-    assert np.array_equal(a.H, b.H)
+    assert np.array_equal(a.u_exit, b.u_exit)
 
 
 def test_exit_mean_matches_known_value(ens_mid):
     # E[H] = E[inf u: |B_u| = 1] = 1 for the unit two-sided exit.
     clock = hitting_time(ens_mid)
-    se = clock.H.std(ddof=1) / math.sqrt(clock.H.size)
-    assert abs(clock.H.mean() - 1.0) <= 4.0 * se
+    se = clock.u_exit.std(ddof=1) / math.sqrt(clock.u_exit.size)
+    assert abs(clock.u_exit.mean() - 1.0) <= 4.0 * se
 
 
 @pytest.mark.parametrize("c", [0.3, 0.5])
@@ -118,6 +115,9 @@ def test_two_sided_exit_engine_contract(ens_small):
                 dict(u_max=6.0, stop_u=np.full(100, -1.0))):
         with pytest.raises(ValueError):
             simulate_two_sided_exit(100, seed=11, **bad)
+    for ck in ([math.nan, 0.5], [0.5, math.inf], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simulate_two_sided_exit(100, u_max=1.0, seed=11, checkpoints=np.array(ck))
 
 
 def test_stop_u_truncates_exit():
@@ -177,6 +177,19 @@ def test_line_hit_engine_contract():
             simulate_line_hit(2000, v_max=v_max, seed=14, level=-0.5,
                               drift_cum=drift_cum, checkpoints=ck,
                               weight_fn=lambda v: 1.0)
+    # Non-finite checkpoints, drift or weights fail before any step is drawn.
+    ck = np.array([0.1, 1.0])
+    for bad in (dict(checkpoints=np.array([0.1, math.nan])),
+                dict(checkpoints=np.array([0.1, math.inf])),
+                dict(checkpoints=np.array([-0.1, 0.5])),
+                dict(drift_cum=lambda v: math.nan),
+                dict(drift_cum=lambda v: math.inf),
+                dict(drift_cum=lambda v: -0.5 * v if v < 1.0 else -math.inf),
+                dict(checkpoints=ck, weight_fn=lambda v: math.nan),
+                dict(checkpoints=ck, weight_fn=lambda v: math.inf if v > 2.0 else 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_line_hit(300, v_max=v_max, seed=14, level=-0.5,
+                              **{"drift_cum": drift_cum, **bad})
 
 
 @pytest.mark.parametrize("engine", ["two_sided", "line_hit"])
@@ -238,6 +251,47 @@ def test_line_hit_without_skips_is_the_euler_chain(monkeypatch):
         assert exits.skips == 0 and exits.single_steps > 0
 
 
+def _exit_digest(exits) -> str:
+    """SHA-256 of every field of an exit, in declaration order."""
+    h = hashlib.sha256()
+    for name, value in vars(exits).items():
+        h.update(name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(value.dtype.str.encode() + value.tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+PINNED_EXITS = {
+    "driftless": "9da92b9be8851876d48f7291b10d9ba865cb237a25bad004edb597052d975308",
+    "cut": "31aa9f01731e3f8d230a3040f8c0e947ff3811e5377dcce4aae574baa7fda1a1",
+    "drifted": "f871f307f6c55675990d22b09f3e7ba9b8b774a8b30dffec709c4eab0a80137c",
+}
+
+
+def test_two_sided_exit_bits_are_pinned(grid):
+    # Three 20000-path exits (two engine blocks each): driftless on the
+    # clock nodes, cut by a per-path stop (every third never stops), and
+    # drifted on the clock nodes.  The digests were recorded when one Euler
+    # loop still ran both clock engines.
+    n = 20000
+    stop = np.linspace(0.0, 3.0, n)
+    stop[::3] = np.inf
+    exits = {
+        "driftless": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=21, stream=("unit-test-pin",),
+            checkpoints=grid.clock_nodes),
+        "cut": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=22, stream=("unit-test-pin-cut",),
+            stop_u=stop),
+        "drifted": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=23, stream=("unit-test-pin-drift",),
+            drift=np.linspace(-1.5, 1.5, n), checkpoints=grid.clock_nodes),
+    }
+    assert {name: _exit_digest(e) for name, e in exits.items()} == PINNED_EXITS
+
+
 def test_engines_count_their_moves():
     line = _mult_rep_line()
     assert line.skips > 0 and line.single_steps > 0
@@ -284,12 +338,12 @@ def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):
     clock = hitting_time(ens)
     fn = evaluate_mpr(mpr_nosol(-1.0), ens)
     assert calls == [("hit", 0.0)]  # one engine call serves both
-    assert np.array_equal(clock.H, fn.u_kill)
-    assert fn.clock is clock.clock is ens.clock_exit
+    assert np.array_equal(clock.u_exit, fn.u_kill)
+    assert fn.clock is clock is ens.clock_exit
     # The same bits as the explicitly zero-drift engine call on that stream.
     direct = simulate_two_sided_exit(600, u_max=grid.clock_depth, seed=31,
                                      stream=("hit", 0.0), drift=0.0)
-    assert np.array_equal(clock.H, direct.u_exit)
+    assert np.array_equal(clock.u_exit, direct.u_exit)
     assert np.array_equal(clock.sign, direct.sign)
 
 
@@ -299,7 +353,7 @@ def test_shared_exit_is_read_only(ens_small):
     assert len(arrays) >= 10  # exit data plus the checkpoint tracks
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        hitting_time(ens_small).H[0] = 0.0
+        hitting_time(ens_small).u_exit[0] = 0.0
 
 
 def test_only_engines_and_mult_rep_take_a_clock_step():
@@ -317,13 +371,13 @@ def _counting_engine(monkeypatch) -> list:
     """Start from an empty exit memo; return the list of engine runs."""
     monkeypatch.setattr(core, "_exit_memo", OrderedDict())
     runs = []
-    engine = core._euler_exit
+    engine = core._two_sided_euler
 
     def counting(*args, **kwargs):
         runs.append(kwargs)
         return engine(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_euler_exit", counting)
+    monkeypatch.setattr(core, "_two_sided_euler", counting)
     return runs
 
 
@@ -338,8 +392,7 @@ def test_two_sided_exit_memo_returns_the_same_read_only_exit(monkeypatch):
     arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
     # A memo hit carries the same bits as an unmemoized engine run.
-    fresh = core._euler_exit(700, dv=core.DEFAULT_DV, lower=-1.0, upper=1.0,
-                             rate=kwargs.pop("drift"), **kwargs)
+    fresh = core._two_sided_euler(700, rate=kwargs.pop("drift"), **kwargs)
     for name, value in vars(fresh).items():
         if isinstance(value, np.ndarray):
             assert value.tobytes() == getattr(again, name).tobytes(), name
@@ -349,28 +402,35 @@ def test_two_sided_exit_memo_returns_the_same_read_only_exit(monkeypatch):
 
 def test_two_sided_exit_memo_keys_on_every_input(monkeypatch):
     runs = _counting_engine(monkeypatch)
-    base = dict(u_max=2.0, seed=44, stream=("hit", 0.0), drift=np.full(500, 0.2))
+    base = dict(n_paths=500, u_max=2.0, seed=44, stream=("hit", 0.0),
+                drift=np.full(500, 0.2))
+    scalar = {**base, "drift": 0.2}  # no per-path array carries n_paths
     drift_one = np.full(500, 0.2)
     drift_one[7] = 0.25
     variants = [
-        dict(stream=("hit", -0.0)),  # 0.0 == -0.0, yet another stream
-        dict(drift=drift_one),
-        dict(checkpoints=np.array([0.5, 1.0])),
-        dict(stop_u=np.full(500, 1.0)),
-        dict(seed=45),
+        (base, dict(stream=("hit", -0.0))),  # 0.0 == -0.0, yet another stream
+        (base, dict(drift=drift_one)),
+        (base, dict(checkpoints=np.array([0.5, 1.0]))),
+        (base, dict(stop_u=np.full(500, 1.0))),
+        (base, dict(seed=45)),
+        (base, dict(u_max=2.5)),
+        (scalar, dict(n_paths=499)),
     ]
-    for change in variants:
-        simulate_two_sided_exit(500, **base)
+    # Every parameter is varied alone, so each must have its key slot.
+    varied = set().union(*(change for _, change in variants))
+    assert varied == set(inspect.signature(simulate_two_sided_exit).parameters)
+    for ref, change in variants:
+        simulate_two_sided_exit(**ref)
         before = len(runs)
-        changed = simulate_two_sided_exit(500, **{**base, **change})
+        changed = simulate_two_sided_exit(**{**ref, **change})
         assert len(runs) == before + 1, change
-        assert simulate_two_sided_exit(500, **{**base, **change}) is changed
+        assert simulate_two_sided_exit(**{**ref, **change}) is changed
         assert len(runs) == before + 1, change
         assert len(core._exit_memo) <= core.EXIT_MEMO_SIZE
     # Seeds equal modulo 2**64 key the same Philox stream, hence one exit.
     before = len(runs)
-    a = simulate_two_sided_exit(500, **{**base, "seed": -1})
-    assert simulate_two_sided_exit(500, **{**base, "seed": 2**64 - 1}) is a
+    a = simulate_two_sided_exit(**{**base, "seed": -1})
+    assert simulate_two_sided_exit(**{**base, "seed": 2**64 - 1}) is a
     assert len(runs) == before + 1
 
 
