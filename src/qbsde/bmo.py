@@ -34,7 +34,6 @@ from qbsde.catalog import (
     TRAITS,
     MprFunctionals,
     MprSpec,
-    _checked_functionals,
     evaluate_mpr,
     kq_threshold,
 )
@@ -188,6 +187,11 @@ def reverting_rh_lower(t: float, w: np.ndarray | float, q: float, T: float):
     """
     if not 0.0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t!r}")
+    if not math.isfinite(q):
+        raise ValueError(f"the bound needs a finite q, got q={q!r}")
+    w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("the bound needs finite states")
     return np.exp(-q * (T - t) / 2.0 * np.abs(w))
 
 
@@ -302,11 +306,6 @@ def _late_member_indices(ensemble: PathEnsemble, n_members: int) -> list[int]:
     return sorted(set(range(first, last + 1, step)))
 
 
-def _require_nodes(fn: MprFunctionals) -> None:
-    if fn.node_int2 is None:
-        raise ValueError("family cells need node tracks; evaluate with need_nodes=True")
-
-
 def _entry_stat(spec: MprSpec, fn: MprFunctionals) -> tuple[np.ndarray | None, str]:
     """The construction's midpoint statistic and its label, or ``(None, "none")``."""
     entry = TRAITS[spec.kind].entry
@@ -336,7 +335,6 @@ def _family_cells(
     after it, restricted to the paths still alive there and binned on the
     midpoint statistic (or the clock-line position when there is none).
     """
-    _require_nodes(fn)
     grid = ensemble.grid
 
     def cells(t: float, name: str, stat, samples, member: str | None = None):
@@ -419,7 +417,6 @@ def bmo_norm(
     spec: MprSpec,
     ensemble: PathEnsemble,
     *,
-    functionals: MprFunctionals | None = None,
     max_bins: int = MAX_BINS,
 ) -> NormEstimate:
     """Binned-conditional estimate of the squared BMO2 norm.
@@ -431,10 +428,8 @@ def bmo_norm(
     linear-growth check against the analytic slope flags "not BMO".
     """
     if spec.kind == "zero":
-        if functionals is not None:
-            _checked_functionals(spec, ensemble, functionals)
         return NormEstimate(estimate=0.0, unbounded=False, cells=[])
-    fn = _checked_functionals(spec, ensemble, functionals)
+    fn = evaluate_mpr(spec, ensemble)
     cells = _family_cells(
         spec, ensemble, fn, lambda k: fn.int_lam2 - fn.node_int2[:, k],
         n_late=4, min_bin=MIN_BIN, max_bins=max_bins,
@@ -574,7 +569,6 @@ def dyn_exp_moment(
     ensemble: PathEnsemble,
     k: float,
     *,
-    functionals: MprFunctionals | None = None,
     _cells: list[BinCell] | None = None,
 ) -> DynMoment:
     """Family-restricted dynamic exponential moment of order ``k``.
@@ -586,15 +580,12 @@ def dyn_exp_moment(
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError(f"moment order must be finite and positive, got {k!r}")
     if _cells is None:
-        exp_cells = _dyn_cells(spec, ensemble,
-                               _checked_functionals(spec, ensemble, functionals))
-    else:
-        exp_cells = _cells
+        _cells = _dyn_cells(spec, ensemble, evaluate_mpr(spec, ensemble))
 
     out_cells: list[BinCell] = []
     judged: list[tuple[DivergenceEvidence, BinCell]] = []
     sup = 0.0
-    for c in exp_cells:
+    for c in _cells:
         expo = k * c.samples
         clipped = bool(np.any(expo > 700.0))
         vals = np.exp(np.minimum(expo, 700.0))
@@ -652,12 +643,7 @@ class CriticalExponent:
     probes: list[tuple[float, float, bool]]
 
 
-def critical_exponent(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    *,
-    functionals: MprFunctionals | None = None,
-) -> CriticalExponent:
+def critical_exponent(spec: MprSpec, ensemble: PathEnsemble) -> CriticalExponent:
     """Bracket the critical exponential-moment order by bisection.
 
     Geometric probe ladder from ``K_MIN`` up to ``K_MAX``; on the first
@@ -667,7 +653,7 @@ def critical_exponent(
     finer at this scale).  All probes reuse one set of exposure cells, so
     the recorded moment table is exactly monotone in the order.
     """
-    fn = _checked_functionals(spec, ensemble, functionals)
+    fn = evaluate_mpr(spec, ensemble)
     # The critical order is set by the full remaining exposure; later
     # members condition on survival and can only be lighter.  Keeping the
     # t <= T/2 members concentrates the samples where the decision lives and
@@ -679,9 +665,7 @@ def critical_exponent(
 
     def probe(k: float) -> DynMoment:
         if k not in probes:
-            probes[k] = dyn_exp_moment(
-                spec, ensemble, k, functionals=fn, _cells=cells,
-            )
+            probes[k] = dyn_exp_moment(spec, ensemble, k, _cells=cells)
         return probes[k]
 
     # Geometric ladder up.
@@ -759,13 +743,7 @@ class RhCheck:
     note: str | None = None
 
 
-def reverse_holder(
-    spec: MprSpec,
-    q: float,
-    ensemble: PathEnsemble,
-    *,
-    functionals: MprFunctionals | None = None,
-) -> RhCheck:
+def reverse_holder(spec: MprSpec, q: float, ensemble: PathEnsemble) -> RhCheck:
     """Binned conditional reverse-Holder estimates over the stopping family.
 
     Defined for ``q < 1`` (the classical statement has ``q < 0``; for
@@ -781,12 +759,10 @@ def reverse_holder(
     """
     _require_power(q)
     if spec.kind == "zero":
-        if functionals is not None:
-            _checked_functionals(spec, ensemble, functionals)
         return RhCheck(verdict="Bounded", max_cell=1.0, cells=[], top_evidence=None,
                        state_ratio=1.0, instability=0.0,
                        note="zero premium: conditional means are exactly 1")
-    fn = _checked_functionals(spec, ensemble, functionals)
+    fn = evaluate_mpr(spec, ensemble)
     min_bin = max(MIN_BIN, ensemble.n_paths // 50)
 
     def tail_power(k: int) -> np.ndarray:
@@ -889,13 +865,7 @@ class AprioriCheck:
     note: str | None = None
 
 
-def apriori_bound(
-    spec: MprSpec,
-    q: float,
-    ensemble: PathEnsemble,
-    *,
-    functionals: MprFunctionals | None = None,
-) -> AprioriCheck:
+def apriori_bound(spec: MprSpec, q: float, ensemble: PathEnsemble) -> AprioriCheck:
     """A priori solution bounds for exposure powers ``q`` in ``[0, 1)``.
 
     The driver's growth bound splits as ``|F| <= eta_t^2 + (gamma/2) z^2``
@@ -906,20 +876,17 @@ def apriori_bound(
     if not 0.0 <= q < 1.0:
         raise ValueError(f"a priori bounds cover q in [0, 1), got {q!r}")
     if q == 0.0:
-        if functionals is not None:
-            _checked_functionals(spec, ensemble, functionals)
         return AprioriCheck(
             status="pass", gamma_tilde=1.0, eta_sq=0.0, upper=0.0,
             nodes=None, psi_curve=None, lower_curve=None,
             max_upper_violation=0.0, max_lower_violation=0.0,
             note="q=0: the solution is exactly zero and both bounds are 0",
         )
-    fn = _checked_functionals(spec, ensemble, functionals)
     eps0 = default_eps0(q)
     c_q = 0.5 * max(q * (q - eps0) / eps0, q / (1.0 - q))
     gamma = 1.0 - q + eps0
     gamma_tilde = max(1.0, gamma)
-    nrm = bmo_norm(spec, ensemble, functionals=fn)
+    nrm = bmo_norm(spec, ensemble)
     eta_sq = c_q * nrm.estimate
     if not gamma_tilde * eta_sq < 1.0:
         return AprioriCheck(
@@ -933,6 +900,7 @@ def apriori_bound(
     triple = psi_path(spec, q, ensemble)
     psi_curve = triple.psi.mean(axis=0)
     se_curve = triple.psi.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+    fn = evaluate_mpr(spec, ensemble)
     remaining = np.mean(fn.int_lam2) - fn.node_int2.mean(axis=0)
     lower_curve = -q / (2.0 * (1.0 - q)) * remaining
 
@@ -1035,9 +1003,7 @@ def classify(
     """
     _require_power(q)
     evidence: list[dict] = []
-    fn = evaluate_mpr(spec, ensemble, need_nodes=True)
-
-    est = psi_unconditional(spec, q, ensemble, functionals=fn)
+    est = psi_unconditional(spec, q, ensemble)
     ev = est.evidence
     evidence.append({
         "test": "summand-divergence",
@@ -1051,7 +1017,7 @@ def classify(
     exponent = None
     side = None
     if with_exponent:
-        ce = critical_exponent(spec, ensemble, functionals=fn)
+        ce = critical_exponent(spec, ensemble)
         exponent = (ce.lo, math.inf if ce.infinite else ce.hi)
         if k_q is not None:
             if exponent[1] < k_q:
@@ -1073,7 +1039,7 @@ def classify(
             spec_record=_spec_record(spec), q=q,
         )
 
-    rh = reverse_holder(spec, q, ensemble, functionals=fn)
+    rh = reverse_holder(spec, q, ensemble)
     evidence.append({
         "test": "reverse-holder",
         "outcome": rh.verdict,

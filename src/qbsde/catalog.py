@@ -1,8 +1,8 @@
 """Catalog of market-price-of-risk processes and their path functionals.
 
 Every catalog entry is described by a frozen :class:`MprSpec` and evaluated
-against a path ensemble into an :class:`MprFunctionals`: the terminal (and
-optionally per-node) values of ``integral lambda dW`` and
+against a path ensemble into an :class:`MprFunctionals`: the terminal and
+per-node values of ``integral lambda dW`` and
 ``integral lambda^2 dt``, plus whatever conditioning state the construction
 carries (the midpoint path value, the arccos-transformed scale ``alpha``,
 the density-sampled cut time ``sigma``, clock exit data).
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -290,7 +290,7 @@ class SigmaSampler:
     def inverse_cdf(self, u: np.ndarray | float) -> np.ndarray:
         """Inverse CDF by bisection, resolved to 1e-12 in the time variable."""
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if np.any((u < 0.0) | (u > 1.0)):
+        if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
             raise ValueError("uniform variates must lie in [0, 1]")
         target = (1.0 - np.clip(u, 0.0, 1.0 - 1e-16)) / self.c0
         lo = np.full(u.shape, self.y_lo)
@@ -398,12 +398,14 @@ class MprFunctionals:
     ``c_scale``, and so are the node tracks.
     For clock-driven kinds the exposure dies at clock time ``u_kill`` (exit,
     cut, or censoring); ``clock`` is the two-sided exit it was read from
-    (its ``x_exit`` the clock-line state at ``u_kill``), and
-    :func:`clock_coefficients` gives the coefficient and drift that map the
-    clock onto the exposure.  ``alpha`` / ``u_sigma`` carry the midpoint
-    conditioning.  When built with ``need_nodes=True``, ``node_int_dw`` /
-    ``node_int2`` hold cumulative integrals at every grid node (zeros before
-    the construction switches on).
+    (its ``x_exit`` the clock-line state at ``u_kill``, its checkpoints the
+    state at each clock node), and :func:`clock_coefficients` gives the
+    coefficient and drift that map the clock onto the exposure.  ``alpha`` /
+    ``u_sigma`` carry the midpoint conditioning.  ``node_int_dw`` /
+    ``node_int2`` hold the cumulative integrals at every grid node (zeros
+    before the construction switches on).  They are always present: a grid
+    kind's come with its Ito sums, and a clock kind's are built from the
+    clock's checkpoints on first read and kept.
     """
 
     spec: MprSpec
@@ -414,12 +416,35 @@ class MprFunctionals:
     u_sigma: np.ndarray | None = None
     u_kill: np.ndarray | None = None
     clock: ClockExits | None = None
-    node_int_dw: np.ndarray | None = None
-    node_int2: np.ndarray | None = None
+    _grid_tracks: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_paths(self) -> int:
         return self.ensemble.n_paths
+
+    @cached_property
+    def _tracks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(node_int_dw, node_int2)``: the exposure map at each clock node."""
+        if self.clock is None:
+            return self._grid_tracks
+        grid = self.ensemble.grid
+        coeff, drift = clock_coefficients(
+            self.spec, 1.0 if self.alpha is None else self.alpha[:, None])
+        node_int_dw = np.zeros((self.n_paths, grid.n_nodes))
+        node_int2 = np.zeros((self.n_paths, grid.n_nodes))
+        u_at = np.minimum(grid.clock_nodes[:, None], self.u_kill[None, :])
+        first_late = grid.half_index + 1
+        node_int_dw[:, first_late:], node_int2[:, first_late:] = _exposure(
+            coeff, drift, self.clock.ckpt_pos.T, u_at.T)
+        return node_int_dw, node_int2
+
+    @property
+    def node_int_dw(self) -> np.ndarray:
+        return self._tracks[0]
+
+    @property
+    def node_int2(self) -> np.ndarray:
+        return self._tracks[1]
 
     def summand_power(self, q: float) -> np.ndarray:
         """Per-path ``E(-lambda . W)_T ** q`` summands.
@@ -437,7 +462,6 @@ def _clock_exits(
     *,
     n_inner: int = 1,
     ensemble: PathEnsemble | None = None,
-    checkpoints: np.ndarray | None = None,
 ) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
            np.ndarray | None]:
     """The clock of a clock kind after each midpoint state, ``n_inner`` paths each.
@@ -449,6 +473,8 @@ def _clock_exits(
     exit: the ``ensemble``'s :attr:`~qbsde.core.PathEnsemble.clock_exit` when
     given (:func:`evaluate_mpr`, one path per state, to the grid's depth),
     else one of ``n_inner`` paths (the profile, to the default grid's depth).
+    With an ``ensemble`` every exit records the state at the grid's clock
+    nodes, so each stream is simulated with one set of inputs.
     """
     T = spec.T
     entry = TRAITS[spec.kind].entry
@@ -459,8 +485,10 @@ def _clock_exits(
         coeff = np.full(w_half.size, coeff)
     if ensemble is None:
         tag, u_max = "cond-exit", math.log((T / 2.0) / default_gap(T))
+        checkpoints = None
     else:
         tag, u_max = "hit", ensemble.grid.clock_depth
+        checkpoints = ensemble.grid.clock_nodes
 
     n_paths = w_half.size * n_inner
     if u_sigma is not None:
@@ -489,34 +517,29 @@ def _exposure(coeff, drift, x, u) -> tuple[np.ndarray, np.ndarray]:
     return coeff * bm, coeff * coeff * u
 
 
-def evaluate_mpr(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    *,
-    need_nodes: bool = False,
-) -> MprFunctionals:
+def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:
     """Evaluate a catalog spec along an ensemble.
 
-    Grid-resident kinds (``zero`` among them) integrate on the time grid;
-    clock kinds read ``_clock_exits`` with one clock path per ensemble path,
-    on an independent stream keyed by the ensemble seed (legitimate because
-    the post-midpoint driver increments are independent of the midpoint
-    state, whose functionals ``alpha`` / ``sigma`` are computed from the
-    stored ensemble bit-exactly): the cut kind on ``("hit-cut",)`` with
-    per-path ``stop_u``, the drifted kinds on ``("hit-drift", b)`` with
-    per-path drift, and the undrifted, uncut kinds the ensemble's shared
-    :attr:`~qbsde.core.PathEnsemble.clock_exit`.  The terminal values and
-    the node tracks are the exposure map ``(coeff (x - drift u), coeff^2 u)``
-    of the clock state at the kill time and at each clock node.
+    Grid-resident kinds (``zero`` among them) integrate on the time grid and
+    keep the node tracks of those Ito sums.  Clock kinds read
+    ``_clock_exits`` with one clock path per ensemble path, recorded at the
+    grid's clock nodes, on an independent stream keyed by the ensemble seed
+    (legitimate because the post-midpoint driver increments are independent
+    of the midpoint state, whose functionals ``alpha`` / ``sigma`` are
+    computed from the stored ensemble bit-exactly): the cut kind on
+    ``("hit-cut",)`` with per-path ``stop_u``, the drifted kinds on
+    ``("hit-drift", b)`` with per-path drift, and the undrifted, uncut kinds
+    the ensemble's shared :attr:`~qbsde.core.PathEnsemble.clock_exit`.  Each
+    stream has one set of inputs, so a repeated evaluation is served by the
+    engine's memo.  The terminal values are the exposure map
+    ``(coeff (x - drift u), coeff^2 u)`` of the clock state at the kill
+    time; the node tracks, the same map at each clock node, are built on
+    their first read.
     """
     if spec.T != ensemble.grid.T:
         raise ValueError(
             f"spec horizon T={spec.T!r} does not match grid T={ensemble.grid.T!r}"
         )
-    grid = ensemble.grid
-    w_half = ensemble.w_half
-    n = ensemble.n_paths
-
     if not TRAITS[spec.kind].clock:
         pf = ito_integral(ensemble, lambda_at_nodes(spec, ensemble)[:, :-1])
         return MprFunctionals(
@@ -524,27 +547,12 @@ def evaluate_mpr(
             ensemble=ensemble,
             int_lam_dw=pf.terminal_int_dw,
             int_lam2=pf.terminal_quad_var,
-            node_int_dw=pf.int_dw if need_nodes else None,
-            node_int2=pf.quad_var if need_nodes else None,
+            _grid_tracks=(pf.int_dw, pf.quad_var),
         )
 
-    # --- clock kinds ------------------------------------------------------
-    checkpoints = grid.clock_nodes if need_nodes else None
     exits, coeff, drift, alpha, u_sigma = _clock_exits(
-        spec, w_half, ensemble.seed, ensemble=ensemble, checkpoints=checkpoints)
-    u_kill = exits.u_exit
-    int_lam_dw, int_lam2 = _exposure(coeff, drift, exits.x_exit, u_kill)
-
-    node_int_dw = node_int2 = None
-    if need_nodes:
-        node_int_dw = np.zeros((n, grid.n_nodes))
-        node_int2 = np.zeros((n, grid.n_nodes))
-        u_at = np.minimum(checkpoints[:, None], u_kill[None, :])
-        first_late = grid.half_index + 1
-        node_int_dw[:, first_late:], node_int2[:, first_late:] = _exposure(
-            coeff[:, None], None if drift is None else drift[:, None],
-            exits.ckpt_pos.T, u_at.T)
-
+        spec, ensemble.w_half, ensemble.seed, ensemble=ensemble)
+    int_lam_dw, int_lam2 = _exposure(coeff, drift, exits.x_exit, exits.u_exit)
     return MprFunctionals(
         spec=spec,
         ensemble=ensemble,
@@ -552,29 +560,6 @@ def evaluate_mpr(
         int_lam2=int_lam2,
         alpha=alpha,
         u_sigma=u_sigma,
-        u_kill=u_kill,
+        u_kill=exits.u_exit,
         clock=exits,
-        node_int_dw=node_int_dw,
-        node_int2=node_int2,
     )
-
-
-def _checked_functionals(
-    spec: MprSpec,
-    ensemble: PathEnsemble,
-    functionals: MprFunctionals | None,
-    *,
-    need_nodes: bool = True,
-) -> MprFunctionals:
-    """``functionals`` if they were evaluated for ``(spec, ensemble)``.
-
-    ``None`` evaluates them here.  Functionals of another spec or another
-    ensemble raise ``ValueError`` rather than answer for the wrong
-    construction.
-    """
-    if functionals is None:
-        return evaluate_mpr(spec, ensemble, need_nodes=need_nodes)
-    if functionals.spec != spec or functionals.ensemble is not ensemble:
-        raise ValueError("functionals were evaluated for another spec or ensemble; "
-                         "pass those of (spec, ensemble) or None")
-    return functionals

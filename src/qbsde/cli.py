@@ -526,8 +526,8 @@ def _continuum_row(args: tuple) -> dict:
     spec = mpr_zero(T) if kind == "zero" else mpr_constant(level, T)
     triple = continuum(spec, q, b, ens)
     xi = triple.extras["xi"]
-    mart_mean, mart_se, _ = martingale_check(triple, spec, q)
-    resid = driver_residual(triple, spec, q)
+    mart_mean, mart_se, _ = martingale_check(triple)
+    resid = driver_residual(triple)
     return {
         "b": b,
         "psi0": triple.extras["psi0"],

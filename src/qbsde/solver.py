@@ -31,9 +31,7 @@ from qbsde.core import DEFAULT_DV, PathEnsemble, philox_stream, simulate_line_hi
 from qbsde.catalog import (
     KINDS,
     TRAITS,
-    MprFunctionals,
     MprSpec,
-    _checked_functionals,
     _clock_exits,
     _exposure,
     evaluate_mpr,
@@ -124,6 +122,8 @@ class OpportunityEstimate:
 class SolutionTriple:
     """A candidate solution ``(Psi, Z, N=0)`` sampled at the grid nodes.
 
+    ``spec`` and ``q`` name the premium and exposure power whose BSDE the
+    triple solves; the residual and martingale checks read them from here.
     ``psi`` and ``z`` are ``(n_paths, n_nodes)``; ``z`` at the final node is
     unused padding (a ``Z`` value belongs to the interval to its right).
     ``d_w`` holds the Brownian increments of the probability space the
@@ -134,6 +134,8 @@ class SolutionTriple:
     filtration.
     """
 
+    spec: MprSpec
+    q: float
     ensemble: PathEnsemble
     psi: np.ndarray
     z: np.ndarray
@@ -246,11 +248,7 @@ def _log_mean_estimate(
 
 
 def psi_unconditional(
-    spec: MprSpec,
-    q: float,
-    ensemble: PathEnsemble,
-    *,
-    functionals: MprFunctionals | None = None,
+    spec: MprSpec, q: float, ensemble: PathEnsemble
 ) -> OpportunityEstimate:
     """Monte Carlo estimate of ``Psi_0 = log E[E(-lambda.W)_T^q] / (1-q)``.
 
@@ -261,14 +259,11 @@ def psi_unconditional(
     """
     _require_power(q)
     if q == 0.0:
-        if functionals is not None:
-            _checked_functionals(spec, ensemble, functionals)
         return OpportunityEstimate(
             t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
             n_inner=1, n_outer=ensemble.n_paths,
         )
-    fn = _checked_functionals(spec, ensemble, functionals, need_nodes=False)
-    values = fn.summand_power(q)
+    values = evaluate_mpr(spec, ensemble).summand_power(q)
     return _log_mean_estimate(
         values, q, t=0.0, state=None, n_inner=1, n_outer=ensemble.n_paths,
         check_divergence=q < 0.0,
@@ -295,8 +290,8 @@ def psi_conditional_profile(
     ``("cond-exit-drift", b)``, and for ``alpha_arccos`` one driftless exit of
     ``n_inner`` paths on ``("cond-exit",)`` that every state shares.  Each
     exit is reused, through the engine's memo, by every call with the same
-    ``n_inner`` and ``seed`` (and states, when they enter the exit).  For ``alpha_arccos`` at unit scale and
-    at its own ``q`` the analytic lower bound
+    ``n_inner`` and ``seed`` (and states, when they enter the exit).  For
+    ``alpha_arccos`` at unit scale and at its own ``q`` the analytic lower bound
     ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
     _require_power(q)
@@ -437,11 +432,11 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
     if q == 0.0 or spec.kind == "zero":
         zeros = np.zeros((n, m))
         return SolutionTriple(
-            ensemble=ensemble, psi=zeros, z=zeros.copy(),
+            spec=spec, q=q, ensemble=ensemble, psi=zeros, z=zeros.copy(),
             d_w=ensemble.increments,
         )
 
-    fn = evaluate_mpr(spec, ensemble, need_nodes=True)
+    fn = evaluate_mpr(spec, ensemble)
     node_i1, node_i2 = fn.node_int_dw, fn.node_int2
     value = np.exp(-q * (fn.int_lam_dw[:, None] - node_i1)
                    - 0.5 * q * (fn.int_lam2[:, None] - node_i2))
@@ -489,7 +484,8 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
             cols = [wiener[:, k]]
             z[:, k] = _fit_conditional(cols, zi_target)
 
-    return SolutionTriple(ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments)
+    return SolutionTriple(spec=spec, q=q, ensemble=ensemble, psi=psi, z=z,
+                          d_w=ensemble.increments)
 
 
 def constant_closed_form_triple(
@@ -509,7 +505,8 @@ def constant_closed_form_triple(
     psi_curve = -0.5 * q * level**2 * (grid.T - grid.nodes)
     psi = np.broadcast_to(psi_curve, (ensemble.n_paths, grid.n_nodes)).copy()
     z = np.zeros_like(psi)
-    return SolutionTriple(ensemble=ensemble, psi=psi, z=z, d_w=ensemble.increments)
+    return SolutionTriple(spec=spec, q=q, ensemble=ensemble, psi=psi, z=z,
+                          d_w=ensemble.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +666,7 @@ def continuum(
         w_T = ensemble.w_terminal
         mart = np.exp(-q * level * w_T - 0.5 * q**2 * level**2 * T)
         return SolutionTriple(
-            ensemble=ensemble, psi=psi, z=z, d_w=d_w,
+            spec=spec, q=q, ensemble=ensemble, psi=psi, z=z, d_w=d_w,
             extras={
                 "psi0": math.log(c) / (1.0 - q), "c": c, "xi": xi,
                 "v_star": np.zeros(n), "tau_star": np.zeros(n),
@@ -740,7 +737,7 @@ def continuum(
     mart = np.exp(int_alpha_dw - q * level * w_T - 0.5 * quad)
 
     return SolutionTriple(
-        ensemble=ensemble, psi=psi, z=z, d_w=d_w,
+        spec=spec, q=q, ensemble=ensemble, psi=psi, z=z, d_w=d_w,
         extras={
             "psi0": math.log(c) / (1.0 - q), "c": c, "xi": xi,
             "v_star": v_star, "tau_star": tau_star, "censored": hits.censored,
@@ -754,23 +751,24 @@ def continuum(
 # ---------------------------------------------------------------------------
 
 
-def driver_residual(triple: SolutionTriple, spec: MprSpec, q: float) -> ResidualReport:
-    """Pathwise BSDE residual of a triple against the dynamics.
+def driver_residual(triple: SolutionTriple) -> ResidualReport:
+    """Pathwise BSDE residual of a triple against its own dynamics.
 
-    Telescopes ``Psi_k - Psi_0 - sum(Z dW + drift dt)`` along the grid and
-    reports the maximum absolute gap per path with median / 95th-percentile
-    summaries.  Works for any triple whose premium has grid-resident values
-    (zero, constant, reverting); the continuum triple carries its own
-    reconstructed increments in ``d_w``.
+    Telescopes ``Psi_k - Psi_0 - sum(Z dW + drift dt)`` along the grid, with
+    the driver of the triple's ``spec`` and ``q``, and reports the maximum
+    absolute gap per path with median / 95th-percentile summaries.  Works
+    for any triple whose premium has grid-resident values (zero, constant,
+    reverting); the continuum triple carries its own reconstructed
+    increments in ``d_w``.
     """
     grid = triple.ensemble.grid
-    lam = lambda_at_nodes(spec, triple.ensemble)
+    lam = lambda_at_nodes(triple.spec, triple.ensemble)
     dt = grid.dt[None, :]
     z = triple.z[:, :-1]
     gaps = (
         np.diff(triple.psi, axis=1)
         - z * triple.d_w
-        - bsde_drift(q, z, lam[:, :-1]) * dt
+        - bsde_drift(triple.q, z, lam[:, :-1]) * dt
     )
     cum = np.cumsum(gaps, axis=1)
     per_path = np.max(np.abs(cum), axis=1)
@@ -781,20 +779,20 @@ def driver_residual(triple: SolutionTriple, spec: MprSpec, q: float) -> Residual
     )
 
 
-def martingale_check(
-    triple: SolutionTriple, spec: MprSpec, q: float
-) -> tuple[float, float, np.ndarray]:
+def martingale_check(triple: SolutionTriple) -> tuple[float, float, np.ndarray]:
     """Mean and SE of ``E([(1-q)Z - q lambda] . W)_T`` for a triple.
 
     The statistic equals 1 in expectation exactly when the candidate triple
     is the solution whose associated utility process is a true martingale;
     the continuum members with positive offset fall strictly below 1.  Uses
     the exact clock-computed statistic when the triple carries one,
-    otherwise the discrete grid approximation.
+    otherwise the discrete grid approximation with the triple's ``spec``
+    and ``q``.
     """
     stat = triple.extras.get("martingale_stat")
     if stat is None:
-        lam = lambda_at_nodes(spec, triple.ensemble)[:, :-1]
+        q = triple.q
+        lam = lambda_at_nodes(triple.spec, triple.ensemble)[:, :-1]
         z = triple.z[:, :-1]
         integrand = (1.0 - q) * z - q * lam
         dt = triple.ensemble.grid.dt[None, :]

@@ -30,7 +30,6 @@ from qbsde import (
     continuum,
     critical_exponent,
     driver_residual,
-    evaluate_mpr,
     exit_time_exp_moment,
     hitting_time,
     kq_curve,
@@ -232,8 +231,8 @@ def test_criterion_06_solution_continuum(big, grid, capsys):
         triple = continuum(spec, Q, b, big)
         psi0 = triple.extras["psi0"]
         closed = math.log(triple.extras["xi"] + b) / (1.0 - Q)
-        mean, se, _ = martingale_check(triple, spec, Q)
-        resid = driver_residual(triple, spec, Q)
+        mean, se, _ = martingale_check(triple)
+        resid = driver_residual(triple)
         psi0s.append(psi0)
         closed_ok &= abs(psi0 - closed) <= 1e-12
         band = max(3.0 * se, 1e-12)
@@ -324,9 +323,8 @@ def test_criterion_09_small_power_boundedness(mid, capsys):
     zero_exact = True
     for q in (0.0, 0.5):
         for spec in catalog_specs():
-            fn = evaluate_mpr(spec, mid, need_nodes=True)
-            chk = apriori_bound(spec, q, mid, functionals=fn)
-            rh = reverse_holder(spec, q, mid, functionals=fn)
+            chk = apriori_bound(spec, q, mid)
+            rh = reverse_holder(spec, q, mid)
             # A skip is sanctioned exactly when the smallness condition
             # gamma~ ||eta||^2 < 1 fails; "fail" is the only bad status.
             if chk.status not in ("pass", "skipped") or rh.verdict != "Bounded":
@@ -334,7 +332,7 @@ def test_criterion_09_small_power_boundedness(mid, capsys):
             if q == 0.5 and chk.status == "pass":
                 passes_at_half += 1
             if q == 0.0:
-                est = psi_unconditional(spec, q, mid, functionals=fn)
+                est = psi_unconditional(spec, q, mid)
                 triple = psi_path(spec, q, mid)
                 zero_exact &= (est.estimate == 0.0 and est.se == 0.0
                                and np.all(triple.psi == 0.0))

@@ -28,10 +28,8 @@ from qbsde import (
     mpr_sigma_gamma,
     mpr_tilde,
     mpr_zero,
-    psi_unconditional,
     reverse_holder,
     reverting_rh_lower,
-    sample_paths,
     scaled_params,
     scaled_tilted_order,
     sigma_cut_lower_bound,
@@ -83,6 +81,13 @@ def test_reverting_rh_lower_values_and_domain():
         reverting_rh_lower(1.0, 0.0, Q, 1.0)
     with pytest.raises(ValueError, match="t=nan"):
         reverting_rh_lower(math.nan, 0.0, Q, 1.0)
+    # A non-finite power or state fails rather than returning NaN or inf.
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite q"):
+            reverting_rh_lower(0.5, w, q, 1.0)
+    for bad in (math.nan, math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="finite states"):
+            reverting_rh_lower(0.5, bad, Q, 1.0)
 
 
 def test_sigma_cut_lower_bound():
@@ -189,12 +194,11 @@ def test_cells_come_from_one_stopping_family(kind, ens_small):
         early = {float(grid.nodes[np.argmin(np.abs(grid.nodes - t))])
                  for t in (0.0, grid.T / 4.0, grid.T / 2.0, 3.0 * grid.T / 4.0)}
         late_nodes = set()
-    fn = evaluate_mpr(spec, ens_small, need_nodes=True)
+    fn = evaluate_mpr(spec, ens_small)
     for name, cells, n_late in (
-        ("bmo_norm", bmo_norm(spec, ens_small, functionals=fn).cells, 4),
-        ("dyn_exp_moment",
-         dyn_exp_moment(spec, ens_small, 0.25, functionals=fn).cells, 4),
-        ("reverse_holder", reverse_holder(spec, Q, ens_small, functionals=fn).cells, 2),
+        ("bmo_norm", bmo_norm(spec, ens_small).cells, 4),
+        ("dyn_exp_moment", dyn_exp_moment(spec, ens_small, 0.25).cells, 4),
+        ("reverse_holder", reverse_holder(spec, Q, ens_small).cells, 2),
     ):
         times = {c.time for c in cells}
         assert times <= early | late_nodes, name
@@ -211,48 +215,6 @@ def test_cells_come_from_one_stopping_family(kind, ens_small):
             assert sum(c.count for c in member) <= n_alive, name
             if name == "bmo_norm":  # retired paths have no exposure left
                 assert all(np.all(c.samples > 0.0) for c in member)
-
-
-#: The functions that take precomputed functionals beside (spec, ensemble),
-#: and the shortcuts that answer without them (q = 0, the zero premium).
-_TAKES_FUNCTIONALS = {
-    "psi_unconditional": lambda s, e, fn: psi_unconditional(s, Q, e, functionals=fn),
-    "bmo_norm": lambda s, e, fn: bmo_norm(s, e, functionals=fn),
-    "dyn_exp_moment": lambda s, e, fn: dyn_exp_moment(s, e, 1.0, functionals=fn),
-    "critical_exponent": lambda s, e, fn: critical_exponent(s, e, functionals=fn),
-    "reverse_holder": lambda s, e, fn: reverse_holder(s, Q, e, functionals=fn),
-    "apriori_bound": lambda s, e, fn: apriori_bound(s, 0.5, e, functionals=fn),
-    "psi_unconditional-q0":
-        lambda s, e, fn: psi_unconditional(s, 0.0, e, functionals=fn),
-    "apriori_bound-q0": lambda s, e, fn: apriori_bound(s, 0.0, e, functionals=fn),
-    "bmo_norm-zero": lambda s, e, fn: bmo_norm(mpr_zero(), e, functionals=fn),
-    "reverse_holder-zero":
-        lambda s, e, fn: reverse_holder(mpr_zero(), Q, e, functionals=fn),
-}
-
-
-@pytest.mark.parametrize("name", _TAKES_FUNCTIONALS)
-def test_functionals_of_another_construction_rejected(name, ens_small, grid):
-    # Functionals of another spec, or of another ensemble, never stand in
-    # for the pair's own.
-    spec = mpr_nosol(Q)
-    other_spec = evaluate_mpr(mpr_alpha_arccos(Q), ens_small, need_nodes=True)
-    other_ensemble = evaluate_mpr(spec, sample_paths(grid, 300, seed=5),
-                                  need_nodes=True)
-    for fn in (other_spec, other_ensemble):
-        with pytest.raises(ValueError, match="another spec or ensemble"):
-            _TAKES_FUNCTIONALS[name](spec, ens_small, fn)
-
-
-@pytest.mark.parametrize("make", [mpr_nosol, mpr_alpha_arccos])
-def test_clock_family_needs_node_tracks(make, ens_small):
-    spec = make(Q)
-    fn = evaluate_mpr(spec, ens_small)  # built without node tracks
-    for check in (lambda: bmo_norm(spec, ens_small, functionals=fn),
-                  lambda: dyn_exp_moment(spec, ens_small, 1.0, functionals=fn),
-                  lambda: reverse_holder(spec, Q, ens_small, functionals=fn)):
-        with pytest.raises(ValueError, match="need_nodes=True"):
-            check()
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,10 @@ def test_sigma_sampler_inverse_cdf():
     assert np.all((s > 0.5) & (s < 1.0))
     assert np.all(np.diff(s) > 0.0)
     assert np.allclose(sampler.cdf(s), u, atol=1e-9)
+    # A variate outside [0, 1], NaN included, fails instead of mapping to T/2.
+    for bad in (-0.1, 1.1, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sampler.inverse_cdf(bad)
 
 
 def test_sigma_sampler_from_w_half_monotone():
@@ -145,6 +149,9 @@ def test_sigma_sampler_from_w_half_monotone():
     s, u_sigma = sampler.from_w_half(w)
     assert np.all(np.diff(s) > 0.0)
     assert np.allclose(u_sigma, np.log(0.5 / (1.0 - s)), rtol=1e-12)
+    # A NaN state fails instead of a cut at the clock origin.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        sampler.from_w_half(np.array([math.nan]))
 
 
 def test_sigma_cut_runs_once_per_distinct_input(ens_small, monkeypatch):
@@ -270,11 +277,13 @@ def test_spec_grid_horizon_mismatch_rejected(ens_small):
 
 
 def test_node_tracks_cumulate_to_terminal(ens_small, grid):
-    fn = evaluate_mpr(mpr_constant(0.5), ens_small, need_nodes=True)
+    fn = evaluate_mpr(mpr_constant(0.5), ens_small)
     assert np.allclose(fn.node_int2[:, -1], fn.int_lam2, rtol=1e-12)
     assert np.allclose(fn.node_int_dw[:, -1], fn.int_lam_dw, rtol=1e-12)
-    fn_clock = evaluate_mpr(mpr_nosol(-1.0), ens_small, need_nodes=True)
+    fn_clock = evaluate_mpr(mpr_nosol(-1.0), ens_small)
     assert np.all(fn_clock.node_int2[:, : grid.half_index + 1] == 0.0)
+    # Built on the first read, then kept.
+    assert fn_clock.node_int2 is fn_clock.node_int2
     # Node track at the last node reaches the terminal integral up to the
     # final checkpoint rounding.
     gap = np.abs(fn_clock.node_int2[:, -1] - fn_clock.int_lam2)
@@ -327,9 +336,9 @@ def test_trait_table_matches_behaviour(kind, ens_small):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_functionals_are_those_of_the_scaled_premium(kind, ens_small):
-    unit = evaluate_mpr(_SPECS[kind], ens_small, need_nodes=True)
+    unit = evaluate_mpr(_SPECS[kind], ens_small)
     for c in (0.5, 2.0, 1.5):
-        fn = evaluate_mpr(_SPECS[kind].with_scale(c), ens_small, need_nodes=True)
+        fn = evaluate_mpr(_SPECS[kind].with_scale(c), ens_small)
         pairs = [(fn.int_lam_dw, c * unit.int_lam_dw),
                  (fn.node_int_dw, c * unit.node_int_dw),
                  (fn.int_lam2, c * c * unit.int_lam2),

@@ -14,11 +14,15 @@ from qbsde import (
     catalog,
     classify,
     core,
+    critical_exponent,
     evaluate_mpr,
     exit_time_exp_moment,
     hitting_time,
     mpr_nosol,
     mpr_sigma_gamma,
+    mpr_tilde,
+    psi_unconditional,
+    reverse_holder,
     sample_paths,
 )
 from qbsde.core import simulate_line_hit, simulate_two_sided_exit
@@ -445,6 +449,20 @@ def test_two_sided_exit_memo_stays_bounded(monkeypatch):
     assert len(runs) == 2 * core.EXIT_MEMO_SIZE
     simulate_two_sided_exit(200, u_max=1.0, seed=0, stream=("unit-test-lru",))
     assert len(runs) == 2 * core.EXIT_MEMO_SIZE + 1
+
+
+@pytest.mark.parametrize("spec", [mpr_sigma_gamma(-1.0), mpr_tilde(0.5)],
+                         ids=["cut", "drifted"])
+def test_one_clock_simulation_per_construction(spec, grid, monkeypatch):
+    # Every check evaluates the construction itself; all of them read one
+    # exit per stream, whether or not they read the node tracks.
+    ens = sample_paths(grid, 600, seed=48)
+    runs = _counting_engine(monkeypatch)
+    psi_unconditional(spec, -1.0, ens)
+    reverse_holder(spec, -1.0, ens)
+    critical_exponent(spec, ens)
+    streams = [kw["stream"] for kw in runs]
+    assert len(streams) == len(set(streams)) == 1
 
 
 def test_classify_scales_run_each_distinct_exit_once(grid, monkeypatch):

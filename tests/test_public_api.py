@@ -6,8 +6,10 @@ benchmark harness (``perfbench/``), in the experiment configs, or in the
 import list of the acceptance suite.  An optional parameter of a public
 function must be set by some call in the package, the benchmark harness or
 the acceptance suite.  A name or option that only its own unit tests reach
-is dead API and should be deleted with those tests.  The checks parse
-source files only; they import nothing.
+is dead API and should be deleted with those tests.  No public function
+takes a construction twice, as ``(spec, ensemble)`` and again as an
+evaluated or solved record.  The checks parse source files only; they
+import nothing.
 """
 
 import ast
@@ -193,3 +195,28 @@ def test_only_the_engine_and_catalog_build_clocks():
     }
     offenders = {k: v for k, v in offenders.items() if v}
     assert not offenders, f"clocks built outside core and catalog: {offenders}"
+
+
+#: Records that carry one construction already evaluated or solved.
+CONSTRUCTION_RECORDS = {"MprFunctionals", "SolutionTriple"}
+
+
+def _annotated_records(arg: ast.arg) -> set[str]:
+    if arg.annotation is None:
+        return set()
+    return CONSTRUCTION_RECORDS & set(re.findall(r"\w+", ast.unparse(arg.annotation)))
+
+
+def test_no_function_takes_a_construction_twice():
+    # A function given (spec, ensemble) evaluates them itself, and a check of
+    # a record reads the construction from the record: taking both lets the
+    # two disagree.
+    offenders = []
+    for name, fn in sorted(_public_functions().items()):
+        args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        names = {a.arg for a in args}
+        records = set().union(*(_annotated_records(a) for a in args))
+        if records and names & {"spec", "ensemble"}:
+            offenders.append(f"{name}: {sorted(names & {'spec', 'ensemble'})} "
+                             f"with {sorted(records)}")
+    assert not offenders, f"constructions passed twice: {offenders}"

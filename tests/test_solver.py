@@ -205,7 +205,7 @@ def test_constant_closed_form_triple_exact(ens_small, grid):
     curve = -0.5 * Q * LEVEL**2 * (1.0 - grid.nodes)
     assert np.allclose(triple.psi, curve[None, :], rtol=1e-12)
     # Z = 0 and the curve solves the ODE part exactly: zero residual.
-    resid = driver_residual(triple, spec, Q)
+    resid = driver_residual(triple)
     assert resid.median == pytest.approx(0.0, abs=1e-12)
     assert resid.p95 == pytest.approx(0.0, abs=1e-12)
 
@@ -234,10 +234,23 @@ def test_psi_path_zero_kind_exact(ens_small):
     assert np.all(triple.psi == 0.0) and np.all(triple.z == 0.0)
 
 
+def test_triples_record_their_construction(ens_small):
+    spec = mpr_constant(LEVEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # degree fallback noise
+        triples = [psi_path(spec, Q, ens_small), psi_path(mpr_zero(), 0.0, ens_small),
+                   constant_closed_form_triple(spec, Q, ens_small),
+                   continuum(spec, Q, 0.0, ens_small),
+                   continuum(spec, Q, 0.5, ens_small)]
+    specs = [spec, mpr_zero(), spec, spec, spec]
+    qs = [Q, 0.0, Q, Q, Q]
+    assert [t.spec for t in triples] == specs and [t.q for t in triples] == qs
+
+
 def test_martingale_check_constant_triple(ens_mid):
     spec = mpr_constant(LEVEL)
     triple = constant_closed_form_triple(spec, Q, ens_mid)
-    mean, se, stat = martingale_check(triple, spec, Q)
+    mean, se, stat = martingale_check(triple)
     assert stat.shape == (ens_mid.n_paths,)
     assert abs(mean - 1.0) <= 3.0 * se
 
@@ -324,7 +337,7 @@ def test_continuum_zero_kind_b0_is_trivial(ens_small):
     triple = continuum(mpr_zero(), Q, 0.0, ens_small)
     assert np.all(triple.psi == 0.0)
     assert triple.extras["psi0"] == 0.0
-    mean, se, _ = martingale_check(triple, mpr_zero(), Q)
+    mean, se, _ = martingale_check(triple)
     assert mean == pytest.approx(1.0, abs=1e-12)
 
 
@@ -333,9 +346,9 @@ def test_continuum_zero_kind_offset(ens_small):
     triple = continuum(mpr_zero(), Q, b, ens_small)
     # xi = 1 deterministically: psi0 = log(1 + b)/(1 - q).
     assert triple.extras["psi0"] == pytest.approx(math.log(1.5) / 2.0, rel=1e-12)
-    mean, _, _ = martingale_check(triple, mpr_zero(), Q)
+    mean, _, _ = martingale_check(triple)
     assert mean == pytest.approx(1.0 / 1.5, rel=1e-12)  # xi/c exactly
-    resid = driver_residual(triple, mpr_zero(), Q)
+    resid = driver_residual(triple)
     assert resid.median <= 0.3 * math.sqrt(0.25)
 
 
@@ -349,7 +362,7 @@ def test_continuum_constant_kind_family(ens_mid):
             math.log(xi + b) / (1.0 - Q), rel=1e-12
         )
         psi0s.append(triple.extras["psi0"])
-        mean, se, _ = martingale_check(triple, spec, Q)
+        mean, se, _ = martingale_check(triple)
         if b == 0.0:
             assert abs(mean - 1.0) <= 3.0 * se
         else:
@@ -365,7 +378,7 @@ def test_continuum_martingale_mean_is_xi_over_c(ens_mid, b):
     spec = mpr_constant(LEVEL)
     triple = continuum(spec, Q, b, ens_mid)
     xi = triple.extras["xi"]
-    mean, se, _ = martingale_check(triple, spec, Q)
+    mean, se, _ = martingale_check(triple)
     assert abs(mean - xi / (xi + b)) <= 4.0 * se
 
 
