@@ -457,25 +457,26 @@ class MprFunctionals:
 
 def _clock_exits(
     spec: MprSpec,
-    w_half: np.ndarray,
-    seed: int,
+    states: PathEnsemble | tuple[np.ndarray, int],
     *,
     n_inner: int = 1,
-    ensemble: PathEnsemble | None = None,
 ) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
            np.ndarray | None]:
     """The clock of a clock kind after each midpoint state, ``n_inner`` paths each.
 
+    ``states`` is the ensemble :func:`evaluate_mpr` evaluates (its midpoint
+    values and seed, one path per state), or a profile's ``(w_half, seed)``.
     Returns ``(exits, coeff, drift, alpha, u_sigma)``, the last four per
     state (``drift`` is ``None`` when undrifted).  The exit's paths are
     state-major: one cut exit with per-path ``stop_u``, or one drifted exit
     with per-path ``drift``.  The undrifted uncut kinds share one driftless
-    exit: the ``ensemble``'s :attr:`~qbsde.core.PathEnsemble.clock_exit` when
-    given (:func:`evaluate_mpr`, one path per state, to the grid's depth),
-    else one of ``n_inner`` paths (the profile, to the default grid's depth).
-    With an ``ensemble`` every exit records the state at the grid's clock
+    exit: the ensemble's :attr:`~qbsde.core.PathEnsemble.clock_exit` (to the
+    grid's depth), or one of ``n_inner`` paths (the profile, to the default
+    grid's depth).  An ensemble's exits record the state at the grid's clock
     nodes, so each stream is simulated with one set of inputs.
     """
+    ensemble = states if isinstance(states, PathEnsemble) else None
+    w_half, seed = states if ensemble is None else (ensemble.w_half, ensemble.seed)
     T = spec.T
     entry = TRAITS[spec.kind].entry
     alpha = alpha_from_w_half(w_half, T) if entry == _ARCCOS else None
@@ -550,8 +551,7 @@ def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:
             _grid_tracks=(pf.int_dw, pf.quad_var),
         )
 
-    exits, coeff, drift, alpha, u_sigma = _clock_exits(
-        spec, ensemble.w_half, ensemble.seed, ensemble=ensemble)
+    exits, coeff, drift, alpha, u_sigma = _clock_exits(spec, ensemble)
     int_lam_dw, int_lam2 = _exposure(coeff, drift, exits.x_exit, exits.u_exit)
     return MprFunctionals(
         spec=spec,

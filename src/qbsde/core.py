@@ -11,7 +11,9 @@ This module owns every primitive the rest of the package simulates with:
   exit from (-1, 1) in the logarithmic clock ``u = log((T/2)/(T-t))``, in
   which the singular integrands used by the market-price-of-risk catalog
   become unit-rate Brownian motions, steps every path in lockstep at
-  :data:`DEFAULT_DV`; the one-sided crossing of a moving line below one
+  :data:`DEFAULT_DV` and runs the bridge test only on steps that end or
+  start beyond :data:`NEAR_BARRIER`, the only steps on which it can pass;
+  the one-sided crossing of a moving line below one
   scalar level in the clock ``v = t/(T(T-t))`` steps each path on its own
   at the caller's ``dv``, and a path far above its level draws up to
   :data:`SKIP_MAX` steps as one Gaussian step,
@@ -71,6 +73,13 @@ SKIP_Z = 8.0
 
 #: Longest skip, in Euler steps; skips are powers of two up to it.
 SKIP_MAX = 4096
+
+#: The two-sided exit runs its bridge test only on steps with an endpoint
+#: beyond this distance from 0 (or a uniform of exactly 0).  Between
+#: endpoints within it the crossing probability is at most
+#: ``2 exp(-2 (1 - NEAR_BARRIER)^2 / DEFAULT_DV)``, about 5.7e-20, below
+#: ``2**-53``, the least positive uniform draw: the test could not pass.
+NEAR_BARRIER = 0.85
 
 
 def default_gap(T: float) -> float:
@@ -272,6 +281,11 @@ class PathEnsemble:
         )
 
 
+def _check_n_paths(n_paths) -> None:
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 1):
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+
+
 def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian increment ensemble on ``grid``.
 
@@ -279,8 +293,7 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     element ``(i, j)`` of the increment matrix is a pure function of the seed
     and its position, independent of how the work is later partitioned.
     """
-    if n_paths <= 0:
-        raise ValueError(f"n_paths must be positive, got {n_paths!r}")
+    _check_n_paths(n_paths)
     rng = philox_stream(seed, "increments")
     z = rng.standard_normal((n_paths, grid.n_intervals))
     inc = z * np.sqrt(grid.dt)
@@ -534,6 +547,11 @@ def _two_sided_euler(
     ``exp(-2 (1 - x)(1 - x') / dv) + exp(-2 (1 + x)(1 + x') / dv)`` (placed at
     mid-step, on the upper barrier when the draw falls below the first
     term).  A path whose ``stop_u`` step comes first is frozen there.
+
+    The bridge test runs only on steps with an endpoint beyond
+    :data:`NEAR_BARRIER`, or a uniform of exactly 0.  On any other step both
+    terms are below ``2**-53``, the least positive uniform, so the test
+    fails there too: every output bit is that of testing every step.
     """
     dv = DEFAULT_DV
     n_steps, ck_steps = _clock_steps(dv, u_max, checkpoints)
@@ -541,13 +559,12 @@ def _two_sided_euler(
     rate = _as_per_path(rate, n_paths)
     if not np.all(np.isfinite(rate)):
         raise ValueError("clock drift rate must be finite")
-    stop = None  # per-path step at which a path freezes
+    stop = np.full(n_paths, n_steps + 1, dtype=np.int64)  # per-path freezing step
     if stop_u is not None:
         stop_arr = _as_per_path(stop_u, n_paths)
         if not np.all(stop_arr >= 0.0):
             raise ValueError("stop clock times must be nonnegative (inf: never stop)")
         finite = np.isfinite(stop_arr)
-        stop = np.full(n_paths, n_steps + 1, dtype=np.int64)
         stop[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
 
     exits = _new_exits(n_paths, dv, n_steps, n_ck)
@@ -556,44 +573,55 @@ def _two_sided_euler(
     for blk_start in range(0, n_paths, _BLOCK_SIZE):
         rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         gi = np.arange(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
-        pos = np.zeros(gi.size)
+        # per alive path: state, |state|, drift per step, freezing step
+        pos, apos, rdv, stop_b = np.zeros(gi.size), np.zeros(gi.size), rate[gi] * dv, stop[gi]
+        next_stop = int(stop_b.min())  # no alive path freezes before it
         ci = 0  # the block's next checkpoint
         for k in range(n_steps):
             while ci < n_ck and ck_steps[ci] == k:
                 exits.ckpt_pos[ci, gi] = pos
                 exits.ckpt_alive[ci, gi] = True
                 ci += 1
-            if stop is not None:
-                fz = stop[gi] <= k
-                if fz.any():
-                    _retire(exits, gi[fz], frozen=True, u_exit=stop[gi[fz]] * dv,
-                            x_exit=pos[fz], raw_end=pos[fz])
-                    gi, pos = gi[~fz], pos[~fz]
+            if next_stop <= k:
+                fz = stop_b <= k
+                _retire(exits, gi[fz], frozen=True, u_exit=stop_b[fz] * dv,
+                        x_exit=pos[fz], raw_end=pos[fz])
+                gi, pos, apos, rdv, stop_b = (v[~fz] for v in (gi, pos, apos, rdv, stop_b))
+                next_stop = int(stop_b.min(initial=n_steps + 1))
             if gi.size == 0:
                 break
             moves += gi.size
 
             z = rng.standard_normal(gi.size)
             uc = rng.random(gi.size)
-            step = sq * z + rate[gi] * dv
+            step = sq * z + rdv
             newpos = pos + step
-            up = newpos >= 1.0
-            hit = up | (newpos <= -1.0)
-            p_up = np.exp(-2.0 * np.clip(1.0 - pos, 0.0, None)
-                          * np.clip(1.0 - newpos, 0.0, None) / dv)
-            p_down = np.exp(-2.0 * np.clip(pos + 1.0, 0.0, None)
-                            * np.clip(newpos + 1.0, 0.0, None) / dv)
-            bridge = ~hit & (uc < p_up + p_down)
-            ex = hit | bridge
-            if ex.any():
-                up_exit = up | (bridge & (uc < p_up))
-                barrier = np.where(up_exit, 1.0, -1.0)
-                denom = np.where(step == 0.0, np.inf, step)
-                theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
-                _retire(exits, gi[ex], exited=True, u_exit=(k + theta[ex]) * dv,
-                        x_exit=barrier[ex], raw_end=newpos[ex],
-                        sign=np.where(up_exit[ex], 1, -1), endpoint_detected=hit[ex])
-            gi, pos = gi[~ex], newpos[~ex]
+            anew = np.abs(newpos)
+            # the only steps on which the bridge test can pass (NEAR_BARRIER)
+            c = np.flatnonzero((np.maximum(apos, anew) > NEAR_BARRIER) | (uc == 0.0))
+            if c.size:
+                x, x1, u = pos[c], newpos[c], uc[c]
+                up = x1 >= 1.0
+                hit = up | (x1 <= -1.0)
+                p_up = np.exp(-2.0 * np.maximum(1.0 - x, 0.0)
+                              * np.maximum(1.0 - x1, 0.0) / dv)
+                p_down = np.exp(-2.0 * np.maximum(x + 1.0, 0.0)
+                                * np.maximum(x1 + 1.0, 0.0) / dv)
+                bridge = ~hit & (u < p_up + p_down)
+                ex = hit | bridge
+                if ex.any():
+                    up_exit = up | (bridge & (u < p_up))
+                    barrier = np.where(up_exit, 1.0, -1.0)
+                    denom = np.where(step[c] == 0.0, np.inf, step[c])
+                    theta = np.where(hit, np.clip((barrier - x) / denom, 0.0, 1.0), 0.5)
+                    _retire(exits, gi[c[ex]], exited=True, u_exit=(k + theta[ex]) * dv,
+                            x_exit=barrier[ex], raw_end=x1[ex],
+                            sign=np.where(up_exit[ex], 1, -1), endpoint_detected=hit[ex])
+                    keep = np.ones(gi.size, dtype=bool)
+                    keep[c[ex]] = False
+                    gi, newpos, anew, rdv, stop_b = (
+                        v[keep] for v in (gi, newpos, anew, rdv, stop_b))
+            pos, apos = newpos, anew
 
         if gi.size:  # censored at the horizon, where the last checkpoints sit
             _retire(exits, gi, censored=True, x_exit=pos, raw_end=pos)
@@ -660,6 +688,9 @@ def simulate_two_sided_exit(
     blocks of ``2**14`` paths with one Philox stream per block, so results are
     reproducible and independent of scheduling.  Every path takes single
     Euler steps in lockstep: near a barrier at all times, it never skips.
+    The bridge test runs only on steps with an endpoint beyond
+    :data:`NEAR_BARRIER` (or a zero uniform); elsewhere it cannot pass, so
+    the exit is that of testing every step, bit for bit.
 
     ``stop_u`` retires a path at a per-path deterministic clock time (rounded
     down to the step grid) if it has not exited earlier.  ``checkpoints``
@@ -672,6 +703,7 @@ def simulate_two_sided_exit(
     apart; arrays by their float64 bytes).  A repeated call returns the same
     object, and every array of a result is read-only.
     """
+    _check_n_paths(n_paths)
     key = (n_paths, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
            _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
     return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _two_sided_euler(
@@ -725,6 +757,7 @@ def simulate_line_hit(
     field are the same with or without checkpoints.  ``SKIP_Z = inf``
     switches skipping off and gives the plain Euler chain's bits.
     """
+    _check_n_paths(n_paths)
     n_steps, ck_steps = _clock_steps(dv, v_max, checkpoints)
     n_ck = ck_steps.size
     if weight_fn is not None and not n_ck:
@@ -853,6 +886,9 @@ def exit_time_exp_moment(clock: ClockExits, c: float) -> tuple[float, float]:
     """
     if not math.isfinite(c):
         raise ValueError(f"moment scale c must be finite, got {c!r}")
+    if clock.u_exit.size < 2:
+        raise ValueError("a standard error needs at least 2 exit times, got "
+                         f"{clock.u_exit.size}")
     rate = c * c * math.pi * math.pi / 8.0
     if rate >= math.pi * math.pi / 8.0:
         return math.inf, math.nan

@@ -314,7 +314,7 @@ def psi_conditional_profile(
             f"n_inner={n_inner!r}: a divergence verdict needs at least "
             f"{MIN_SAMPLES} inner paths"
         )
-    exits, coeff, drift, _, _ = _clock_exits(spec, arr, seed, n_inner=n_inner)
+    exits, coeff, drift, _, _ = _clock_exits(spec, (arr, seed), n_inner=n_inner)
     int_dw, int2 = _exposure(
         coeff[:, None], None if drift is None else drift[:, None],
         exits.x_exit.reshape(-1, n_inner), exits.u_exit.reshape(-1, n_inner))

@@ -70,6 +70,13 @@ def test_exit_exp_moment_flags_infinite_moments(ens_mid):
             exit_time_exp_moment(clock, c)
 
 
+def test_exit_exp_moment_needs_two_exit_times():
+    one = simulate_two_sided_exit(1, u_max=6.0, seed=11, stream=("unit-test-one",))
+    for c in (0.5, 1.5):
+        with pytest.raises(ValueError, match="2 exit times"):
+            exit_time_exp_moment(one, c)
+
+
 def _drifted_exit(ens, mu):
     """The two-sided exit of ``B_u + mu u`` over the ensemble's clock depth."""
     return simulate_two_sided_exit(ens.n_paths, u_max=ens.grid.clock_depth,
@@ -122,6 +129,9 @@ def test_two_sided_exit_engine_contract(ens_small):
     for ck in ([math.nan, 0.5], [0.5, math.inf], [-0.1, 0.5]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             simulate_two_sided_exit(100, u_max=1.0, seed=11, checkpoints=np.array(ck))
+    for n in (0, -3, 2.5, "100"):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_two_sided_exit(n, u_max=1.0, seed=11)
 
 
 def test_stop_u_truncates_exit():
@@ -194,6 +204,9 @@ def test_line_hit_engine_contract():
         with pytest.raises(ValueError, match="finite"):
             simulate_line_hit(300, v_max=v_max, seed=14, level=-0.5,
                               **{"drift_cum": drift_cum, **bad})
+    for n in (0, -3, 2.5, "100"):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_line_hit(n, v_max=v_max, seed=14, level=-0.5, drift_cum=drift_cum)
 
 
 @pytest.mark.parametrize("engine", ["two_sided", "line_hit"])
@@ -294,6 +307,123 @@ def test_two_sided_exit_bits_are_pinned(grid):
             drift=np.linspace(-1.5, 1.5, n), checkpoints=grid.clock_nodes),
     }
     assert {name: _exit_digest(e) for name, e in exits.items()} == PINNED_EXITS
+
+
+def _every_step_euler(n_paths, *, u_max, seed, stream, rate, stop_u, checkpoints):
+    """The two-sided exit with the bridge test on every step: the reference.
+
+    The loop of ``core._two_sided_euler`` before it confined the test to
+    steps near a barrier, kept as the definition that engine must reproduce.
+    """
+    dv = core.DEFAULT_DV
+    n_steps, ck_steps = core._clock_steps(dv, u_max, checkpoints)
+    n_ck = ck_steps.size
+    rate = core._as_per_path(rate, n_paths)
+    stop = None
+    if stop_u is not None:
+        stop_arr = core._as_per_path(stop_u, n_paths)
+        finite = np.isfinite(stop_arr)
+        stop = np.full(n_paths, n_steps + 1, dtype=np.int64)
+        stop[finite] = np.floor(stop_arr[finite] / dv + 1e-9).astype(np.int64)
+    exits = core._new_exits(n_paths, dv, n_steps, n_ck)
+    sq = math.sqrt(dv)
+    moves = 0
+    for blk_start in range(0, n_paths, core._BLOCK_SIZE):
+        rng = core.philox_stream(seed, *stream, "block", blk_start // core._BLOCK_SIZE)
+        gi = np.arange(blk_start, min(blk_start + core._BLOCK_SIZE, n_paths))
+        pos = np.zeros(gi.size)
+        ci = 0
+        for k in range(n_steps):
+            while ci < n_ck and ck_steps[ci] == k:
+                exits.ckpt_pos[ci, gi] = pos
+                exits.ckpt_alive[ci, gi] = True
+                ci += 1
+            if stop is not None:
+                fz = stop[gi] <= k
+                if fz.any():
+                    core._retire(exits, gi[fz], frozen=True, u_exit=stop[gi[fz]] * dv,
+                                 x_exit=pos[fz], raw_end=pos[fz])
+                    gi, pos = gi[~fz], pos[~fz]
+            if gi.size == 0:
+                break
+            moves += gi.size
+            z = rng.standard_normal(gi.size)
+            uc = rng.random(gi.size)
+            step = sq * z + rate[gi] * dv
+            newpos = pos + step
+            up = newpos >= 1.0
+            hit = up | (newpos <= -1.0)
+            p_up = np.exp(-2.0 * np.clip(1.0 - pos, 0.0, None)
+                          * np.clip(1.0 - newpos, 0.0, None) / dv)
+            p_down = np.exp(-2.0 * np.clip(pos + 1.0, 0.0, None)
+                            * np.clip(newpos + 1.0, 0.0, None) / dv)
+            bridge = ~hit & (uc < p_up + p_down)
+            ex = hit | bridge
+            if ex.any():
+                up_exit = up | (bridge & (uc < p_up))
+                barrier = np.where(up_exit, 1.0, -1.0)
+                denom = np.where(step == 0.0, np.inf, step)
+                theta = np.where(hit, np.clip((barrier - pos) / denom, 0.0, 1.0), 0.5)
+                core._retire(exits, gi[ex], exited=True, u_exit=(k + theta[ex]) * dv,
+                             x_exit=barrier[ex], raw_end=newpos[ex],
+                             sign=np.where(up_exit[ex], 1, -1), endpoint_detected=hit[ex])
+            gi, pos = gi[~ex], newpos[~ex]
+        if gi.size:
+            core._retire(exits, gi, censored=True, x_exit=pos, raw_end=pos)
+            if n_ck:
+                exits.ckpt_pos[ci:, gi] = pos
+                exits.ckpt_alive[ci:, gi] = True
+    core._fill_missing(exits)
+    exits.single_steps = moves
+    return exits
+
+
+class _ZeroUniforms:
+    """A block stream whose every 50th uniform draw is exactly 0.0."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[(self.drawn + np.arange(size)) % 50 == 0] = 0.0
+        self.drawn += size
+        return u
+
+
+@pytest.mark.parametrize("shape", ["driftless", "cut", "drifted"])
+def test_near_barrier_pass_matches_every_step_test(shape, grid, monkeypatch):
+    # Several blocks, and zero uniforms, on which the bridge test passes
+    # wherever its probability is positive, however far from a barrier.
+    monkeypatch.setattr(core, "_BLOCK_SIZE", 256)
+    stream = core.philox_stream
+    monkeypatch.setattr(core, "philox_stream",
+                        lambda *key: _ZeroUniforms(stream(*key)))
+    n = 1000
+    stop = np.linspace(0.0, 3.0, n)
+    stop[::3] = np.inf
+    kwargs = dict(u_max=grid.clock_depth, seed=24, stream=("unit-test-near", shape),
+                  rate=0.0, stop_u=None, checkpoints=grid.clock_nodes)
+    kwargs.update({"cut": dict(stop_u=stop, checkpoints=None),
+                   "drifted": dict(rate=np.linspace(-1.5, 1.5, n))}.get(shape, {}))
+    fast = core._two_sided_euler(n, **kwargs)
+    ref = _every_step_euler(n, **kwargs)
+    assert fast.exited.any() and (fast.frozen.any() or shape != "cut")
+    for name, value in vars(ref).items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == getattr(fast, name).dtype, name
+            assert value.tobytes() == getattr(fast, name).tobytes(), name
+        else:
+            assert value == getattr(fast, name), name
+
+
+def test_near_barrier_bound_is_below_every_positive_uniform():
+    # Bridge probability of a step with both ends within NEAR_BARRIER.
+    bound = 2.0 * math.exp(-2.0 * (1.0 - core.NEAR_BARRIER) ** 2 / core.DEFAULT_DV)
+    assert bound < 2.0**-53
 
 
 def test_engines_count_their_moves():

@@ -13,6 +13,12 @@ def test_shapes_and_origin(ens_small, grid):
     assert np.all(ens_small.wiener[:, 0] == 0.0)
 
 
+def test_sample_paths_rejects_a_bad_path_count(grid):
+    for n in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_paths"):
+            sample_paths(grid, n, seed=1)
+
+
 def test_increments_consistent_with_paths(ens_small):
     # wiener is the cumulative sum of the increments (equal up to round-off)
     assert np.allclose(
