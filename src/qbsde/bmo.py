@@ -959,9 +959,9 @@ def _profile_growth(spec: MprSpec, q: float) -> tuple[bool, dict]:
 
     Compares ``exp((1-q) Psi_{T/2})`` at the grid edges against the median
     state; a diverged edge state or an edge/median ratio past the growth
-    threshold is unboundedness evidence.  The profile runs at
-    :func:`~qbsde.solver.psi_conditional_profile`'s default inner size and
-    seed.
+    threshold is unboundedness evidence.  The profile is
+    :func:`~qbsde.solver.psi_conditional_profile`'s exact one, so the
+    verdict depends on the construction alone, never on a draw.
     """
     grid = np.array([-2.5, -1.25, 0.0, 1.25, 2.5]) * math.sqrt(spec.T / 2.0)
     estimates = psi_conditional_profile(spec, q, grid)

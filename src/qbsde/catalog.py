@@ -36,12 +36,13 @@ Kinds
     witness both sides of the sharp moment threshold.
 
 All singular integrands are evaluated in the logarithmic clock, never summed
-on the raw time grid.  One helper, ``_clock_exits``, builds every clock kind's
-clock: for :func:`evaluate_mpr` on the streams ``("hit-cut",)``,
-``("hit-drift", b)`` or the ensemble's driftless exit, and for
-:func:`~qbsde.solver.psi_conditional_profile` on ``("cond-exit-cut",)``,
-``("cond-exit-drift", b)`` or one driftless inner clock on ``("cond-exit",)``
-that every state shares.  One exposure map reads both.
+on the raw time grid.  One per-state map, ``_entry_clock``, gives every clock
+kind's clock coefficient, drift and midpoint statistic.  :func:`evaluate_mpr`
+simulates that clock through ``_clock_exits`` (on the streams
+``("hit-cut",)``, ``("hit-drift", b)`` or the ensemble's driftless exit) and
+reads it through the exposure map ``_exposure``;
+:func:`~qbsde.solver.psi_conditional_profile` takes the clock's exit moment
+in closed form from ``_log_exit_moment``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from qbsde.core import (
     PathEnsemble,
     _array_key,
     _memoized,
-    default_gap,
     ito_integral,
     simulate_two_sided_exit,
 )
@@ -455,55 +455,44 @@ class MprFunctionals:
         return np.exp(-q * self.int_lam_dw - 0.5 * q * self.int_lam2)
 
 
-def _clock_exits(
-    spec: MprSpec,
-    states: PathEnsemble | tuple[np.ndarray, int],
-    *,
-    n_inner: int = 1,
-) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
-           np.ndarray | None]:
-    """The clock of a clock kind after each midpoint state, ``n_inner`` paths each.
+def _entry_clock(
+    spec: MprSpec, w_half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Per-state clock ``(coeff, drift, alpha, u_sigma)`` of a clock kind.
 
-    ``states`` is the ensemble :func:`evaluate_mpr` evaluates (its midpoint
-    values and seed, one path per state), or a profile's ``(w_half, seed)``.
-    Returns ``(exits, coeff, drift, alpha, u_sigma)``, the last four per
-    state (``drift`` is ``None`` when undrifted).  The exit's paths are
-    state-major: one cut exit with per-path ``stop_u``, or one drifted exit
-    with per-path ``drift``.  The undrifted uncut kinds share one driftless
-    exit: the ensemble's :attr:`~qbsde.core.PathEnsemble.clock_exit` (to the
-    grid's depth), or one of ``n_inner`` paths (the profile, to the default
-    grid's depth).  An ensemble's exits record the state at the grid's clock
-    nodes, so each stream is simulated with one set of inputs.
+    ``drift``, ``alpha`` and ``u_sigma`` are ``None`` where the kind has none.
     """
-    ensemble = states if isinstance(states, PathEnsemble) else None
-    w_half, seed = states if ensemble is None else (ensemble.w_half, ensemble.seed)
-    T = spec.T
     entry = TRAITS[spec.kind].entry
-    alpha = alpha_from_w_half(w_half, T) if entry == _ARCCOS else None
-    u_sigma = SigmaSampler(T).from_w_half(w_half)[1] if entry == _CUT else None
+    alpha = alpha_from_w_half(w_half, spec.T) if entry == _ARCCOS else None
+    u_sigma = SigmaSampler(spec.T).from_w_half(w_half)[1] if entry == _CUT else None
     coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
     if alpha is None:
         coeff = np.full(w_half.size, coeff)
-    if ensemble is None:
-        tag, u_max = "cond-exit", math.log((T / 2.0) / default_gap(T))
-        checkpoints = None
-    else:
-        tag, u_max = "hit", ensemble.grid.clock_depth
-        checkpoints = ensemble.grid.clock_nodes
+    return coeff, drift, alpha, u_sigma
 
-    n_paths = w_half.size * n_inner
+
+def _clock_exits(
+    spec: MprSpec, ensemble: PathEnsemble
+) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
+           np.ndarray | None]:
+    """``(exits, *_entry_clock(...))``: one clock path per ensemble path.
+
+    The cut kind runs one exit with per-path ``stop_u``, the drifted kinds
+    one with per-path ``drift``, both recorded at the grid's clock nodes; the
+    others share the ensemble's :attr:`~qbsde.core.PathEnsemble.clock_exit`.
+    """
+    coeff, drift, alpha, u_sigma = _entry_clock(spec, ensemble.w_half)
+    grid = ensemble.grid
     if u_sigma is not None:
         exits = simulate_two_sided_exit(
-            n_paths, u_max=u_max, seed=seed, stream=(f"{tag}-cut",),
-            stop_u=np.repeat(u_sigma, n_inner), checkpoints=checkpoints)
+            ensemble.n_paths, u_max=grid.clock_depth, seed=ensemble.seed,
+            stream=("hit-cut",), stop_u=u_sigma, checkpoints=grid.clock_nodes)
     elif drift is not None:
         exits = simulate_two_sided_exit(
-            n_paths, u_max=u_max, seed=seed, stream=(f"{tag}-drift", spec.b),
-            drift=np.repeat(drift, n_inner), checkpoints=checkpoints)
-    elif ensemble is not None:
-        exits = ensemble.clock_exit
+            ensemble.n_paths, u_max=grid.clock_depth, seed=ensemble.seed,
+            stream=("hit-drift", spec.b), drift=drift, checkpoints=grid.clock_nodes)
     else:
-        exits = simulate_two_sided_exit(n_inner, u_max=u_max, seed=seed, stream=(tag,))
+        exits = ensemble.clock_exit
     return exits, coeff, drift, alpha, u_sigma
 
 
@@ -516,6 +505,53 @@ def _exposure(coeff, drift, x, u) -> tuple[np.ndarray, np.ndarray]:
     """
     bm = x - (drift * u if drift is not None else 0.0)
     return coeff * bm, coeff * coeff * u
+
+
+def _log_cosh(x: float) -> float:
+    return float(np.logaddexp(x, -x)) - math.log(2.0)
+
+
+def _log_exit_moment(a: float, lam: float, u: float) -> float:
+    """``log E_0[exp(a X_{H^u} + lam H^u)]``, ``H`` the exit of ``X`` from (-1, 1).
+
+    ``X`` is a Brownian motion and ``H^u = min(H, u)``.  For ``u = inf`` this
+    is the cosine law ``cosh(a) / cos(sqrt(2 lam))`` (cosh of
+    ``sqrt(-2 lam)`` for ``lam < 0``), ``+inf`` from ``lam = pi^2/8`` on
+    (Borodin & Salminen, *Handbook of Brownian Motion*, part II section 3).
+    For finite ``u`` it is the killed sine series of ``w_u = w_xx/2 + lam w``
+    lifted by the line through ``e^{+-a}``: with ``k_j = (j + 1/2) pi`` and
+    ``mu_j = lam - k_j^2/2``, ``cosh(a) [1 + sum_j (-1)^j (2/k_j)
+    (lam u exprel(mu_j u) - a^2 e^{mu_j u} / (a^2 + k_j^2))]``, every term
+    scaled by ``exp(-max(mu_0 u, 0))`` so that nothing overflows.  Its terms
+    are of order ``(|lam| + a^2) / k_j^3``: the length keeps the truncation
+    far below the ``1/cosh(a)`` the sum cancels to, and halving the last
+    term (the mean of the last two partial sums) removes most of the rest.
+    Beyond ``|a| = 10``, or where a very negative ``lam`` cancels the sum
+    below double precision, it raises.
+    """
+    if math.isinf(u):
+        if lam < 0.0:
+            return _log_cosh(a) - _log_cosh(math.sqrt(-2.0 * lam))
+        cos = math.cos(math.sqrt(2.0 * lam)) if lam < math.pi**2 / 8.0 else 0.0
+        return _log_cosh(a) - math.log(cos) if cos > 0.0 else math.inf
+    if not abs(a) <= 10.0:
+        raise ValueError(f"a={a!r}: the cut clock's exit moment needs |a| <= 10")
+    n = int((4e10 * math.cosh(a) * (abs(lam) + a * a + 1.0)) ** (1.0 / 3.0)) + 64
+    j = np.arange(n)
+    k = (j + 0.5) * math.pi
+    x = (lam - 0.5 * k * k) * u
+    m = max(x[0], 0.0)
+    grow = np.exp(x - m)
+    # exprel(x) e^{-m}, as e^{x-m} exprel(-x) where x > 0 so nothing overflows.
+    rel = np.where(x > 0.0, grow * special.exprel(-np.maximum(x, 0.0)),
+                   special.exprel(np.minimum(x, 0.0)) * math.exp(-m))
+    terms = np.where(j % 2 == 0, 2.0, -2.0) / k * (
+        lam * u * rel - a * a * grow / (a * a + k * k))
+    terms[-1] *= 0.5
+    total = math.exp(-m) + float(terms.sum())
+    if not total > 1e-9:  # a few ulps of the O(1) partial sums
+        raise ValueError(f"a={a!r}, lam={lam!r}: the exit moment cancels to noise")
+    return _log_cosh(a) + m + math.log(total)
 
 
 def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:

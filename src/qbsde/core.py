@@ -633,8 +633,8 @@ def _two_sided_euler(
     return exits
 
 
-#: Distinct two-sided exits kept by :func:`simulate_two_sided_exit`: one Table 2
-#: seed's working set (the ensemble exit, the cut exit and two inner exits).
+#: Distinct two-sided exits kept by :func:`simulate_two_sided_exit`: the
+#: working set of two Table 2 seeds (each an ensemble exit and a cut exit).
 EXIT_MEMO_SIZE = 4
 
 _exit_memo: OrderedDict[tuple, ClockExits] = OrderedDict()

@@ -10,9 +10,9 @@ for an exposure power ``q < 1`` (``q = p / (p - 1)`` for a utility power
 
     Psi_t = (1 - q)^{-1} log E[ E(-lambda . W)_{t,T}^q | F_t ],
 
-which this module estimates unconditionally at 0, conditionally at ``T/2``
-(one-dimensional inner expectation over the exposure clock), and along whole
-paths by least-squares regression.  It also constructs the multiplicative
+which this module estimates unconditionally at 0, evaluates exactly at
+``T/2`` given the midpoint state (an exit moment of the exposure clock), and
+estimates along whole paths by least-squares regression.  It also constructs the multiplicative
 martingale representation behind the non-uniqueness mechanism, the resulting
 continuum of distinct square-integrable solutions indexed by a nonnegative
 offset, and pathwise BSDE residual and martingale checks.
@@ -32,12 +32,12 @@ from qbsde.catalog import (
     KINDS,
     TRAITS,
     MprSpec,
-    _clock_exits,
-    _exposure,
+    _entry_clock,
+    _log_exit_moment,
     evaluate_mpr,
     lambda_at_nodes,
 )
-from qbsde.heavytail import MIN_SAMPLES, DivergenceEvidence, divergence_verdict
+from qbsde.heavytail import DivergenceEvidence, divergence_verdict
 
 __all__ = [
     "OpportunityEstimate",
@@ -95,12 +95,14 @@ def _require_power(q: float) -> None:
 
 @dataclass
 class OpportunityEstimate:
-    """Point estimate of ``Psi`` at one time with one conditioning state.
+    """Value of ``Psi`` at one time with one conditioning state.
 
     ``state`` is ``None`` for the unconditional estimate and the conditioning
-    midpoint driver value for the ``T/2`` estimates.  When ``diverged`` is
-    set the estimate is the ``+inf`` sentinel, never a spuriously finite
-    mean, and ``evidence`` carries the tail measurements behind the verdict.
+    midpoint driver value for the ``T/2`` values.  When ``diverged`` is set
+    the estimate is the ``+inf`` sentinel, never a spuriously finite mean.
+    A Monte Carlo estimate carries its standard error and, when screened,
+    the tail measurements behind the verdict in ``evidence``; an exact value
+    has ``se = 0`` and ``evidence = None``.
     """
 
     t: float
@@ -108,8 +110,6 @@ class OpportunityEstimate:
     estimate: float
     se: float
     diverged: bool
-    n_inner: int
-    n_outer: int
     lower_bound: float | None = None
     evidence: DivergenceEvidence | None = None
 
@@ -221,32 +221,6 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _log_mean_estimate(
-    values: np.ndarray, q: float, *, t: float, state: float | None,
-    n_inner: int, n_outer: int, lower_bound: float | None = None,
-    check_divergence: bool = False,
-) -> OpportunityEstimate:
-    """Delta-method estimate of ``log(mean)/(1-q)`` with divergence guard."""
-    evidence = None
-    if check_divergence:
-        evidence = divergence_verdict(values)
-        if evidence.diverged:
-            return OpportunityEstimate(
-                t=t, state=state, estimate=math.inf, se=math.nan, diverged=True,
-                n_inner=n_inner, n_outer=n_outer, lower_bound=lower_bound,
-                evidence=evidence,
-            )
-    m = float(values.mean())
-    se_m = float(values.std(ddof=1) / math.sqrt(values.size))
-    est = math.log(m) / (1.0 - q)
-    se = se_m / (m * (1.0 - q))
-    return OpportunityEstimate(
-        t=t, state=state, estimate=est, se=abs(se), diverged=False,
-        n_inner=n_inner, n_outer=n_outer, lower_bound=lower_bound,
-        evidence=evidence,
-    )
-
-
 def psi_unconditional(
     spec: MprSpec, q: float, ensemble: PathEnsemble
 ) -> OpportunityEstimate:
@@ -259,40 +233,34 @@ def psi_unconditional(
     """
     _require_power(q)
     if q == 0.0:
-        return OpportunityEstimate(
-            t=0.0, state=None, estimate=0.0, se=0.0, diverged=False,
-            n_inner=1, n_outer=ensemble.n_paths,
-        )
+        return OpportunityEstimate(t=0.0, state=None, estimate=0.0, se=0.0,
+                                   diverged=False)
     values = evaluate_mpr(spec, ensemble).summand_power(q)
-    return _log_mean_estimate(
-        values, q, t=0.0, state=None, n_inner=1, n_outer=ensemble.n_paths,
-        check_divergence=q < 0.0,
-    )
+    evidence = divergence_verdict(values) if q < 0.0 else None
+    if evidence is not None and evidence.diverged:
+        return OpportunityEstimate(t=0.0, state=None, estimate=math.inf, se=math.nan,
+                                   diverged=True, evidence=evidence)
+    m = float(values.mean())
+    se_m = float(values.std(ddof=1) / math.sqrt(values.size))
+    return OpportunityEstimate(
+        t=0.0, state=None, estimate=math.log(m) / (1.0 - q),
+        se=abs(se_m / (m * (1.0 - q))), diverged=False, evidence=evidence)
 
 
 def psi_conditional_profile(
-    spec: MprSpec,
-    q: float,
-    w_half_grid: np.ndarray,
-    *,
-    n_inner: int = 4096,
-    seed: int = 90210,
+    spec: MprSpec, q: float, w_half_grid: np.ndarray
 ) -> list[OpportunityEstimate]:
-    """Estimate ``Psi_{T/2}`` at each midpoint driver value in ``w_half_grid``.
+    """Exact ``Psi_{T/2}`` at each midpoint driver value in ``w_half_grid``.
 
     The midpoint state fixes the construction's conditioning quantity (the
-    arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is a
-    one-dimensional expectation over the exposure clock, estimated by plain
-    Monte Carlo on ``n_inner`` clock paths per state.  The clock is the
-    catalog's, the one :func:`~qbsde.catalog.evaluate_mpr` reads, with
-    ``n_inner`` paths per state: one cut exit with per-path stop times on the
-    stream ``("cond-exit-cut",)``, one drifted exit with per-path drift on
-    ``("cond-exit-drift", b)``, and for ``alpha_arccos`` one driftless exit of
-    ``n_inner`` paths on ``("cond-exit",)`` that every state shares.  Each
-    exit is reused, through the engine's memo, by every call with the same
-    ``n_inner`` and ``seed`` (and states, when they enter the exit).  For
-    ``alpha_arccos`` at unit scale and at its own ``q`` the analytic lower bound
-    ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
+    arccos scale or the cut time), after which ``exp((1-q) Psi_{T/2})`` is
+    the clock's exit moment ``E_0[exp(a X_{H^u} + lam H^u)]`` in closed
+    form, with ``a = -q coeff`` and ``lam = -q coeff^2/2``; a clock drift
+    ``mu`` shifts them by Girsanov to ``(a + mu, lam - a mu - mu^2/2)``.  The
+    cut kind stops the clock at ``u_sigma``, the others never.  Every value
+    has ``se = 0``; an infinite moment is the ``+inf`` sentinel.  For
+    ``alpha_arccos`` at unit scale and at its own ``q`` the analytic lower
+    bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
     """
     _require_power(q)
     arr = np.asarray(w_half_grid, dtype=np.float64)
@@ -307,32 +275,23 @@ def psi_conditional_profile(
             f"kind {spec.kind!r} has no midpoint factorization; conditional "
             f"estimates exist for kinds {halft_kinds}"
         )
-    if n_inner < 2:
-        raise ValueError(f"n_inner={n_inner!r}: a standard error needs 2 inner paths")
-    if q < 0.0 and n_inner < MIN_SAMPLES:
-        raise ValueError(
-            f"n_inner={n_inner!r}: a divergence verdict needs at least "
-            f"{MIN_SAMPLES} inner paths"
-        )
-    exits, coeff, drift, _, _ = _clock_exits(spec, (arr, seed), n_inner=n_inner)
-    int_dw, int2 = _exposure(
-        coeff[:, None], None if drift is None else drift[:, None],
-        exits.x_exit.reshape(-1, n_inner), exits.u_exit.reshape(-1, n_inner))
-    values = np.exp(-q * int_dw - 0.5 * q * int2)
+    coeff, drift, _, u_sigma = _entry_clock(spec, arr)
+    a, lam = -q * coeff, -0.5 * q * coeff * coeff
+    if drift is not None:
+        a, lam = a + drift, lam - a * drift - 0.5 * drift * drift
+    u = np.full(arr.size, math.inf) if u_sigma is None else u_sigma
     lb = None
     if spec.kind == "alpha_arccos" and spec.c_scale == 1.0 and q == spec.q:
         lb = (  # the cosine law at unit scale
             -math.pi * math.sqrt(-q) / 2.0
-            - 0.5 * np.log(special.ndtr(math.sqrt(2.0 / spec.T) * arr))
+            - 0.5 * special.log_ndtr(math.sqrt(2.0 / spec.T) * arr)
         ) / (1.0 - q)
+    log_m = map(_log_exit_moment, a.tolist(), lam.tolist(), u.tolist())
     return [
-        _log_mean_estimate(
-            values[i], q, t=spec.T / 2.0, state=float(arr[i]),
-            n_inner=n_inner, n_outer=1,
-            lower_bound=None if lb is None else float(lb[i]),
-            check_divergence=q < 0.0,
-        )
-        for i in range(arr.size)
+        OpportunityEstimate(
+            t=spec.T / 2.0, state=float(w), estimate=m / (1.0 - q), se=0.0,
+            diverged=math.isinf(m), lower_bound=None if lb is None else float(lb[i]))
+        for i, (w, m) in enumerate(zip(arr, log_m))
     ]
 
 

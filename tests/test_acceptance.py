@@ -365,8 +365,7 @@ def test_criterion_10_unboundedness_witnesses(big, capsys):
 
     # (b, c) midpoint profiles over a symmetric conditioning grid.
     w_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * math.sqrt(0.5)
-    arccos_prof = psi_conditional_profile(
-        mpr_alpha_arccos(Q), Q, w_grid, n_inner=N_MID, seed=7)
+    arccos_prof = psi_conditional_profile(mpr_alpha_arccos(Q), Q, w_grid)
     est_a = [e.estimate for e in arccos_prof]
     arccos_ok = (
         all(e.lower_bound is not None and e.estimate >= e.lower_bound
@@ -374,8 +373,7 @@ def test_criterion_10_unboundedness_witnesses(big, capsys):
         and all(a > b for a, b in zip(est_a, est_a[1:]))  # grows toward w<0
     )
 
-    cut_prof = psi_conditional_profile(
-        mpr_sigma_gamma(Q), Q, w_grid, n_inner=N_MID, seed=7)
+    cut_prof = psi_conditional_profile(mpr_sigma_gamma(Q), Q, w_grid)
     _, u_cut = SigmaSampler(1.0).from_w_half(w_grid)
     # The cut construction's linear-growth bound only exceeds the trivial
     # value 1 at extreme cut depths; clipped at 1 it asserts positivity.

@@ -34,6 +34,7 @@ from qbsde import (
     scaled_tilted_order,
     sigma_cut_lower_bound,
 )
+from qbsde.bmo import STATE_GROWTH_RATIO, _profile_growth
 
 Q = -1.0
 
@@ -324,3 +325,23 @@ def test_classify_rejects_q_at_one(ens_small):
     for q in (1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="exposure power"):
             classify(mpr_zero(), q, ens_small)
+
+
+@pytest.mark.parametrize("spec,scale,ratio", [
+    (mpr_alpha_arccos(Q), 0.5, 1.5067803),
+    (mpr_alpha_arccos(Q), 1.0, 15.8197544),
+    (mpr_alpha_arccos(Q), 1.5, math.inf),
+    (mpr_sigma_gamma(Q), 0.5, 1.3554512),
+    (mpr_sigma_gamma(Q), 1.0, 3.0326016),
+    (mpr_sigma_gamma(Q), 1.5, 10.1865857),
+    (mpr_tilde(0.5), 1.0, 1.6863895),
+])
+def test_profile_growth_margin_is_exact(spec, scale, ratio):
+    # The profile is exact, so the edge-over-median ratio is a property of
+    # the construction: pinned with no seed, as is its side of the threshold.
+    grows, detail = _profile_growth(spec.with_scale(scale), Q)
+    if math.isinf(ratio):
+        assert detail["edge_over_median"] == "inf" and detail["diverged_state"]
+    else:
+        assert abs(detail["edge_over_median"] - ratio) <= 1e-6
+    assert grows == (ratio >= STATE_GROWTH_RATIO)

@@ -1,6 +1,7 @@
 """Premium catalog: threshold formula, constructors, functional evaluation."""
 
 import math
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from qbsde import (
     scaled_params,
 )
 from qbsde.bmo import _spec_record
+from qbsde.catalog import _log_exit_moment
 from qbsde.cli import ExperimentConfig, build_spec
 from qbsde.solver import (
     constant_closed_form_triple,
@@ -321,8 +323,8 @@ def test_trait_table_matches_behaviour(kind, ens_small):
     # Independent of the table: a bounded kind's exposure is deterministic.
     assert (float(np.ptp(fn.int_lam2)) == 0.0) == traits.bounded
 
-    assert _rejects(lambda: psi_conditional_profile(spec, -1.0, [0.0], n_inner=200,
-                                                    seed=7)[0]) == (entry is None)
+    assert _rejects(lambda: psi_conditional_profile(spec, -1.0, [0.0])[0]) == (
+        entry is None)
     assert _rejects(lambda: continuum(spec, -1.0, 0.0, ens_small)) == (not traits.bounded)
     assert _rejects(lambda: constant_closed_form_triple(spec, -1.0, ens_small)) == (
         not traits.bounded)
@@ -354,3 +356,91 @@ def test_functionals_are_those_of_the_scaled_premium(kind, ens_small):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             else:
                 assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The clock's exit moment E_0[exp(a X_{H^u} + lam H^u)]
+# ---------------------------------------------------------------------------
+
+
+#: The moment order at which the untruncated exit moment turns infinite.
+_P8 = math.pi**2 / 8.0
+#: The series' whole domain in the exponent ``a``.
+_A_GRID = np.linspace(-10.0, 10.0, 21)
+
+
+def _cosine_law(a: float, lam: float) -> float:
+    """``log E_0[exp(a X_H + lam H)]`` for the untruncated exit, ``lam < pi^2/8``."""
+    root = math.sqrt(2.0 * abs(lam))
+    return math.log(math.cosh(a)) - math.log(
+        math.cos(root) if lam >= 0.0 else math.cosh(root))
+
+
+@pytest.fixture
+def no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def test_exit_moment_starts_as_the_lognormal_moment(no_warnings):
+    # Before the clock can reach a barrier, X_u is Gaussian: the log moment
+    # is (lam + a^2/2) u.
+    for a in _A_GRID:
+        for lam in (-3.0, 0.0, 0.5, _P8, 5.0, 50.0):
+            assert abs(_log_exit_moment(a, lam, 0.0)) <= 1e-11, (a, lam)
+            assert abs(_log_exit_moment(a, lam, 1e-4) - (lam + a * a / 2.0) * 1e-4
+                       ) <= 1e-11, (a, lam)
+
+
+def test_exit_moment_grows_at_the_first_mode_past_the_threshold(no_warnings):
+    # Past pi^2/8 the first sine mode grows like exp((lam - pi^2/8) u).  The
+    # steady part decays relative to it like exp(-(lam - pi^2/8) u): at
+    # lam - pi^2/8 = 1.5 and |a| <= 1 it moves the rate by less than 1e-6.
+    for a in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        for lam in (_P8 + 1.5, 5.0, 50.0):
+            rate = (_log_exit_moment(a, lam, 13.2) - _log_exit_moment(a, lam, 8.0)) / 5.2
+            assert abs(rate - (lam - _P8)) <= 1e-6, (a, lam)
+
+
+def test_exit_moment_reproduces_the_cut_clock_values(no_warnings):
+    # The unit-scale cut construction at q = -1 (a = pi/2, lam = pi^2/8, the
+    # resonant mode) grows linearly in the cut depth u.
+    for u, printed, digits in ((0.5, 2.7711, 4), (1.0, 4.7401, 4), (2.0, 8.6815, 4),
+                               (4.0, 16.564, 3), (8.0, 32.330, 3)):
+        value = math.exp(_log_exit_moment(math.pi / 2.0, _P8, u))
+        assert round(value, digits) == printed, (u, value)
+    # At scale 0.5 (a = pi/4, lam = pi^2/32) it levels off at the cosine law.
+    plateau = math.exp(_log_exit_moment(math.pi / 4.0, _P8 / 4.0, 30.0))
+    assert round(plateau, 5) == 1.87328
+    assert abs(plateau - math.cosh(math.pi / 4.0) / math.cos(math.pi / 4.0)) <= 1e-7
+
+
+def test_exit_moment_tends_to_the_cosine_law(no_warnings):
+    for a in _A_GRID:
+        for lam in (-3.0, -0.5, 0.0, 0.3, _P8 - 0.5):
+            assert abs(_log_exit_moment(a, lam, 60.0) - _cosine_law(a, lam)) <= 1e-12
+            assert _log_exit_moment(a, lam, math.inf) == pytest.approx(
+                _cosine_law(a, lam), rel=1e-13, abs=1e-13)
+    assert _log_exit_moment(0.3, _P8, math.inf) == math.inf
+    assert _log_exit_moment(50.0, 0.0, math.inf) == pytest.approx(50.0 - math.log(2.0))
+
+
+def test_exit_moment_is_continuous_across_the_resonance(no_warnings):
+    # exprel keeps the resonant mode mu_0 = 0 smooth.
+    for a in (0.0, math.pi / 2.0, 2.36, 10.0):
+        for u in (1e-4, 1.0, 13.2):
+            at = _log_exit_moment(a, _P8, u)
+            for side in (-1e-9, 1e-9):
+                assert abs(_log_exit_moment(a, _P8 * (1.0 + side), u) - at) <= 1e-7
+
+
+def test_exit_moment_is_finite_or_raises(no_warnings):
+    assert math.isfinite(_log_exit_moment(10.0, 200.0, 13.2))
+    assert math.isfinite(_log_exit_moment(-10.0, 200.0, 13.2))
+    for a in (10.5, -12.0, math.nan):
+        with pytest.raises(ValueError, match="a="):
+            _log_exit_moment(a, 1.0, 1.0)
+    # A strongly negative order cancels the series below double precision.
+    with pytest.raises(ValueError, match="lam="):
+        _log_exit_moment(0.0, -1000.0, 1.0)

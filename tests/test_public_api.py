@@ -169,7 +169,7 @@ def test_every_optional_parameter_has_a_caller():
 
 
 #: Names that build a clock kind's clock, and the modules that may name them:
-#: the engine and the catalog, whose ``_clock_exits`` is every caller's clock.
+#: the engine and the catalog, whose ``_entry_clock`` is every caller's clock.
 CLOCK_BUILDERS = {"simulate_two_sided_exit", "SigmaSampler", "clock_coefficients"}
 CLOCK_MODULES = {"core.py", "catalog.py"}
 

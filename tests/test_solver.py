@@ -2,11 +2,14 @@
 
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from qbsde import (
+    KINDS,
+    TRAITS,
     OpportunityEstimate,
     alpha_from_w_half,
     bsde_drift,
@@ -15,6 +18,7 @@ from qbsde import (
     continuum,
     core,
     default_eps0,
+    default_gap,
     driver_residual,
     lambda_at_nodes,
     martingale_check,
@@ -22,6 +26,7 @@ from qbsde import (
     mpr_constant,
     mpr_nosol,
     mpr_reverting,
+    mpr_scaled,
     mpr_sigma_gamma,
     mpr_tilde,
     mpr_zero,
@@ -29,12 +34,22 @@ from qbsde import (
     psi_conditional_profile,
     psi_path,
     psi_unconditional,
+    scaled_params,
+    simulate_two_sided_exit,
 )
+from qbsde.catalog import _entry_clock, _exposure
 
 Q = -1.0
 LEVEL = 0.5
 #: Closed form Psi_0 = -(q/2) level^2 T at (q, level, T) = (-1, 0.5, 1).
 PSI0_CONSTANT = 0.125
+#: One construction of every kind with a midpoint statistic.
+_MIDPOINT_SPECS = {
+    "alpha_arccos": mpr_alpha_arccos(Q),
+    "sigma_gamma": mpr_sigma_gamma(Q),
+    "tilde": mpr_tilde(0.5),
+    "scaled": mpr_scaled(Q, *scaled_params(Q, k=1.0, mode="below")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +74,7 @@ def test_default_eps0_positive():
 
 def test_opportunity_estimate_divergence_sentinel():
     with pytest.raises(ValueError):
-        OpportunityEstimate(t=0.0, state=None, estimate=1.0, se=0.1,
-                            diverged=True, n_inner=1, n_outer=1)
+        OpportunityEstimate(t=0.0, state=None, estimate=1.0, se=0.1, diverged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -103,31 +117,28 @@ def test_psi_unconditional_scaled_down_nosol_finite(ens_mid):
 
 def test_psi_conditional_rejects_kinds_without_midpoint_factorization():
     with pytest.raises(ValueError, match="midpoint factorization"):
-        psi_conditional_profile(mpr_constant(LEVEL), Q, [0.0], n_inner=500,
-                                seed=7)[0]
+        psi_conditional_profile(mpr_constant(LEVEL), Q, [0.0])[0]
 
 
 def test_psi_conditional_profile_rejects_bad_input():
     from qbsde import mpr_alpha_arccos, mpr_tilde
 
     spec = mpr_sigma_gamma(Q)
-    for q, states, n_inner in ((math.nan, [0.0], 500), (0.5, [math.nan], 500),
-                               (0.5, [0.0, math.inf], 500), (0.5, [0.0], 1)):
+    for q, states in ((math.nan, [0.0]), (0.5, [math.nan]), (0.5, [0.0, math.inf])):
         with pytest.raises(ValueError):
-            psi_conditional_profile(spec, q, states, n_inner=n_inner, seed=7)
+            psi_conditional_profile(spec, q, states)
     # An empty or non-1-d state grid fails before any engine runs.
     for spec in (mpr_sigma_gamma(Q), mpr_alpha_arccos(Q), mpr_tilde(0.5)):
         for states in ([], np.zeros((0, 2)), 0.0, [[0.0, 0.5]]):
             with pytest.raises(ValueError, match="non-empty 1-d"):
-                psi_conditional_profile(spec, Q, states, n_inner=500, seed=7)
+                psi_conditional_profile(spec, Q, states)
 
 
 def test_psi_conditional_profile_alpha_bounds():
     from qbsde import mpr_alpha_arccos
 
     w_grid = np.array([-1.0, 0.0, 1.0]) * math.sqrt(0.5)
-    ests = psi_conditional_profile(mpr_alpha_arccos(Q), Q, w_grid,
-                                   n_inner=4000, seed=7)
+    ests = psi_conditional_profile(mpr_alpha_arccos(Q), Q, w_grid)
     assert len(ests) == 3
     for e, w in zip(ests, w_grid):
         assert e.t == 0.5 and e.state == w
@@ -142,8 +153,7 @@ def test_arccos_bound_only_at_its_own_q():
 
     # At q = 0 Psi is exactly 0; the cosine-law bound (0.347 at w = 0) holds
     # only at the construction's own q.
-    est = psi_conditional_profile(mpr_alpha_arccos(Q), 0.0, [0.0], n_inner=500,
-                                  seed=7)[0]
+    est = psi_conditional_profile(mpr_alpha_arccos(Q), 0.0, [0.0])[0]
     assert est.lower_bound is None
     assert est.estimate == pytest.approx(0.0, abs=1e-12)
 
@@ -156,8 +166,41 @@ def _exit_moment(x: float, beta: float) -> float:
     return math.cosh(x) / (math.cos(root) if beta > 0.0 else math.cosh(root))
 
 
-#: Seed of the inner clock in the conditional-profile oracle test.
+#: Seed of the inner clocks in the conditional-profile oracle test.
 ORACLE_SEED = 7
+#: Inner clock paths per state in the conditional-profile oracle test.
+ORACLE_INNER = 20000
+
+
+def _inner_clock_profile(spec, states):
+    """Monte Carlo ``Psi_{T/2}`` and its SE per state, on simulated inner clocks.
+
+    ``ORACLE_INNER`` clock paths per state, to the default grid's clock
+    depth: the cut kind stopped at each state's cut, the drifted kinds with
+    each state's drift, the others on one driftless exit that every state
+    shares.  The summands are the exposure map's exponential functional.
+    """
+    coeff, drift, _, u_sigma = _entry_clock(spec, states)
+    u_max = math.log((spec.T / 2.0) / default_gap(spec.T))
+    n = states.size * ORACLE_INNER
+    if u_sigma is not None:
+        exits = simulate_two_sided_exit(
+            n, u_max=u_max, seed=ORACLE_SEED, stream=("cond-exit-cut",),
+            stop_u=np.repeat(u_sigma, ORACLE_INNER))
+    elif drift is not None:
+        exits = simulate_two_sided_exit(
+            n, u_max=u_max, seed=ORACLE_SEED, stream=("cond-exit-drift", spec.b),
+            drift=np.repeat(drift, ORACLE_INNER))
+    else:
+        exits = simulate_two_sided_exit(
+            ORACLE_INNER, u_max=u_max, seed=ORACLE_SEED, stream=("cond-exit",))
+    int_dw, int2 = _exposure(
+        coeff[:, None], None if drift is None else drift[:, None],
+        exits.x_exit.reshape(-1, ORACLE_INNER), exits.u_exit.reshape(-1, ORACLE_INNER))
+    values = np.exp(-Q * int_dw - 0.5 * Q * int2)
+    mean = values.mean(axis=1)
+    se = values.std(axis=1, ddof=1) / math.sqrt(ORACLE_INNER)
+    return np.log(mean) / (1.0 - Q), se / (mean * (1.0 - Q))
 
 
 @pytest.mark.parametrize("spec,skipped", [
@@ -166,30 +209,80 @@ ORACLE_SEED = 7
     # infinite there (2 lambda >= pi^2/8) and no standard error exists.
     (mpr_alpha_arccos(Q), (-2.0, -1.0)),
     (mpr_tilde(0.5), ()),
-], ids=["alpha_arccos-0.5", "alpha_arccos-1", "tilde-0.5"])
+    # Below a cut clock time of 0.1 the Euler stop, floored to the step grid,
+    # biases the simulated moment low: a cut at 0.0017 stops at 0.001, where
+    # the moment is 1.00247 against 1.00427 at the cut.
+    (mpr_sigma_gamma(Q).with_scale(0.5), (-2.0, -1.0)),
+    (mpr_sigma_gamma(Q), (-2.0, -1.0)),
+], ids=["alpha_arccos-0.5", "alpha_arccos-1", "tilde-0.5", "sigma_gamma-0.5",
+        "sigma_gamma-1"])
 def test_conditional_profile_matches_the_cosine_law(spec, skipped):
     # Girsanov removes the clock drift mu; then B_H = +-1 is independent of H,
     # so exp((1-q) Psi_{T/2}(w)) = cosh(a + mu) M(lambda - a mu - mu^2/2) with
     # a = -q c, lambda = -q c^2/2 and M the driftless exit's moment function.
+    # The cut kind has no such closed form; simulated inner clocks check it.
     units = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     states = units * math.sqrt(0.5)
-    ests = psi_conditional_profile(spec, Q, states, n_inner=20000,
-                                   seed=ORACLE_SEED)
-    coeff, drift = clock_coefficients(spec, alpha_from_w_half(states, spec.T))
+    ests = psi_conditional_profile(spec, Q, states)
+    assert all(e.se == 0.0 and e.evidence is None for e in ests)
+    mc, mc_se = _inner_clock_profile(spec, states)
+    coeff, drift, _, u_sigma = _entry_clock(spec, states)
     drift = np.zeros(units.size) if drift is None else drift
-    for unit, est, c, mu in zip(units, ests, coeff, drift):
-        a, lam = -Q * c, -Q * c * c / 2.0
-        second = _exit_moment(2.0 * a + mu, 2.0 * (lam - a * mu) - mu * mu / 2.0)
-        assert math.isinf(second) == (unit in skipped)
+    for i, (unit, est, c, mu) in enumerate(zip(units, ests, coeff, drift)):
+        if u_sigma is not None:
+            assert (u_sigma[i] < 0.1) == (unit in skipped)
+        else:
+            a, lam = -Q * c, -Q * c * c / 2.0
+            second = _exit_moment(2.0 * a + mu, 2.0 * (lam - a * mu) - mu * mu / 2.0)
+            assert math.isinf(second) == (unit in skipped)
+            closed = math.log(_exit_moment(a + mu, lam - a * mu - mu * mu / 2.0))
+            assert est.estimate == pytest.approx(closed / (1.0 - Q), rel=1e-12, abs=1e-14)
         if unit in skipped:
             continue
-        closed = math.log(_exit_moment(a + mu, lam - a * mu - mu * mu / 2.0)) / (1.0 - Q)
-        assert abs(est.estimate - closed) <= 4.0 * est.se, (unit, est, closed)
+        assert abs(est.estimate - mc[i]) <= 4.0 * mc_se[i], (unit, est, mc[i], mc_se[i])
+
+
+def test_the_profile_simulates_no_clock(monkeypatch):
+    runs = []
+    engine = core._two_sided_euler
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_two_sided_euler", counting)
+    monkeypatch.setattr(core, "_exit_memo", OrderedDict())
+    states = np.array([-1.0, 0.0, 1.0])
+    for kind in KINDS:
+        if TRAITS[kind].entry is not None:
+            psi_conditional_profile(_MIDPOINT_SPECS[kind], Q, states)
+    assert not runs
+
+
+def test_the_profile_is_finite_infinite_or_raises_never_nan():
+    states = np.array([-3.0, 3.0]) * math.sqrt(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The cut series holds for |a| <= 10: sigma_gamma up to scale 6.4.
+        ests = psi_conditional_profile(mpr_sigma_gamma(Q).with_scale(6.0), Q, states)
+        assert all(math.isfinite(e.estimate) and not e.diverged for e in ests)
+        with pytest.raises(ValueError, match="a="):
+            psi_conditional_profile(mpr_sigma_gamma(Q).with_scale(8.0), Q, states)
+        # Past pi^2/8 the untruncated moment is infinite: alpha -> 1 at w -> -inf.
+        low, high = psi_conditional_profile(mpr_alpha_arccos(Q).with_scale(20.0), Q, states)
+        assert low.diverged and low.estimate == math.inf
+        assert not high.diverged and math.isfinite(high.estimate)
+        # Far in the tail the unit-scale arccos bound stays finite too.
+        (far,) = psi_conditional_profile(mpr_alpha_arccos(Q), Q, [-40.0])
+        assert far.diverged and math.isfinite(far.lower_bound)
+        for spec in _MIDPOINT_SPECS.values():
+            for scale in (0.5, 1.0, 8.0):
+                ests = psi_conditional_profile(spec.with_scale(scale), 0.0, states)
+                assert all(e.estimate == 0.0 and not e.diverged for e in ests)
 
 
 def test_psi_conditional_profile_sigma_has_no_analytic_bound():
-    ests = psi_conditional_profile(mpr_sigma_gamma(Q), Q, np.array([0.0]),
-                                   n_inner=2000, seed=7)
+    ests = psi_conditional_profile(mpr_sigma_gamma(Q), Q, np.array([0.0]))
     assert ests[0].lower_bound is None
 
 
