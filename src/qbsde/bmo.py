@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from qbsde.core import PathEnsemble
 from qbsde.catalog import (
@@ -129,7 +128,14 @@ def kq_numeric(q: float) -> float:
     minimizer is ``sqrt(q^2 - q)`` and the minimum equals the closed form
     :func:`qbsde.catalog.kq_threshold`.  Kept as an independent numeric
     cross-check of that algebra.
+
+    Nothing else in the package optimizes, so ``import qbsde`` loads numpy
+    and ``scipy.special`` only; ``scipy.optimize`` (and the ``scipy.linalg``,
+    ``scipy.sparse`` and ``scipy.fft`` behind it) is loaded on the first
+    call of this function.
     """
+    from scipy import optimize
+
     if not q < 0.0:
         raise ValueError(f"threshold defined for q < 0, got {q!r}")
 
@@ -426,7 +432,10 @@ def bmo_norm(
     kinds add four clock-line members after the entry), and the max cell
     mean estimates the family sup.  For the mean-reverting premium a
     linear-growth check against the analytic slope flags "not BMO".
+    ``max_bins`` must be a positive integer.
     """
+    if not (isinstance(max_bins, (int, np.integer)) and max_bins >= 1):
+        raise ValueError(f"max_bins must be a positive integer, got {max_bins!r}")
     if spec.kind == "zero":
         return NormEstimate(estimate=0.0, unbounded=False, cells=[])
     fn = evaluate_mpr(spec, ensemble)

@@ -130,10 +130,10 @@ def kq_threshold(q: float) -> float:
 
     For exposure orders strictly above this value there is a BMO risk premium
     whose solution is unbounded; strictly below it every such premium yields
-    a bounded solution.  Defined for ``q < 0``.
+    a bounded solution.  Defined for finite ``q < 0``.
     """
-    if not q < 0.0:
-        raise ValueError(f"threshold defined for q < 0, got {q!r}")
+    if not -math.inf < q < 0.0:
+        raise ValueError(f"threshold defined for finite q < 0, got {q!r}")
     return 0.5 * (q - math.sqrt(q * q - q)) ** 2
 
 

@@ -116,6 +116,7 @@ def philox_stream(seed: int, *parts) -> np.random.Generator:
     way, so results do not depend on the order in which independent
     simulations run, and any sub-simulation can be reproduced in isolation.
     """
+    _check_seed(seed)
     entropy = [int(seed) & _MASK64] + _entropy_words(parts)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
@@ -286,6 +287,11 @@ def _check_n_paths(n_paths) -> None:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian increment ensemble on ``grid``.
 
@@ -294,6 +300,7 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     and its position, independent of how the work is later partitioned.
     """
     _check_n_paths(n_paths)
+    _check_seed(seed)
     rng = philox_stream(seed, "increments")
     z = rng.standard_normal((n_paths, grid.n_intervals))
     inc = z * np.sqrt(grid.dt)
@@ -704,6 +711,7 @@ def simulate_two_sided_exit(
     object, and every array of a result is read-only.
     """
     _check_n_paths(n_paths)
+    _check_seed(seed)
     key = (n_paths, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
            _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
     return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _two_sided_euler(
@@ -758,6 +766,7 @@ def simulate_line_hit(
     switches skipping off and gives the plain Euler chain's bits.
     """
     _check_n_paths(n_paths)
+    _check_seed(seed)
     n_steps, ck_steps = _clock_steps(dv, v_max, checkpoints)
     n_ck = ck_steps.size
     if weight_fn is not None and not n_ck:

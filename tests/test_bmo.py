@@ -115,6 +115,15 @@ def test_bmo_norm_zero_kind(ens_small):
     assert est.estimate == 0.0 and not est.unbounded
 
 
+def test_bmo_norm_rejects_a_bad_bin_count(ens_small):
+    # Zero bins do not quietly become one, and a fractional count fails by name.
+    for spec in (mpr_zero(), mpr_constant(0.5)):
+        for bad in (0, -1, 2.5, 1.0, math.nan, "4"):
+            with pytest.raises(ValueError, match="max_bins"):
+                bmo_norm(spec, ens_small, max_bins=bad)
+    assert bmo_norm(mpr_constant(0.5), ens_small, max_bins=np.int64(1)).cells
+
+
 def test_bmo_norm_constant_kind(ens_mid):
     # sup_t E[int_t^T level^2 ds | F_t] = level^2 T at t = 0.
     est = bmo_norm(mpr_constant(0.5), ens_mid)

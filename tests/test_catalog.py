@@ -60,6 +60,9 @@ def test_kq_threshold_rejects_nonnegative_q():
         kq_threshold(0.0)
     with pytest.raises(ValueError):
         kq_threshold(0.5)
+    for q in (-math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite q < 0"):
+            kq_threshold(q)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,13 @@ def test_two_sided_exit_engine_contract(ens_small):
     for n in (0, -3, 2.5, "100"):
         with pytest.raises(ValueError, match="n_paths"):
             simulate_two_sided_exit(n, u_max=1.0, seed=11)
+    # A float seed is not truncated onto the memoized exit of its integer
+    # part; an integer seed, Python or numpy, keys the same exit.
+    for seed in (11.5, 11.0, math.nan, "11", None):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_two_sided_exit(4000, u_max=6.0, seed=seed, stream=("unit-test",))
+    assert simulate_two_sided_exit(4000, u_max=6.0, seed=np.int64(11),
+                                   stream=("unit-test",)) is exits
 
 
 def test_stop_u_truncates_exit():
@@ -207,6 +214,16 @@ def test_line_hit_engine_contract():
     for n in (0, -3, 2.5, "100"):
         with pytest.raises(ValueError, match="n_paths"):
             simulate_line_hit(n, v_max=v_max, seed=14, level=-0.5, drift_cum=drift_cum)
+    for seed in (14.5, 14.0, math.nan, "14", None):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_line_hit(300, v_max=v_max, seed=seed, level=-0.5,
+                              drift_cum=drift_cum)
+    small = dict(v_max=v_max, stream=("unit-test-line",), level=-0.5,
+                 drift_cum=drift_cum)
+    ref = simulate_line_hit(300, seed=14, **small)
+    same = simulate_line_hit(300, seed=np.int64(14), **small)
+    assert np.array_equal(same.u_exit, ref.u_exit)
+    assert np.array_equal(same.x_exit, ref.x_exit)
 
 
 @pytest.mark.parametrize("engine", ["two_sided", "line_hit"])

@@ -1,5 +1,7 @@
 """Brownian ensembles: shape, determinism, moments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,20 @@ def test_sample_paths_rejects_a_bad_path_count(grid):
     for n in (0, -3, 2.5):
         with pytest.raises(ValueError, match="n_paths"):
             sample_paths(grid, n, seed=1)
+
+
+def test_a_non_integer_seed_is_rejected(grid):
+    # A float seed is not truncated to its integer part, and NaN fails by name.
+    for seed in (1.5, 1.0, math.nan, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            sample_paths(grid, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            philox_stream(seed, "increments")
+    # Integer seeds, Python or numpy, keep their bits.
+    ref = sample_paths(grid, 10, seed=1)
+    for seed in (np.int64(1), np.uint32(1), np.int8(1)):
+        ens = sample_paths(grid, 10, seed=seed)
+        assert np.array_equal(ens.increments, ref.increments) and ens.seed == 1
 
 
 def test_increments_consistent_with_paths(ens_small):
