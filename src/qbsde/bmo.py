@@ -132,12 +132,13 @@ def kq_numeric(q: float) -> float:
     Nothing else in the package optimizes, so ``import qbsde`` loads numpy
     and ``scipy.special`` only; ``scipy.optimize`` (and the ``scipy.linalg``,
     ``scipy.sparse`` and ``scipy.fft`` behind it) is loaded on the first
-    call of this function.
+    call of this function with a valid ``q``: a finite ``q < 0`` whose
+    ``q^2 - q``, the square of the minimizer, is finite too.
     """
+    if not (-math.inf < q < 0.0 and math.isfinite(q * q - q)):
+        raise ValueError(f"threshold defined for finite q < 0 with a finite "
+                         f"q^2 - q, got {q!r}")
     from scipy import optimize
-
-    if not q < 0.0:
-        raise ValueError(f"threshold defined for q < 0, got {q!r}")
 
     def objective(eps: float) -> float:
         return 0.5 * (q * q * (1.0 - q) / eps - q + 2.0 * q * q - q * eps)

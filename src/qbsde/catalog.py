@@ -38,9 +38,10 @@ Kinds
 All singular integrands are evaluated in the logarithmic clock, never summed
 on the raw time grid.  One per-state map, ``_entry_clock``, gives every clock
 kind's clock coefficient, drift and midpoint statistic.  :func:`evaluate_mpr`
-simulates that clock through ``_clock_exits`` (on the streams
-``("hit-cut",)``, ``("hit-drift", b)`` or the ensemble's driftless exit) and
-reads it through the exposure map ``_exposure``;
+takes that clock from ``_clock_exits`` (on the stream ``("hit-cut",)``,
+``("hit-drift", b)`` or the ensemble's driftless exit; the ensemble
+simulates each once and keeps it) and reads it through the exposure map
+``_exposure``;
 :func:`~qbsde.solver.psi_conditional_profile` takes the clock's exit moment
 in closed form from ``_log_exit_moment``.
 """
@@ -48,7 +49,6 @@ in closed form from ``_log_exit_moment``.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -58,8 +58,6 @@ from scipy import special
 from qbsde.core import (
     ClockExits,
     PathEnsemble,
-    _array_key,
-    _memoized,
     ito_integral,
     simulate_two_sided_exit,
 )
@@ -248,13 +246,6 @@ def scaled_params(q: float, k: float | None = None, *, mode: str) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-#: Distinct midpoint-state vectors whose cut :meth:`SigmaSampler.from_w_half`
-#: keeps: one Table 2 seed's ensemble and profile grid, for two seeds.
-SIGMA_MEMO_SIZE = 4
-
-_sigma_memo: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-
 class SigmaSampler:
     """Sampler for the terminal-concentrated cut time ``sigma``.
 
@@ -315,15 +306,9 @@ class SigmaSampler:
         """Map midpoint states to ``(sigma, u_sigma)``.
 
         ``u_sigma = log((T/2)/(T - sigma))`` is the clock image of the cut.
-        Every ``sigma_gamma`` functional and cut-kind profile of an ensemble
-        maps the same states, so the last :data:`SIGMA_MEMO_SIZE` results are
-        memoized on ``T`` and the states' float64 bytes, like the two-sided
-        exits; a repeat returns the same read-only arrays.
+        An ensemble keeps its cut with its cut clock, so the bisection runs
+        once per ensemble however many ``sigma_gamma`` scales read it.
         """
-        key = (self.T, _array_key(w_half))
-        return _memoized(_sigma_memo, SIGMA_MEMO_SIZE, key, lambda: self._cut(w_half))
-
-    def _cut(self, w_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = special.ndtr(np.sqrt(2.0 / self.T) * np.asarray(w_half, np.float64))
         sigma = self.inverse_cdf(u)
         u_sigma = np.log((self.T / 2.0) / (self.T - sigma))
@@ -475,25 +460,33 @@ def _clock_exits(
     spec: MprSpec, ensemble: PathEnsemble
 ) -> tuple[ClockExits, np.ndarray, np.ndarray | None, np.ndarray | None,
            np.ndarray | None]:
-    """``(exits, *_entry_clock(...))``: one clock path per ensemble path.
+    """``(exits, *_entry_clock(...))``: the ensemble's clock of a clock kind.
 
-    The cut kind runs one exit with per-path ``stop_u``, the drifted kinds
-    one with per-path ``drift``, both recorded at the grid's clock nodes; the
-    others share the ensemble's :attr:`~qbsde.core.PathEnsemble.clock_exit`.
+    One clock path per ensemble path, recorded at the grid's clock nodes.
+    The ensemble simulates each clock on its first use and keeps it
+    (``PathEnsemble._clock``): the cut kind's on ``("hit-cut",)`` with
+    per-path ``stop_u``, kept with that ``u_sigma``, and the drifted kinds'
+    on ``("hit-drift", b)`` with per-path ``drift``.  The others read the
+    driftless :attr:`~qbsde.core.PathEnsemble.clock_exit`.
     """
-    coeff, drift, alpha, u_sigma = _entry_clock(spec, ensemble.w_half)
-    grid = ensemble.grid
-    if u_sigma is not None:
-        exits = simulate_two_sided_exit(
-            ensemble.n_paths, u_max=grid.clock_depth, seed=ensemble.seed,
-            stream=("hit-cut",), stop_u=u_sigma, checkpoints=grid.clock_nodes)
-    elif drift is not None:
-        exits = simulate_two_sided_exit(
-            ensemble.n_paths, u_max=grid.clock_depth, seed=ensemble.seed,
-            stream=("hit-drift", spec.b), drift=drift, checkpoints=grid.clock_nodes)
-    else:
-        exits = ensemble.clock_exit
-    return exits, coeff, drift, alpha, u_sigma
+    n, seed, grid = ensemble.n_paths, ensemble.seed, ensemble.grid
+    if TRAITS[spec.kind].entry == _CUT:
+        def cut(stream) -> tuple[ClockExits, np.ndarray]:
+            u_sigma = SigmaSampler(grid.T).from_w_half(ensemble.w_half)[1]
+            return simulate_two_sided_exit(
+                n, u_max=grid.clock_depth, seed=seed, stream=stream,
+                stop_u=u_sigma, checkpoints=grid.clock_nodes), u_sigma
+
+        exits, u_sigma = ensemble._clock(("hit-cut",), cut)
+        return exits, np.full(n, clock_coefficients(spec)[0]), None, None, u_sigma
+    coeff, drift, alpha, _ = _entry_clock(spec, ensemble.w_half)
+    if drift is None:
+        return ensemble.clock_exit, coeff, None, alpha, None
+    exits = ensemble._clock(
+        ("hit-drift", spec.b), lambda stream: (simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=seed, stream=stream, drift=drift,
+            checkpoints=grid.clock_nodes),))[0]
+    return exits, coeff, drift, alpha, None
 
 
 def _exposure(coeff, drift, x, u) -> tuple[np.ndarray, np.ndarray]:
@@ -566,9 +559,9 @@ def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:
     computed from the stored ensemble bit-exactly): the cut kind on
     ``("hit-cut",)`` with per-path ``stop_u``, the drifted kinds on
     ``("hit-drift", b)`` with per-path drift, and the undrifted, uncut kinds
-    the ensemble's shared :attr:`~qbsde.core.PathEnsemble.clock_exit`.  Each
-    stream has one set of inputs, so a repeated evaluation is served by the
-    engine's memo.  The terminal values are the exposure map
+    the ensemble's shared :attr:`~qbsde.core.PathEnsemble.clock_exit`.  The
+    ensemble keeps every clock it simulates, so a repeated evaluation
+    simulates nothing.  The terminal values are the exposure map
     ``(coeff (x - drift u), coeff^2 u)`` of the clock state at the kill
     time; the node tracks, the same map at each clock node, are built on
     their first read.

@@ -17,9 +17,11 @@ This module owns every primitive the rest of the package simulates with:
   scalar level in the clock ``v = t/(T(T-t))`` steps each path on its own
   at the caller's ``dv``, and a path far above its level draws up to
   :data:`SKIP_MAX` steps as one Gaussian step,
-* each ensemble's driftless clock exit, simulated once and shared by every
-  construction that reads it; :func:`hitting_time` returns it.  The
-  drifted two-sided clocks belong to the catalog's drifted constructions.
+* the clocks of an ensemble, which it owns: each two-sided exit simulated
+  on it is kept there, one per stream, for the ensemble's lifetime, so
+  every construction that reads a clock reads the one simulation of it.
+  The driftless exit is :attr:`PathEnsemble.clock_exit`, which
+  :func:`hitting_time` returns; the catalog adds the cut and drifted clocks.
 
 Integrands proportional to ``1/sqrt(T-t)`` or ``1/(T-t)`` are never summed on
 the raw time grid near ``T``; they are always evaluated through the clock
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -231,16 +232,18 @@ def build_grid(T: float, n_coarse: int, ratio: float = DEFAULT_RATIO) -> TimeGri
 
 @dataclass
 class PathEnsemble:
-    """Brownian increments on a :class:`TimeGrid`.
+    """Brownian increments on a :class:`TimeGrid`, and the clocks simulated on them.
 
     ``increments[i, j]`` is the Wiener increment of path ``i`` over grid
-    interval ``j``.  Treated as immutable after construction.
+    interval ``j``.  Treated as immutable after construction.  ``_clocks``
+    holds every clock simulated for the ensemble, filled by :meth:`_clock`.
     """
 
     grid: TimeGrid
     n_paths: int
     seed: int
     increments: np.ndarray
+    _clocks: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.increments.setflags(write=False)
@@ -263,23 +266,43 @@ class PathEnsemble:
     def w_terminal(self) -> np.ndarray:
         return self.wiener[:, -1]
 
-    @cached_property
+    def _clock(self, stream: Sequence, simulate: Callable[[Sequence], tuple]) -> tuple:
+        """The clock on ``stream``: ``simulate(stream)`` on first use, then kept.
+
+        ``simulate`` returns ``(exits, *inputs)``: the two-sided exit drawn
+        from ``(seed, *stream)`` and the per-path inputs worth keeping with
+        it.  The stream names the clock, by its entropy words (so ``-0.0``
+        and ``0.0`` stay apart), and the ensemble keeps the result for its
+        lifetime with every array read-only: each clock is simulated at most
+        once per ensemble, and every reader shares its arrays.
+        """
+        key = tuple(_entropy_words(stream))
+        kept = self._clocks.get(key)
+        if kept is None:
+            kept = simulate(stream)
+            exits, *inputs = kept
+            for array in (*vars(exits).values(), *inputs):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+            self._clocks[key] = kept
+        return kept
+
+    @property
     def clock_exit(self) -> ClockExits:
         """Driftless exit of the ensemble's clock Brownian motion from (-1, 1).
 
         Simulated on the stream ``(seed, "hit", 0.0)`` up to the grid's clock
         depth, with the state recorded at :attr:`TimeGrid.clock_nodes`.  Every
-        undrifted construction and :func:`hitting_time` read this one exit.
-        The ensemble holds it for its lifetime, whatever the engine's memo
-        evicts; like every two-sided exit, its arrays are read-only.
+        undrifted, uncut construction and :func:`hitting_time` read this one
+        exit, which the ensemble keeps (:meth:`_clock`) read-only.
         """
-        return simulate_two_sided_exit(
+        return self._clock(("hit", 0.0), lambda stream: (simulate_two_sided_exit(
             self.n_paths,
             u_max=self.grid.clock_depth,
             seed=self.seed,
-            stream=("hit", 0.0),
+            stream=stream,
             checkpoints=self.grid.clock_nodes,
-        )
+        ),))[0]
 
 
 def _check_n_paths(n_paths) -> None:
@@ -534,37 +557,50 @@ def _fill_skips(exits, brng, a, b, x, bsum, cur, ck_ext, at, gi, w1, w2):
     return cur, _piece_wsum(w1, w2, dv, a, b, bsum, brng.standard_normal(a.size))
 
 
-def _two_sided_euler(
+def simulate_two_sided_exit(
     n_paths: int,
     *,
     u_max: float,
     seed: int,
-    stream: Sequence,
-    rate: float | np.ndarray,
-    stop_u: np.ndarray | None,
-    checkpoints: np.ndarray | None,
+    stream: Sequence = ("two-sided",),
+    drift: float | np.ndarray = 0.0,
+    stop_u: np.ndarray | None = None,
+    checkpoints: np.ndarray | None = None,
 ) -> ClockExits:
-    """Euler + Brownian-bridge exit of ``X_u = B_u + rate u`` from (-1, 1).
+    """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
 
-    The paths of a block take single steps of :data:`DEFAULT_DV` in
-    lockstep, so a checkpoint is recorded on the pass that reaches its step.
+    Euler steps of size :data:`DEFAULT_DV` plus a Brownian-bridge
+    correction that detects intra-step barrier touches; the correction is
+    drift-free because the bridge law conditional on the step endpoints does
+    not depend on the drift.  Paths are processed in fixed blocks of
+    ``2**14`` paths with one Philox stream per block, so the exit is a pure
+    function of the arguments, independent of scheduling.  The paths of a
+    block take single steps in lockstep (near a barrier at all times, a path
+    never skips), so a checkpoint is recorded on the pass that reaches its
+    step.
+
     A step from ``x`` to ``x'`` exits when ``x'`` lies on or beyond a
     barrier (placed by linear interpolation inside the step), or when its
     uniform draw falls below the bridge crossing probability
     ``exp(-2 (1 - x)(1 - x') / dv) + exp(-2 (1 + x)(1 + x') / dv)`` (placed at
     mid-step, on the upper barrier when the draw falls below the first
-    term).  A path whose ``stop_u`` step comes first is frozen there.
-
-    The bridge test runs only on steps with an endpoint beyond
+    term).  The bridge test runs only on steps with an endpoint beyond
     :data:`NEAR_BARRIER`, or a uniform of exactly 0.  On any other step both
     terms are below ``2**-53``, the least positive uniform, so the test
     fails there too: every output bit is that of testing every step.
+
+    ``stop_u`` retires a path at a per-path deterministic clock time (rounded
+    down to the step grid) if it has not exited earlier.  ``checkpoints``
+    records the state at fixed clock times (finite and nonnegative, rounded
+    to the nearest step).
     """
+    _check_n_paths(n_paths)
+    _check_seed(seed)
     dv = DEFAULT_DV
     n_steps, ck_steps = _clock_steps(dv, u_max, checkpoints)
     n_ck = ck_steps.size
-    rate = _as_per_path(rate, n_paths)
-    if not np.all(np.isfinite(rate)):
+    drift = _as_per_path(drift, n_paths)
+    if not np.all(np.isfinite(drift)):
         raise ValueError("clock drift rate must be finite")
     stop = np.full(n_paths, n_steps + 1, dtype=np.int64)  # per-path freezing step
     if stop_u is not None:
@@ -581,7 +617,8 @@ def _two_sided_euler(
         rng = philox_stream(seed, *stream, "block", blk_start // _BLOCK_SIZE)
         gi = np.arange(blk_start, min(blk_start + _BLOCK_SIZE, n_paths))
         # per alive path: state, |state|, drift per step, freezing step
-        pos, apos, rdv, stop_b = np.zeros(gi.size), np.zeros(gi.size), rate[gi] * dv, stop[gi]
+        pos, apos = np.zeros(gi.size), np.zeros(gi.size)
+        rdv, stop_b = drift[gi] * dv, stop[gi]
         next_stop = int(stop_b.min())  # no alive path freezes before it
         ci = 0  # the block's next checkpoint
         for k in range(n_steps):
@@ -638,86 +675,6 @@ def _two_sided_euler(
     _fill_missing(exits)
     exits.single_steps = moves
     return exits
-
-
-#: Distinct two-sided exits kept by :func:`simulate_two_sided_exit`: the
-#: working set of two Table 2 seeds (each an ensemble exit and a cut exit).
-EXIT_MEMO_SIZE = 4
-
-_exit_memo: OrderedDict[tuple, ClockExits] = OrderedDict()
-
-
-def _array_key(value) -> tuple | None:
-    """Exact key of a float array parameter: its float64 shape and bytes."""
-    if value is None:
-        return None
-    arr = np.asarray(value, dtype=np.float64)
-    return arr.shape, arr.tobytes()
-
-
-def _memoized(memo: OrderedDict, size: int, key, compute: Callable):
-    """Return ``memo[key]``, or store ``compute()`` there, keeping ``size`` keys.
-
-    ``memo`` is least-recently-used ordered.  A stored result (a tuple of
-    arrays, or a dataclass) has its arrays made read-only, since every hit
-    hands out the same objects.
-    """
-    value = memo.get(key)
-    if value is None:
-        value = compute()
-        for array in value if isinstance(value, tuple) else vars(value).values():
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
-        memo[key] = value
-        if len(memo) > size:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return value
-
-
-def simulate_two_sided_exit(
-    n_paths: int,
-    *,
-    u_max: float,
-    seed: int,
-    stream: Sequence = ("two-sided",),
-    drift: float | np.ndarray = 0.0,
-    stop_u: np.ndarray | None = None,
-    checkpoints: np.ndarray | None = None,
-) -> ClockExits:
-    """First exit of ``X_u = B_u + drift * u`` from the open interval (-1, 1).
-
-    Euler steps of size :data:`DEFAULT_DV` plus a Brownian-bridge
-    correction that detects intra-step barrier touches; the correction is
-    drift-free because the bridge law conditional on the step endpoints does
-    not depend on the drift.  Paths are processed in fixed
-    blocks of ``2**14`` paths with one Philox stream per block, so results are
-    reproducible and independent of scheduling.  Every path takes single
-    Euler steps in lockstep: near a barrier at all times, it never skips.
-    The bridge test runs only on steps with an endpoint beyond
-    :data:`NEAR_BARRIER` (or a zero uniform); elsewhere it cannot pass, so
-    the exit is that of testing every step, bit for bit.
-
-    ``stop_u`` retires a path at a per-path deterministic clock time (rounded
-    down to the step grid) if it has not exited earlier.  ``checkpoints``
-    records the state at fixed clock times (finite and nonnegative, rounded
-    to the nearest step).
-
-    The exit is a pure function of the arguments, so the last
-    :data:`EXIT_MEMO_SIZE` distinct results are memoized on their exact
-    inputs (the stream by its entropy words, so ``-0.0`` and ``0.0`` stay
-    apart; arrays by their float64 bytes).  A repeated call returns the same
-    object, and every array of a result is read-only.
-    """
-    _check_n_paths(n_paths)
-    _check_seed(seed)
-    key = (n_paths, u_max, int(seed) & _MASK64, tuple(_entropy_words(stream)),
-           _array_key(drift), _array_key(stop_u), _array_key(checkpoints))
-    return _memoized(_exit_memo, EXIT_MEMO_SIZE, key, lambda: _two_sided_euler(
-        n_paths, u_max=u_max, seed=seed, stream=stream, rate=drift,
-        stop_u=stop_u, checkpoints=checkpoints,
-    ))
 
 
 def simulate_line_hit(

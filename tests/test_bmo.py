@@ -49,6 +49,13 @@ def test_kq_numeric_agrees_with_closed_form(q):
     assert abs(kq_numeric(q) - kq_threshold(q)) <= 1e-10
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, math.nan, -math.inf, -1e300])
+def test_kq_numeric_rejects_a_bad_q(q):
+    # Non-finite or overflowing powers fail by name, before the optimizer.
+    with pytest.raises(ValueError, match="q"):
+        kq_numeric(q)
+
+
 def test_kq_curve_structure():
     rows = kq_curve(np.array([0.25, 0.5, 0.75]))
     for p, q, k in rows:

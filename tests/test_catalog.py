@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from qbsde import (
     TRAITS,
     SigmaSampler,
     alpha_from_w_half,
-    catalog,
     clock_coefficients,
     evaluate_mpr,
     kq_threshold,
@@ -157,32 +155,6 @@ def test_sigma_sampler_from_w_half_monotone():
     # A NaN state fails instead of a cut at the clock origin.
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         sampler.from_w_half(np.array([math.nan]))
-
-
-def test_sigma_cut_runs_once_per_distinct_input(ens_small, monkeypatch):
-    monkeypatch.setattr(catalog, "_sigma_memo", OrderedDict())
-    runs = []
-    cut = SigmaSampler._cut
-
-    def counting(self, w_half):
-        runs.append(w_half)
-        return cut(self, w_half)
-
-    monkeypatch.setattr(SigmaSampler, "_cut", counting)
-    fns = [evaluate_mpr(mpr_sigma_gamma(-1.0).with_scale(c), ens_small)
-           for c in (0.5, 1.0, 1.5)]
-    assert len(runs) == 1
-    assert all(fn.u_sigma is fns[0].u_sigma for fn in fns)
-    assert not fns[0].u_sigma.flags.writeable
-    # A hit carries the bits of a fresh computation.
-    fresh = cut(SigmaSampler(1.0), ens_small.w_half)
-    assert fresh[1].tobytes() == fns[0].u_sigma.tobytes()
-    # The memo is bounded and keyed on T and the exact states.
-    for shift in range(1, 2 * catalog.SIGMA_MEMO_SIZE + 1):
-        SigmaSampler(1.0).from_w_half(ens_small.w_half + shift)
-        assert len(catalog._sigma_memo) <= catalog.SIGMA_MEMO_SIZE
-    SigmaSampler(2.0).from_w_half(ens_small.w_half + shift)
-    assert len(runs) == 2 + 2 * catalog.SIGMA_MEMO_SIZE
 
 
 def test_sigma_sampler_matches_probability_transform(ens_mid):

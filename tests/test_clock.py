@@ -4,26 +4,29 @@ import hashlib
 import inspect
 import math
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import qbsde
 from qbsde import (
+    TRAITS,
     catalog,
     classify,
+    clock_coefficients,
     core,
     critical_exponent,
     evaluate_mpr,
     exit_time_exp_moment,
     hitting_time,
     mpr_nosol,
+    mpr_scaled,
     mpr_sigma_gamma,
     mpr_tilde,
     psi_unconditional,
     reverse_holder,
     sample_paths,
+    scaled_params,
 )
 from qbsde.core import simulate_line_hit, simulate_two_sided_exit
 
@@ -132,13 +135,14 @@ def test_two_sided_exit_engine_contract(ens_small):
     for n in (0, -3, 2.5, "100"):
         with pytest.raises(ValueError, match="n_paths"):
             simulate_two_sided_exit(n, u_max=1.0, seed=11)
-    # A float seed is not truncated onto the memoized exit of its integer
-    # part; an integer seed, Python or numpy, keys the same exit.
+    # A float seed is not truncated to its integer part; an integer seed,
+    # Python or numpy, draws the same exit.
     for seed in (11.5, 11.0, math.nan, "11", None):
         with pytest.raises(ValueError, match="seed"):
             simulate_two_sided_exit(4000, u_max=6.0, seed=seed, stream=("unit-test",))
-    assert simulate_two_sided_exit(4000, u_max=6.0, seed=np.int64(11),
-                                   stream=("unit-test",)) is exits
+    again = simulate_two_sided_exit(4000, u_max=6.0, seed=np.int64(11),
+                                    stream=("unit-test",))
+    assert _exit_digest(again) == _exit_digest(exits)
 
 
 def test_stop_u_truncates_exit():
@@ -326,16 +330,16 @@ def test_two_sided_exit_bits_are_pinned(grid):
     assert {name: _exit_digest(e) for name, e in exits.items()} == PINNED_EXITS
 
 
-def _every_step_euler(n_paths, *, u_max, seed, stream, rate, stop_u, checkpoints):
+def _every_step_euler(n_paths, *, u_max, seed, stream, drift, stop_u, checkpoints):
     """The two-sided exit with the bridge test on every step: the reference.
 
-    The loop of ``core._two_sided_euler`` before it confined the test to
+    The loop of ``simulate_two_sided_exit`` before it confined the test to
     steps near a barrier, kept as the definition that engine must reproduce.
     """
     dv = core.DEFAULT_DV
     n_steps, ck_steps = core._clock_steps(dv, u_max, checkpoints)
     n_ck = ck_steps.size
-    rate = core._as_per_path(rate, n_paths)
+    drift = core._as_per_path(drift, n_paths)
     stop = None
     if stop_u is not None:
         stop_arr = core._as_per_path(stop_u, n_paths)
@@ -366,7 +370,7 @@ def _every_step_euler(n_paths, *, u_max, seed, stream, rate, stop_u, checkpoints
             moves += gi.size
             z = rng.standard_normal(gi.size)
             uc = rng.random(gi.size)
-            step = sq * z + rate[gi] * dv
+            step = sq * z + drift[gi] * dv
             newpos = pos + step
             up = newpos >= 1.0
             hit = up | (newpos <= -1.0)
@@ -423,10 +427,10 @@ def test_near_barrier_pass_matches_every_step_test(shape, grid, monkeypatch):
     stop = np.linspace(0.0, 3.0, n)
     stop[::3] = np.inf
     kwargs = dict(u_max=grid.clock_depth, seed=24, stream=("unit-test-near", shape),
-                  rate=0.0, stop_u=None, checkpoints=grid.clock_nodes)
+                  drift=0.0, stop_u=None, checkpoints=grid.clock_nodes)
     kwargs.update({"cut": dict(stop_u=stop, checkpoints=None),
-                   "drifted": dict(rate=np.linspace(-1.5, 1.5, n))}.get(shape, {}))
-    fast = core._two_sided_euler(n, **kwargs)
+                   "drifted": dict(drift=np.linspace(-1.5, 1.5, n))}.get(shape, {}))
+    fast = simulate_two_sided_exit(n, **kwargs)
     ref = _every_step_euler(n, **kwargs)
     assert fast.exited.any() and (fast.frozen.any() or shape != "cut")
     for name, value in vars(ref).items():
@@ -499,12 +503,36 @@ def test_hitting_time_reads_the_shared_exit(grid, monkeypatch):
 
 
 def test_shared_exit_is_read_only(ens_small):
-    exits = ens_small.clock_exit
-    arrays = [v for v in vars(exits).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 10  # exit data plus the checkpoint tracks
-    assert not any(a.flags.writeable for a in arrays)
+    # Every clock the ensemble keeps, and the cut kept with the cut clock, is
+    # read-only, and carries the bits of a direct engine call on its stream.
+    grid, n, seed = ens_small.grid, ens_small.n_paths, ens_small.seed
+    fns = {spec.kind: evaluate_mpr(spec, ens_small)
+           for spec in (mpr_nosol(-1.0), mpr_sigma_gamma(-1.0), mpr_tilde(0.5))}
+    assert fns["nosol"].clock is ens_small.clock_exit
+    for fn in fns.values():
+        arrays = [v for v in vars(fn.clock).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 10  # exit data plus the checkpoint tracks
+        assert not any(a.flags.writeable for a in arrays)
+    cut = fns["sigma_gamma"].u_sigma
+    assert not cut.flags.writeable
     with pytest.raises(ValueError):
         hitting_time(ens_small).u_exit[0] = 0.0
+    with pytest.raises(ValueError):
+        cut[0] = 0.0
+    direct = {
+        "nosol": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=seed, stream=("hit", 0.0),
+            checkpoints=grid.clock_nodes),
+        "sigma_gamma": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=seed, stream=("hit-cut",),
+            stop_u=np.array(cut), checkpoints=grid.clock_nodes),
+        "tilde": simulate_two_sided_exit(
+            n, u_max=grid.clock_depth, seed=seed, stream=("hit-drift", 0.5),
+            drift=clock_coefficients(mpr_tilde(0.5), fns["tilde"].alpha)[1],
+            checkpoints=grid.clock_nodes),
+    }
+    for kind, exits in direct.items():
+        assert _exit_digest(exits) == _exit_digest(fns[kind].clock), kind
 
 
 def test_only_engines_and_mult_rep_take_a_clock_step():
@@ -519,119 +547,78 @@ def test_only_engines_and_mult_rep_take_a_clock_step():
 
 
 def _counting_engine(monkeypatch) -> list:
-    """Start from an empty exit memo; return the list of engine runs."""
-    monkeypatch.setattr(core, "_exit_memo", OrderedDict())
+    """Count the engine calls of the two modules that build clocks.
+
+    Returns the list of the streams the engine ran on, one per call.
+    """
     runs = []
-    engine = core._two_sided_euler
 
     def counting(*args, **kwargs):
-        runs.append(kwargs)
-        return engine(*args, **kwargs)
+        runs.append(kwargs["stream"])
+        return simulate_two_sided_exit(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_two_sided_euler", counting)
+    for module in (core, catalog):
+        monkeypatch.setattr(module, "simulate_two_sided_exit", counting)
     return runs
 
 
-def test_two_sided_exit_memo_returns_the_same_read_only_exit(monkeypatch):
-    runs = _counting_engine(monkeypatch)
-    kwargs = dict(u_max=3.0, seed=43, stream=("unit-test-memo",),
-                  drift=np.linspace(-0.5, 0.5, 700), stop_u=np.full(700, 2.0),
-                  checkpoints=np.array([0.5, 1.5]))
-    first = simulate_two_sided_exit(700, **kwargs)
-    again = simulate_two_sided_exit(700, **kwargs)
-    assert again is first and len(runs) == 1
-    arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
-    # A memo hit carries the same bits as an unmemoized engine run.
-    fresh = core._two_sided_euler(700, rate=kwargs.pop("drift"), **kwargs)
-    for name, value in vars(fresh).items():
-        if isinstance(value, np.ndarray):
-            assert value.tobytes() == getattr(again, name).tobytes(), name
-        else:
-            assert value == getattr(again, name), name
+_BELOW = scaled_params(-1.0, 2.0, mode="below")
 
 
-def test_two_sided_exit_memo_keys_on_every_input(monkeypatch):
-    runs = _counting_engine(monkeypatch)
-    base = dict(n_paths=500, u_max=2.0, seed=44, stream=("hit", 0.0),
-                drift=np.full(500, 0.2))
-    scalar = {**base, "drift": 0.2}  # no per-path array carries n_paths
-    drift_one = np.full(500, 0.2)
-    drift_one[7] = 0.25
-    variants = [
-        (base, dict(stream=("hit", -0.0))),  # 0.0 == -0.0, yet another stream
-        (base, dict(drift=drift_one)),
-        (base, dict(checkpoints=np.array([0.5, 1.0]))),
-        (base, dict(stop_u=np.full(500, 1.0))),
-        (base, dict(seed=45)),
-        (base, dict(u_max=2.5)),
-        (scalar, dict(n_paths=499)),
-    ]
-    # Every parameter is varied alone, so each must have its key slot.
-    varied = set().union(*(change for _, change in variants))
-    assert varied == set(inspect.signature(simulate_two_sided_exit).parameters)
-    for ref, change in variants:
-        simulate_two_sided_exit(**ref)
-        before = len(runs)
-        changed = simulate_two_sided_exit(**{**ref, **change})
-        assert len(runs) == before + 1, change
-        assert simulate_two_sided_exit(**{**ref, **change}) is changed
-        assert len(runs) == before + 1, change
-        assert len(core._exit_memo) <= core.EXIT_MEMO_SIZE
-    # Seeds equal modulo 2**64 key the same Philox stream, hence one exit.
-    before = len(runs)
-    a = simulate_two_sided_exit(**{**base, "seed": -1})
-    assert simulate_two_sided_exit(**{**base, "seed": 2**64 - 1}) is a
-    assert len(runs) == before + 1
-
-
-def test_two_sided_exit_memo_stays_bounded(monkeypatch):
-    runs = _counting_engine(monkeypatch)
-    for seed in range(2 * core.EXIT_MEMO_SIZE):
-        simulate_two_sided_exit(200, u_max=1.0, seed=seed, stream=("unit-test-lru",))
-        assert len(core._exit_memo) == min(seed + 1, core.EXIT_MEMO_SIZE)
-    # The oldest entries were evicted and run again; the newest were kept.
-    simulate_two_sided_exit(200, u_max=1.0, seed=2 * core.EXIT_MEMO_SIZE - 1,
-                            stream=("unit-test-lru",))
-    assert len(runs) == 2 * core.EXIT_MEMO_SIZE
-    simulate_two_sided_exit(200, u_max=1.0, seed=0, stream=("unit-test-lru",))
-    assert len(runs) == 2 * core.EXIT_MEMO_SIZE + 1
-
-
-@pytest.mark.parametrize("spec", [mpr_sigma_gamma(-1.0), mpr_tilde(0.5)],
-                         ids=["cut", "drifted"])
+@pytest.mark.parametrize("spec", [mpr_sigma_gamma(-1.0), mpr_tilde(0.5),
+                                  mpr_scaled(-1.0, *_BELOW)],
+                         ids=["cut", "drifted", "scaled"])
 def test_one_clock_simulation_per_construction(spec, grid, monkeypatch):
-    # Every check evaluates the construction itself; all of them read one
-    # exit per stream, whether or not they read the node tracks.
+    # Every check evaluates the construction itself; on one fresh ensemble
+    # all of them read one exit per stream, whether or not they read the
+    # node tracks.
     ens = sample_paths(grid, 600, seed=48)
     runs = _counting_engine(monkeypatch)
     psi_unconditional(spec, -1.0, ens)
     reverse_holder(spec, -1.0, ens)
     critical_exponent(spec, ens)
-    streams = [kw["stream"] for kw in runs]
-    assert len(streams) == len(set(streams)) == 1
+    if TRAITS[spec.kind].drifted:
+        classify(spec, -1.0, ens, with_exponent=True)
+        critical_exponent(spec, ens)
+    stream = ("hit-drift", spec.b) if TRAITS[spec.kind].drifted else ("hit-cut",)
+    assert runs == [stream]
+
+
+def test_signed_zero_slopes_are_two_clocks(grid, monkeypatch):
+    # 0.0 == -0.0, yet ("hit-drift", -0.0) is another Philox stream.
+    ens = sample_paths(grid, 300, seed=49)
+    runs = _counting_engine(monkeypatch)
+    plus, minus = (evaluate_mpr(mpr_tilde(b), ens) for b in (0.0, -0.0))
+    assert len(runs) == 2
+    assert _exit_digest(plus.clock) != _exit_digest(minus.clock)
 
 
 def test_classify_scales_run_each_distinct_exit_once(grid, monkeypatch):
-    ens = sample_paths(grid, 600, seed=47)
     runs = _counting_engine(monkeypatch)
-    calls = []
-    memoized = core.simulate_two_sided_exit
+    cuts = []
+    from_w_half = catalog.SigmaSampler.from_w_half
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return memoized(*args, **kwargs)
+    def counting_cut(self, w_half):
+        cuts.append(np.size(w_half))
+        return from_w_half(self, w_half)
 
-    for module in (core, catalog):  # the two modules that build clocks
-        monkeypatch.setattr(module, "simulate_two_sided_exit", counting)
-    for c in (0.5, 1.0, 1.5):
-        classify(mpr_sigma_gamma(-1.0).with_scale(c), -1.0, ens, with_exponent=False)
-
-    def key(kw):
-        arrays = tuple(None if kw.get(n) is None else np.asarray(kw[n]).tobytes()
-                       for n in ("stop_u", "checkpoints"))
-        return kw["u_max"], kw["seed"], kw["stream"], arrays
-
-    distinct = {key(kw) for kw in calls}
-    assert len(calls) > len(distinct)  # the scales repeat exits ...
-    assert len(runs) == len(distinct)  # ... which the engine runs once each
+    monkeypatch.setattr(catalog.SigmaSampler, "from_w_half", counting_cut)
+    # Two ensembles of one seed and grid: each owns the clocks simulated on it.
+    ensembles = [sample_paths(grid, 600, seed=47) for _ in range(2)]
+    per_ensemble = []
+    for ens in ensembles:
+        before = len(runs)
+        for c in (0.5, 1.0, 1.5):
+            classify(mpr_sigma_gamma(-1.0).with_scale(c), -1.0, ens, with_exponent=False)
+        per_ensemble.append(runs[before:])
+    # The scales repeat one exit, which the engine runs once per ensemble ...
+    assert per_ensemble == [[("hit-cut",)], [("hit-cut",)]]
+    # ... and the ensemble-sized cut is mapped once per ensemble.
+    assert cuts.count(600) == 2
+    # The second ensemble's clocks carry the same bits in other objects.
+    first, second = (evaluate_mpr(mpr_sigma_gamma(-1.0), ens) for ens in ensembles)
+    assert first.clock is not second.clock and first.u_sigma is not second.u_sigma
+    assert _exit_digest(first.clock) == _exit_digest(second.clock)
+    assert first.u_sigma.tobytes() == second.u_sigma.tobytes()
+    assert ensembles[0].clock_exit is not ensembles[1].clock_exit
+    assert _exit_digest(ensembles[0].clock_exit) == _exit_digest(ensembles[1].clock_exit)

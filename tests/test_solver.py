@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from qbsde import (
     OpportunityEstimate,
     alpha_from_w_half,
     bsde_drift,
+    catalog,
     clock_coefficients,
     constant_closed_form_triple,
     continuum,
@@ -244,14 +244,13 @@ def test_conditional_profile_matches_the_cosine_law(spec, skipped):
 
 def test_the_profile_simulates_no_clock(monkeypatch):
     runs = []
-    engine = core._two_sided_euler
 
     def counting(*args, **kwargs):
-        runs.append(args)
-        return engine(*args, **kwargs)
+        runs.append(kwargs)
+        return simulate_two_sided_exit(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_two_sided_euler", counting)
-    monkeypatch.setattr(core, "_exit_memo", OrderedDict())
+    for module in (core, catalog):  # the two modules that build clocks
+        monkeypatch.setattr(module, "simulate_two_sided_exit", counting)
     states = np.array([-1.0, 0.0, 1.0])
     for kind in KINDS:
         if TRAITS[kind].entry is not None:
