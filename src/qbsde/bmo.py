@@ -23,14 +23,13 @@ essential supremum of the finer one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from qbsde.core import PathEnsemble
 from qbsde.catalog import (
-    TRAITS,
     MprFunctionals,
     MprSpec,
     evaluate_mpr,
@@ -125,30 +124,31 @@ def kq_numeric(q: float) -> float:
     """Boundedness threshold by direct minimization over the split parameter.
 
     Minimizes ``(q^2 (1-q)/e - q + 2 q^2 - q e) / 2`` over ``e > 0``; the
-    minimizer is ``sqrt(q^2 - q)`` and the minimum equals the closed form
+    minimizer is ``s = sqrt(q^2 - q)`` and the minimum equals the closed form
     :func:`qbsde.catalog.kq_threshold`.  Kept as an independent numeric
-    cross-check of that algebra.
+    cross-check of that algebra.  The search runs over ``t = e / s`` on the
+    objective divided by ``s^2``, term by term, so that neither the variable
+    nor the objective leaves the double range at any valid ``q``: a finite
+    ``q < 0`` with a finite ``q^2 - q``.
 
-    Nothing else in the package optimizes, so ``import qbsde`` loads numpy
-    and ``scipy.special`` only; ``scipy.optimize`` (and the ``scipy.linalg``,
-    ``scipy.sparse`` and ``scipy.fft`` behind it) is loaded on the first
-    call of this function with a valid ``q``: a finite ``q < 0`` whose
-    ``q^2 - q``, the square of the minimizer, is finite too.
+    ``scipy.optimize``, which nothing else in the package needs, is loaded
+    on the first call with a valid ``q``, so ``import qbsde`` does not pay
+    for it.
     """
     if not (-math.inf < q < 0.0 and math.isfinite(q * q - q)):
         raise ValueError(f"threshold defined for finite q < 0 with a finite "
                          f"q^2 - q, got {q!r}")
     from scipy import optimize
 
-    def objective(eps: float) -> float:
-        return 0.5 * (q * q * (1.0 - q) / eps - q + 2.0 * q * q - q * eps)
+    s = math.sqrt(q * q - q)
+    r = q / s
 
-    scale = math.sqrt(q * q - q)
+    def objective(t: float) -> float:
+        return 0.5 * (r * r * ((1.0 - q) / s) / t - r / s + 2.0 * r * r - r * t)
+
     res = optimize.minimize_scalar(
-        objective, bounds=(1e-8 * scale, 50.0 * scale), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(res.fun)
+        objective, bounds=(1e-8, 50.0), method="bounded", options={"xatol": 1e-13})
+    return float(res.fun) * s * s
 
 
 def kq_curve(p_values: np.ndarray) -> list[tuple[float, float, float]]:
@@ -174,10 +174,9 @@ def scaled_tilted_order(spec: MprSpec) -> float:
     below-threshold witness construction lands exactly at 1 (critical under
     the tilt) and has an unbounded solution.
     """
-    if spec.kind != "scaled":
+    if spec.law.certificate is None:
         raise ValueError(f"tilted order defined for scaled specs, got {spec.kind!r}")
-    q, a, b = spec.q, spec.a, spec.b
-    return q * b / a - q / (2.0 * a * a) - 0.5 * b * b
+    return spec.law.certificate(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +312,6 @@ def _late_member_indices(ensemble: PathEnsemble, n_members: int) -> list[int]:
     return sorted(set(range(first, last + 1, step)))
 
 
-def _entry_stat(spec: MprSpec, fn: MprFunctionals) -> tuple[np.ndarray | None, str]:
-    """The construction's midpoint statistic and its label, or ``(None, "none")``."""
-    entry = TRAITS[spec.kind].entry
-    if entry is None:
-        return None, "none"
-    attr, label = entry
-    return getattr(fn, attr), label
-
-
 def _family_cells(
     spec: MprSpec,
     ensemble: PathEnsemble,
@@ -350,7 +340,7 @@ def _family_cells(
             min_bin=min_bin, max_bins=max_bins, add_edges=add_edges,
         )
 
-    if not TRAITS[spec.kind].clock:
+    if not spec.law.clock:
         out: list[BinCell] = []
         for k in _grid_member_indices(ensemble):
             stat = None if k == 0 else ensemble.wiener[:, k]
@@ -358,7 +348,9 @@ def _family_cells(
         return out
 
     half_t = grid.T / 2.0
-    entry_stat, entry_name = _entry_stat(spec, fn)
+    entry_stat, entry_name = None, "none"
+    if spec.law.entry is not None:
+        entry_stat, entry_name = getattr(fn, spec.law.entry[0]), spec.law.entry[1]
     out = cells(0.0, "none", None, sample_at(0))
     out += cells(half_t, entry_name, entry_stat, sample_at(grid.half_index),
                  member=f"t={half_t:.4g} (entry)")
@@ -431,13 +423,13 @@ def bmo_norm(
     The remaining exposure ``int_t^T lambda^2 ds`` is averaged per cell of
     the restricted stopping family (see :func:`_family_cells`; the clock
     kinds add four clock-line members after the entry), and the max cell
-    mean estimates the family sup.  For the mean-reverting premium a
-    linear-growth check against the analytic slope flags "not BMO".
-    ``max_bins`` must be a positive integer.
+    mean estimates the family sup.  Where the kind's law has an exposure
+    growth rate (the mean-reverting premium), a linear-growth check flags
+    "not BMO".  ``max_bins`` must be a positive integer.
     """
     if not (isinstance(max_bins, (int, np.integer)) and max_bins >= 1):
         raise ValueError(f"max_bins must be a positive integer, got {max_bins!r}")
-    if spec.kind == "zero":
+    if spec.law.null:
         return NormEstimate(estimate=0.0, unbounded=False, cells=[])
     fn = evaluate_mpr(spec, ensemble)
     cells = _family_cells(
@@ -445,20 +437,20 @@ def bmo_norm(
         n_late=4, min_bin=MIN_BIN, max_bins=max_bins,
     )
 
-    if spec.kind == "constant":
-        exact_value = (spec.c_scale * spec.level) ** 2 * ensemble.grid.T
+    if spec.law.level is not None:
+        exact_value = spec.law.level(spec) ** 2 * ensemble.grid.T
         return NormEstimate(estimate=exact_value, unbounded=False, cells=cells)
 
-    if spec.kind == "reverting":
-        # Conditional remaining exposure grows like (T-t)|W_t|; a slope at
-        # that rate on an unbounded state certifies an infinite norm.
+    if spec.law.growth is not None:
+        # A slope at the analytic growth rate of the conditional remaining
+        # exposure on an unbounded state certifies an infinite norm.
         for member in sorted({c.member for c in cells}):
             mc = [c for c in cells if c.member == member]
             if not mc or math.isnan(mc[0].center):
                 continue
             t = mc[0].time
             fit = _abs_state_slope(mc)
-            rate = (ensemble.grid.T - t) * (1.0 - SLOPE_TOL)
+            rate = spec.law.growth(spec, t) * (1.0 - SLOPE_TOL)
             if fit["slope"] >= rate and rate > 0.0:
                 note = (
                     f"conditional exposure at t={t:.4g} grows with slope "
@@ -501,9 +493,10 @@ def _bin_divergence(samples: np.ndarray, *, edge: bool = False) -> DivergenceEvi
     (deterministic exposure) still sit at growth 1 and never fire.
     """
     x = np.asarray(samples, dtype=np.float64)
+    tail_frac = 0.5 if edge else min(0.05, max(0.01, 250.0 / max(x.size, 1)))
+    hill, hill_se, k = hill_estimator(x, tail_frac=tail_frac)
+    growth = growth_ratio(x)
     if edge:
-        hill, hill_se, k = hill_estimator(x, tail_frac=0.5)
-        growth = growth_ratio(x)
         if hill <= HILL_CEILING and growth >= EDGE_GROWTH_FLOOR:
             diverged, reason = True, (
                 f"edge cell: hill={hill:.3f} <= {HILL_CEILING} with "
@@ -514,14 +507,7 @@ def _bin_divergence(samples: np.ndarray, *, edge: bool = False) -> DivergenceEvi
                 f"edge cell: hill={hill:.3f} (se {hill_se:.3f}), "
                 f"growth={growth:.3f}: no decisive divergence evidence"
             )
-        return DivergenceEvidence(
-            diverged=diverged, hill=hill, hill_se=hill_se, growth=growth,
-            n=int(x.size), tail_k=k, reason=reason,
-        )
-    tail_frac = min(0.05, max(0.01, 250.0 / max(x.size, 1)))
-    hill, hill_se, k = hill_estimator(x, tail_frac=tail_frac)
-    growth = growth_ratio(x)
-    if hill <= HILL_FAST_PATH and growth >= GROWTH_FLOOR:
+    elif hill <= HILL_FAST_PATH and growth >= GROWTH_FLOOR:
         diverged, reason = True, (
             f"hill={hill:.3f} <= {HILL_FAST_PATH} with growth={growth:.3f} "
             f">= {GROWTH_FLOOR}"
@@ -565,7 +551,7 @@ def _dyn_cells(
     The zero premium has no exposure at any member: one unconditional cell.
     """
     big_bin = max(MIN_BIN, ensemble.n_paths // (2 * DYN_BINS))
-    if spec.kind == "zero":
+    if spec.law.null:
         return _cells_from_stat("t=0", "none", None, fn.int_lam2, 0.0,
                                 min_bin=big_bin, max_bins=DYN_BINS)
     return _family_cells(
@@ -601,18 +587,14 @@ def dyn_exp_moment(
         vals = np.exp(np.minimum(expo, 700.0))
         m = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        cell = BinCell(member=c.member, statistic=c.statistic, center=c.center,
-                       count=c.count, mean=m, se=se, time=c.time, samples=vals)
+        cell = replace(c, mean=m, se=se, samples=vals)
         out_cells.append(cell)
         sup = max(sup, m)
         if c.count >= MIN_SAMPLES:
             ev = _bin_divergence(vals, edge=c.statistic.endswith("-edge"))
             if clipped:
-                ev = DivergenceEvidence(
-                    diverged=True, hill=ev.hill, hill_se=ev.hill_se,
-                    growth=ev.growth, n=ev.n, tail_k=ev.tail_k,
-                    reason="exponent overflow: moment beyond double range",
-                )
+                ev = replace(ev, diverged=True,
+                             reason="exponent overflow: moment beyond double range")
             judged.append((ev, cell))
     # The worst cell: a diverged one before any other, then the largest mean
     # (the first cell wins ties).
@@ -625,10 +607,10 @@ def dyn_exp_moment(
         label = worst.member
     else:
         label = f"{worst.member} @ {worst.center:.4g}"
-    if spec.kind == "constant" and not diverged:
+    if spec.law.level is not None and not diverged:
         # Deterministic premium: the moment is an analytic value; the grid
         # quadrature only misses the truncation gap next to T.
-        sup = math.exp(k * (spec.c_scale * spec.level) ** 2 * ensemble.grid.T)
+        sup = math.exp(k * spec.law.level(spec) ** 2 * ensemble.grid.T)
     return DynMoment(
         k=float(k),
         estimate=math.inf if diverged else sup,
@@ -678,6 +660,15 @@ def critical_exponent(spec: MprSpec, ensemble: PathEnsemble) -> CriticalExponent
             probes[k] = dyn_exp_moment(spec, ensemble, k, _cells=cells)
         return probes[k]
 
+    def table() -> list[tuple[float, float, bool]]:
+        # Flags are cumulative (once diverged, stays diverged): the shared
+        # cells make means exactly monotone; the flag inherits that order.
+        rows, seen = [], False
+        for kk, ee, dd in sorted(p.as_row() for p in probes.values()):
+            seen = seen or dd
+            rows.append((kk, math.inf if seen else ee, seen))
+        return rows
+
     # Geometric ladder up.
     lo = None
     hi = None
@@ -690,9 +681,8 @@ def critical_exponent(spec: MprSpec, ensemble: PathEnsemble) -> CriticalExponent
         lo = k
         k *= 2.0
     if hi is None:
-        rows = sorted((p.as_row() for p in probes.values()), key=lambda r: r[0])
         return CriticalExponent(lo=lo if lo is not None else K_MAX, hi=math.inf,
-                                infinite=True, probes=rows)
+                                infinite=True, probes=table())
     if lo is None:
         # Even the smallest ladder order diverged; walk down for a floor.
         k = K_MIN / 2.0
@@ -704,8 +694,7 @@ def critical_exponent(spec: MprSpec, ensemble: PathEnsemble) -> CriticalExponent
             hi = k
             k /= 2.0
         if lo is None:
-            rows = sorted((p.as_row() for p in probes.values()), key=lambda r: r[0])
-            return CriticalExponent(lo=0.0, hi=hi, infinite=False, probes=rows)
+            return CriticalExponent(lo=0.0, hi=hi, infinite=False, probes=table())
 
     # Geometric bisection.
     for _ in range(MAX_ITER):
@@ -716,15 +705,7 @@ def critical_exponent(spec: MprSpec, ensemble: PathEnsemble) -> CriticalExponent
             hi = mid
         else:
             lo = mid
-    rows = sorted((p.as_row() for p in probes.values()), key=lambda r: r[0])
-    # Report flags cumulatively (once diverged, stays diverged): the shared
-    # cells make means exactly monotone; the flag inherits that order.
-    cum = []
-    seen = False
-    for (kk, ee, dd) in rows:
-        seen = seen or dd
-        cum.append((kk, math.inf if seen else ee, seen))
-    return CriticalExponent(lo=lo, hi=hi, infinite=False, probes=cum)
+    return CriticalExponent(lo=lo, hi=hi, infinite=False, probes=table())
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +749,7 @@ def reverse_holder(spec: MprSpec, q: float, ensemble: PathEnsemble) -> RhCheck:
     the half and full sample.
     """
     _require_power(q)
-    if spec.kind == "zero":
+    if spec.law.null:
         return RhCheck(verdict="Bounded", max_cell=1.0, cells=[], top_evidence=None,
                        state_ratio=1.0, instability=0.0,
                        note="zero premium: conditional means are exactly 1")
@@ -789,8 +770,8 @@ def reverse_holder(spec: MprSpec, q: float, ensemble: PathEnsemble) -> RhCheck:
     top_fires = bool(top_ev is not None and top_ev.diverged)
 
     # (ii) growth along the conditioning-state grid (extreme over median bin,
-    # per family member; and the analytic slope test for the mean-reverting
-    # premium, whose state is unbounded).
+    # per family member; and the slope test against the law's exposure
+    # growth rate, where the state is unbounded).
     state_ratio = 1.0
     slope = slope_rate = None
     members = sorted({c.member for c in cells})
@@ -804,16 +785,13 @@ def reverse_holder(spec: MprSpec, q: float, ensemble: PathEnsemble) -> RhCheck:
         if med > 0.0:
             edge = max(means[0], means[-1])
             state_ratio = max(state_ratio, edge / med)
-        if spec.kind == "reverting":
+        if spec.law.growth is not None:
             t = mc[0].time
             fit = _abs_state_slope(mc, transform=np.log)
-            rate = -q * (ensemble.grid.T - t) / 2.0 * (1.0 - SLOPE_TOL)
+            rate = -q * spec.law.growth(spec, t) / 2.0 * (1.0 - SLOPE_TOL)
             if slope is None or fit["slope"] > slope:
                 slope, slope_rate = fit["slope"], rate
-    slope_fires = bool(
-        spec.kind == "reverting" and slope is not None and slope_rate is not None
-        and slope >= slope_rate > 0.0
-    )
+    slope_fires = bool(slope is not None and slope >= slope_rate > 0.0)
 
     # (iii) stability of the max bin across sample sizes.
     half = best.samples[: best.count // 2]
@@ -975,14 +953,9 @@ def _profile_growth(spec: MprSpec, q: float) -> tuple[bool, dict]:
     """
     grid = np.array([-2.5, -1.25, 0.0, 1.25, 2.5]) * math.sqrt(spec.T / 2.0)
     estimates = psi_conditional_profile(spec, q, grid)
-    inner = []
-    any_diverged = False
-    for est in estimates:
-        if est.diverged:
-            any_diverged = True
-            inner.append(math.inf)
-        else:
-            inner.append(math.exp((1.0 - q) * est.estimate))
+    # A diverged state's estimate is +inf, and so is its conditional mean.
+    inner = [math.exp((1.0 - q) * est.estimate) for est in estimates]
+    any_diverged = any(est.diverged for est in estimates)
     med = float(np.median([v for v in inner if math.isfinite(v)] or [1.0]))
     edge = max(inner[0], inner[-1])
     ratio = math.inf if math.isinf(edge) else (edge / med if med > 0 else math.inf)
@@ -1006,10 +979,10 @@ def classify(
 
     ``NoSolution`` exactly when the unconditional summand mean carries a
     divergence verdict; otherwise ``Bounded``/``Unbounded`` per the
-    reverse-Holder check plus midpoint conditional growth, with the scaled
-    family decided by its construction certificate when the ambient ``q``
-    matches the spec's own (moment estimation cannot separate the critical
-    boundary case - the certificate can).
+    reverse-Holder check plus midpoint conditional growth, with a kind that
+    has a construction certificate (the scaled family) decided by it when
+    the ambient ``q`` matches the spec's own (moment estimation cannot
+    separate the critical boundary case - the certificate can).
     """
     _require_power(q)
     evidence: list[dict] = []
@@ -1042,12 +1015,13 @@ def classify(
             "detail": {"side_of_k_q": side},
         })
 
-    if est.diverged:
+    def verdict(v: str) -> Classification:
         return Classification(
-            verdict=NO_SOLUTION, evidence=evidence, k_q=k_q,
-            exponent_interval=exponent, threshold_side=side,
-            spec_record=_spec_record(spec), q=q,
-        )
+            verdict=v, evidence=evidence, k_q=k_q, exponent_interval=exponent,
+            threshold_side=side, spec_record=_spec_record(spec), q=q)
+
+    if est.diverged:
+        return verdict(NO_SOLUTION)
 
     rh = reverse_holder(spec, q, ensemble)
     evidence.append({
@@ -1057,7 +1031,7 @@ def classify(
                    "instability": rh.instability, "note": rh.note},
     })
 
-    if spec.kind == "scaled" and spec.q is not None and spec.q == q:
+    if spec.law.certificate is not None and spec.q == q:
         order = scaled_tilted_order(spec)
         certified_bounded = order < 1.0
         evidence.append({
@@ -1065,15 +1039,10 @@ def classify(
             "outcome": "bounded" if certified_bounded else "unbounded",
             "detail": {"tilted_order": order},
         })
-        verdict = BOUNDED if certified_bounded else UNBOUNDED
-        return Classification(
-            verdict=verdict, evidence=evidence, k_q=k_q,
-            exponent_interval=exponent, threshold_side=side,
-            spec_record=_spec_record(spec), q=q,
-        )
+        return verdict(BOUNDED if certified_bounded else UNBOUNDED)
 
     grows = False
-    if TRAITS[spec.kind].entry is not None:
+    if spec.law.entry is not None:
         grows, detail = _profile_growth(spec, q)
         evidence.append({
             "test": "midpoint-conditional-growth",
@@ -1081,9 +1050,4 @@ def classify(
             "detail": detail,
         })
 
-    verdict = UNBOUNDED if (rh.verdict == "Unbounded" or grows) else BOUNDED
-    return Classification(
-        verdict=verdict, evidence=evidence, k_q=k_q,
-        exponent_interval=exponent, threshold_side=side,
-        spec_record=_spec_record(spec), q=q,
-    )
+    return verdict(UNBOUNDED if (rh.verdict == "Unbounded" or grows) else BOUNDED)

@@ -35,15 +35,13 @@ Kinds
     ``(1/a)`` times the ``tilde`` entry — the family whose parameter modes
     witness both sides of the sharp moment threshold.
 
-All singular integrands are evaluated in the logarithmic clock, never summed
-on the raw time grid.  One per-state map, ``_entry_clock``, gives every clock
-kind's clock coefficient, drift and midpoint statistic.  :func:`evaluate_mpr`
-takes that clock from ``_clock_exits`` (on the stream ``("hit-cut",)``,
-``("hit-drift", b)`` or the ensemble's driftless exit; the ensemble
-simulates each once and keeps it) and reads it through the exposure map
-``_exposure``;
-:func:`~qbsde.solver.psi_conditional_profile` takes the clock's exit moment
-in closed form from ``_log_exit_moment``.
+Every formula that depends on the kind is in that kind's law,
+``TRAITS[kind]`` (``spec.law``); other modules call the law's formulas and
+never test a kind's name.  All singular integrands are evaluated in the
+logarithmic clock, never summed on the raw time grid: :func:`evaluate_mpr`
+reads the ensemble's clock from ``_clock_exits`` through the exposure map
+``_exposure``, and :func:`~qbsde.solver.psi_conditional_profile` takes the
+clock's exit moment in closed form from ``_log_exit_moment``.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -86,38 +85,118 @@ __all__ = [
 ]
 
 
+#: Each optional spec field's rule where a kind reads it: ``(test, need)``.
+_FIELD_RULES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "q": (lambda v: v < 0.0, "q < 0"),
+    "level": (lambda v: True, "a level"),
+    "a": (lambda v: v > 0.0, "both a and b, with a > 0"),
+    "b": (lambda v: True, "the drift offset b"),
+}
+
+
 @dataclass(frozen=True)
 class KindTraits:
-    """The facts about one catalog kind that more than one module reads.
+    """One catalog kind's law: every formula that depends on the kind.
 
-    ``fields`` names the spec fields the kind requires; ``clock`` is set when
-    the exposure lives in the exposure clock after ``T/2`` rather than on the
-    time grid; ``entry`` is the midpoint statistic conditioning the
-    construction, as ``(MprFunctionals attribute, label)``, or ``None``;
-    ``drifted`` marks the drifted-clock kinds; ``bounded`` marks a
-    pathwise-bounded quadratic exposure.
+    ``fields``: the spec fields the kind reads.  ``level(spec)``: a
+    deterministic premium, ``c_scale`` times its value; ``premium(spec,
+    ensemble)``: another grid kind's scaled premium at the grid nodes.
+    ``coeff`` and ``drift(spec, alpha)``: a clock kind's clock map (see
+    :func:`clock_coefficients`); ``entry``: its midpoint statistic, as
+    ``(MprFunctionals attribute, label)``.  ``growth(spec, t)``: the slope
+    in ``|W_t|`` of the unit-scale remaining exposure on an unbounded state.
+    ``certificate(spec)``: the tilted exposure order that decides the
+    construction at its own ``q``.  ``profile_bound(spec, q, w)``: an
+    analytic lower bound of the midpoint profile, or ``None``.  A formula
+    the kind lacks is ``None``; the flags say which formulas it has.
     """
 
     fields: tuple[str, ...]
-    clock: bool
-    entry: tuple[str, str] | None
-    drifted: bool
-    bounded: bool
+    premium: Callable | None = None
+    level: Callable | None = None
+    coeff: Callable | None = None
+    drift: Callable | None = None
+    entry: tuple[str, str] | None = None
+    growth: Callable | None = None
+    certificate: Callable | None = None
+    profile_bound: Callable | None = None
+
+    @property
+    def clock(self) -> bool:  # the exposure lives in the clock after T/2
+        return self.coeff is not None
+
+    @property
+    def drifted(self) -> bool:
+        return self.drift is not None
+
+    @property
+    def bounded(self) -> bool:  # pathwise-bounded quadratic exposure
+        return self.level is not None
+
+    @property
+    def null(self) -> bool:  # no premium: every functional vanishes
+        return self.level is _zero_level
+
+    def field_problem(self, value_of: Callable) -> tuple[str, str] | None:
+        """The first optional spec field ``value_of(name)`` sets wrongly, and why.
+
+        A field the kind reads must be set, finite and meet its rule; the
+        others stay unset, except ``q``, which is also the classify power.
+        """
+        for name, (test, need) in _FIELD_RULES.items():
+            value = value_of(name)
+            if name in self.fields:
+                if value is None or not (math.isfinite(value) and test(value)):
+                    return name, f"needs {need}, got {name}={value!r}"
+            elif value is not None and name != "q":
+                return name, f"does not read {name}"
+        return None
+
+
+def _zero_level(spec: MprSpec) -> float:
+    return 0.0
+
+
+def _critical_coeff(spec: MprSpec, alpha):
+    return spec.c_scale * math.pi * alpha / (2.0 * math.sqrt(-spec.q))
+
+
+def _line_unit(alpha):
+    return math.pi * alpha / math.sqrt(8.0)
+
+
+def _arccos_bound(spec: MprSpec, q: float, w: np.ndarray) -> np.ndarray | None:
+    # The cosine law at unit scale and the spec's own q; no bound elsewhere.
+    if spec.c_scale != 1.0 or q != spec.q:
+        return None
+    return (-math.pi * math.sqrt(-q) / 2.0
+            - 0.5 * special.log_ndtr(math.sqrt(2.0 / spec.T) * w)) / (1.0 - q)
 
 
 _ARCCOS = ("alpha", "arccos-scale")
 _CUT = ("u_sigma", "cut-clock")
 
 TRAITS: dict[str, KindTraits] = {
-    # kind                     fields           clock  entry     drifted bounded
-    "zero": KindTraits(        (),              False, None,     False,  True),
-    "constant": KindTraits(    ("level",),      False, None,     False,  True),
-    "reverting": KindTraits(   (),              False, None,     False,  False),
-    "nosol": KindTraits(       ("q",),          True,  None,     False,  False),
-    "alpha_arccos": KindTraits(("q",),          True,  _ARCCOS,  False,  False),
-    "sigma_gamma": KindTraits( ("q",),          True,  _CUT,     False,  False),
-    "tilde": KindTraits(       ("b",),          True,  _ARCCOS,  True,   False),
-    "scaled": KindTraits(      ("q", "a", "b"), True,  _ARCCOS,  True,   False),
+    "zero": KindTraits((), level=_zero_level),
+    "constant": KindTraits(("level",), level=lambda spec: spec.c_scale * spec.level),
+    "reverting": KindTraits(
+        (), premium=lambda spec, ens: spec.c_scale * (
+            -np.sign(ens.wiener) * np.sqrt(np.abs(ens.wiener))),
+        # E[int_t^T |W_s| ds | W_t = w] grows like (T - t) |w|.
+        growth=lambda spec, t: spec.T - t),
+    "nosol": KindTraits(("q",), coeff=_critical_coeff),
+    "alpha_arccos": KindTraits(
+        ("q",), coeff=_critical_coeff, entry=_ARCCOS, profile_bound=_arccos_bound),
+    "sigma_gamma": KindTraits(("q",), coeff=_critical_coeff, entry=_CUT),
+    "tilde": KindTraits(
+        ("b",), coeff=lambda spec, alpha: spec.c_scale * _line_unit(alpha),
+        drift=lambda spec, alpha: spec.b * _line_unit(alpha), entry=_ARCCOS),
+    "scaled": KindTraits(
+        ("q", "a", "b"),
+        coeff=lambda spec, alpha: spec.c_scale * (_line_unit(alpha) / spec.a),
+        drift=lambda spec, alpha: spec.b * _line_unit(alpha), entry=_ARCCOS,
+        certificate=lambda spec: spec.q * spec.b / spec.a
+        - spec.q / (2.0 * spec.a * spec.a) - 0.5 * spec.b * spec.b),
 }
 
 KINDS = tuple(TRAITS)
@@ -154,19 +233,14 @@ class MprSpec:
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
         if not (math.isfinite(self.c_scale)):
             raise ValueError(f"c_scale must be finite, got {self.c_scale!r}")
-        fields = TRAITS[self.kind].fields
-        if "q" in fields:
-            if self.q is None or not (math.isfinite(self.q) and self.q < 0.0):
-                raise ValueError(f"kind {self.kind!r} requires q < 0, got {self.q!r}")
-        if "level" in fields:
-            if self.level is None or not math.isfinite(self.level):
-                raise ValueError("constant kind requires a finite level")
-        if "b" in fields:
-            if self.b is None or not math.isfinite(self.b):
-                raise ValueError(f"kind {self.kind!r} requires a finite drift slope b")
-        if "a" in fields:
-            if self.a is None or not (math.isfinite(self.a) and self.a > 0.0):
-                raise ValueError(f"scaled kind requires a > 0, got {self.a!r}")
+        problem = self.law.field_problem(lambda name: getattr(self, name))
+        if problem is not None:
+            raise ValueError(f"kind {self.kind!r} {problem[1]}")
+
+    @property
+    def law(self) -> KindTraits:
+        """The kind's law; the spec sets only the fields it reads (and ``q``)."""
+        return TRAITS[self.kind]
 
     def with_scale(self, c_scale: float) -> "MprSpec":
         return replace(self, c_scale=float(c_scale))
@@ -337,12 +411,11 @@ def clock_coefficients(
     ``b * pi alpha / sqrt(8)``, which the premium scale leaves alone; the
     other kinds return ``drift = None``.
     """
-    cs = spec.c_scale
-    if not TRAITS[spec.kind].drifted:
-        return cs * math.pi * alpha / (2.0 * math.sqrt(-spec.q)), None
-    unit_coeff = math.pi * alpha / math.sqrt(8.0)
-    coeff = unit_coeff / spec.a if spec.kind == "scaled" else unit_coeff
-    return cs * coeff, spec.b * unit_coeff
+    law = spec.law
+    if not law.clock:
+        raise ValueError(f"kind {spec.kind!r} has no exposure clock")
+    drift = None if law.drift is None else law.drift(spec, alpha)
+    return law.coeff(spec, alpha), drift
 
 
 def lambda_at_nodes(spec: MprSpec, ensemble: PathEnsemble) -> np.ndarray:
@@ -353,19 +426,15 @@ def lambda_at_nodes(spec: MprSpec, ensemble: PathEnsemble) -> np.ndarray:
     of their integrals are computed in the clock, so asking for node values
     is rejected rather than silently aliased.
     """
-    grid = ensemble.grid
-    n = ensemble.n_paths
-    if spec.kind == "zero":
-        return np.zeros((n, grid.n_nodes))
-    if spec.kind == "constant":
-        return np.full((n, grid.n_nodes), spec.c_scale * spec.level)
-    if spec.kind == "reverting":
-        w = ensemble.wiener
-        return spec.c_scale * (-np.sign(w) * np.sqrt(np.abs(w)))
-    raise ValueError(
-        f"kind {spec.kind!r} has no grid-resident pointwise values; its "
-        "integrals live in the exposure clock"
-    )
+    law = spec.law
+    if law.level is not None:
+        return np.full((ensemble.n_paths, ensemble.grid.n_nodes), law.level(spec))
+    if law.premium is None:
+        raise ValueError(
+            f"kind {spec.kind!r} has no grid-resident pointwise values; its "
+            "integrals live in the exposure clock"
+        )
+    return law.premium(spec, ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +516,7 @@ def _entry_clock(
 
     ``drift``, ``alpha`` and ``u_sigma`` are ``None`` where the kind has none.
     """
-    entry = TRAITS[spec.kind].entry
+    entry = spec.law.entry
     alpha = alpha_from_w_half(w_half, spec.T) if entry == _ARCCOS else None
     u_sigma = SigmaSampler(spec.T).from_w_half(w_half)[1] if entry == _CUT else None
     coeff, drift = clock_coefficients(spec, 1.0 if alpha is None else alpha)
@@ -470,7 +539,7 @@ def _clock_exits(
     driftless :attr:`~qbsde.core.PathEnsemble.clock_exit`.
     """
     n, seed, grid = ensemble.n_paths, ensemble.seed, ensemble.grid
-    if TRAITS[spec.kind].entry == _CUT:
+    if spec.law.entry == _CUT:
         def cut(stream) -> tuple[ClockExits, np.ndarray]:
             u_sigma = SigmaSampler(grid.T).from_w_half(ensemble.w_half)[1]
             return simulate_two_sided_exit(
@@ -550,18 +619,13 @@ def _log_exit_moment(a: float, lam: float, u: float) -> float:
 def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:
     """Evaluate a catalog spec along an ensemble.
 
-    Grid-resident kinds (``zero`` among them) integrate on the time grid and
-    keep the node tracks of those Ito sums.  Clock kinds read
-    ``_clock_exits`` with one clock path per ensemble path, recorded at the
-    grid's clock nodes, on an independent stream keyed by the ensemble seed
-    (legitimate because the post-midpoint driver increments are independent
-    of the midpoint state, whose functionals ``alpha`` / ``sigma`` are
-    computed from the stored ensemble bit-exactly): the cut kind on
-    ``("hit-cut",)`` with per-path ``stop_u``, the drifted kinds on
-    ``("hit-drift", b)`` with per-path drift, and the undrifted, uncut kinds
-    the ensemble's shared :attr:`~qbsde.core.PathEnsemble.clock_exit`.  The
-    ensemble keeps every clock it simulates, so a repeated evaluation
-    simulates nothing.  The terminal values are the exposure map
+    Grid-resident kinds integrate their ``premium`` on the time grid and
+    keep the node tracks of those Ito sums.  Clock kinds read the
+    ensemble's clock from ``_clock_exits``, on an independent stream keyed
+    by the ensemble seed (legitimate because the post-midpoint driver
+    increments are independent of the midpoint state, whose functionals
+    ``alpha`` / ``sigma`` are computed from the stored ensemble
+    bit-exactly).  The terminal values are the exposure map
     ``(coeff (x - drift u), coeff^2 u)`` of the clock state at the kill
     time; the node tracks, the same map at each clock node, are built on
     their first read.
@@ -570,7 +634,7 @@ def evaluate_mpr(spec: MprSpec, ensemble: PathEnsemble) -> MprFunctionals:
         raise ValueError(
             f"spec horizon T={spec.T!r} does not match grid T={ensemble.grid.T!r}"
         )
-    if not TRAITS[spec.kind].clock:
+    if not spec.law.clock:
         pf = ito_integral(ensemble, lambda_at_nodes(spec, ensemble)[:, :-1])
         return MprFunctionals(
             spec=spec,

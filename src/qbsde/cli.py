@@ -41,12 +41,13 @@ Sections and keys::
     kind = sigma_gamma      ; any catalog kind
     q = -1.0                ; ambient exposure power (and the construction's
                             ; own parameter for the kinds that take one)
-    level = 0.5             ; constant kind
-    b = 0.5                 ; tilde offset / scaled parameter
-    a = 0.85                ; scaled parameter
+    level = 0.5             ; constant kind only
+    b = 0.5                 ; tilde offset / scaled parameter (those kinds only)
+    a = 0.85                ; scaled parameter (scaled kind only)
     c = 1.0                 ; scale factor on the premium
 
-Unknown sections or keys are rejected before any simulation starts.  The
+Unknown sections or keys, and ``[spec]`` fields the kind does not read, are
+rejected before any simulation starts.  The
 ``QBSDE_WORKERS`` environment variable (default 1) sets the process count
 used to spread a suite's independent tasks (table2 seeds, continuum
 offsets); results are byte-identical for any worker count because every
@@ -322,25 +323,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         cfg.spec_a = raw.get("spec", "a", _finite_float, default=None)
         cfg.spec_b = raw.get("spec", "b", _finite_float, default=None)
         cfg.spec_c = raw.get("spec", "c", _finite_float, default=cfg.spec_c)
-        _validate_spec_params(raw, cfg)
+        problem = TRAITS[cfg.spec_kind].field_problem(
+            lambda name: getattr(cfg, f"spec_{name}"))
+        if problem is not None:
+            raise raw._err("spec", problem[0], f"kind {cfg.spec_kind} {problem[1]}")
 
     return cfg
-
-
-def _validate_spec_params(raw: _Raw, cfg: ExperimentConfig) -> None:
-    kind, q = cfg.spec_kind, cfg.spec_q
-    fields = TRAITS[kind].fields
-    if "q" in fields and q >= 0:
-        raise raw._err("spec", "q", f"kind {kind} needs q < 0")
-    if "level" in fields and cfg.spec_level is None:
-        raise raw._err("spec", "level", f"{kind} kind needs a level")
-    if "a" in fields:
-        if cfg.spec_a is None or cfg.spec_b is None:
-            raise raw._err("spec", "a", f"{kind} kind needs both a and b")
-        if not 0.0 < cfg.spec_a:
-            raise raw._err("spec", "a", "need a > 0")
-    elif "b" in fields and cfg.spec_b is None:
-        raise raw._err("spec", "b", f"{kind} kind needs the drift offset b")
 
 
 def build_spec(cfg: ExperimentConfig) -> MprSpec:
@@ -520,10 +508,9 @@ def _continuum_row(args: tuple) -> dict:
     Every offset rebuilds the ensemble from the same seed, so all rows see
     the same Brownian draw and the output is identical for any worker count.
     """
-    kind, level, q, b, n_paths, n_coarse, T, seed = args
+    spec, q, b, n_paths, n_coarse, T, seed = args
     grid = build_grid(T, n_coarse)
     ens = sample_paths(grid, n_paths, seed=seed)
-    spec = mpr_zero(T) if kind == "zero" else mpr_constant(level, T)
     triple = continuum(spec, q, b, ens)
     xi = triple.extras["xi"]
     mart_mean, mart_se, _ = martingale_check(triple)
@@ -543,15 +530,15 @@ def suite_continuum(cfg: ExperimentConfig) -> list[Check]:
     grid = build_grid(cfg.T, cfg.n_coarse)
     q = cfg.continuum_q
     tol = RESIDUAL_TOL_FACTOR * math.sqrt(float(np.max(grid.dt)))
-    tasks = [
-        (cfg.continuum_kind, cfg.continuum_level, q, b,
-         cfg.n_paths, cfg.n_coarse, cfg.T, cfg.seed)
-        for b in cfg.b_offsets
-    ]
+    # The constant premium where the kind reads a level, else the zero one.
+    spec = (mpr_constant(cfg.continuum_level, cfg.T)
+            if "level" in TRAITS[cfg.continuum_kind].fields else mpr_zero(cfg.T))
+    tasks = [(spec, q, b, cfg.n_paths, cfg.n_coarse, cfg.T, cfg.seed)
+             for b in cfg.b_offsets]
     rows = _pmap(_continuum_row, tasks)
     artifact = {
         "kind": cfg.continuum_kind,
-        "level": cfg.continuum_level if cfg.continuum_kind == "constant" else 0.0,
+        "level": spec.law.level(spec),
         "q": q,
         "n_paths": cfg.n_paths,
         "seed": cfg.seed,

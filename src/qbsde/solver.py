@@ -21,11 +21,13 @@ offset, and pathwise BSDE residual and martingale checks.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import special
 
 from qbsde.core import DEFAULT_DV, PathEnsemble, philox_stream, simulate_line_hit
 from qbsde.catalog import (
@@ -258,9 +260,8 @@ def psi_conditional_profile(
     form, with ``a = -q coeff`` and ``lam = -q coeff^2/2``; a clock drift
     ``mu`` shifts them by Girsanov to ``(a + mu, lam - a mu - mu^2/2)``.  The
     cut kind stops the clock at ``u_sigma``, the others never.  Every value
-    has ``se = 0``; an infinite moment is the ``+inf`` sentinel.  For
-    ``alpha_arccos`` at unit scale and at its own ``q`` the analytic lower
-    bound ``[-pi sqrt(-q)/2 - log(Phi)/2] / (1-q)`` is attached.
+    has ``se = 0``; an infinite moment is the ``+inf`` sentinel.  The law's
+    ``profile_bound``, where the kind has one, is each ``lower_bound``.
     """
     _require_power(q)
     arr = np.asarray(w_half_grid, dtype=np.float64)
@@ -269,7 +270,7 @@ def psi_conditional_profile(
             f"midpoint states must be a non-empty 1-d grid, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("midpoint states must be finite")
-    if TRAITS[spec.kind].entry is None:
+    if spec.law.entry is None:
         halft_kinds = tuple(k for k in KINDS if TRAITS[k].entry is not None)
         raise ValueError(
             f"kind {spec.kind!r} has no midpoint factorization; conditional "
@@ -280,12 +281,8 @@ def psi_conditional_profile(
     if drift is not None:
         a, lam = a + drift, lam - a * drift - 0.5 * drift * drift
     u = np.full(arr.size, math.inf) if u_sigma is None else u_sigma
-    lb = None
-    if spec.kind == "alpha_arccos" and spec.c_scale == 1.0 and q == spec.q:
-        lb = (  # the cosine law at unit scale
-            -math.pi * math.sqrt(-q) / 2.0
-            - 0.5 * special.log_ndtr(math.sqrt(2.0 / spec.T) * arr)
-        ) / (1.0 - q)
+    bound = spec.law.profile_bound
+    lb = None if bound is None else bound(spec, q, arr)
     log_m = map(_log_exit_moment, a.tolist(), lam.tolist(), u.tolist())
     return [
         OpportunityEstimate(
@@ -326,20 +323,10 @@ def _prep_state(columns: list[np.ndarray]) -> list[np.ndarray]:
 
 def _poly_design(columns: list[np.ndarray], degree: int) -> np.ndarray:
     """Design matrix of monomials of total degree <= ``degree``."""
-    n = columns[0].size
-    feats = [np.ones(n)]
-    if degree >= 1:
-        pool = list(columns)
-        feats.extend(pool)
-        if degree >= 2:
-            for i in range(len(pool)):
-                for j in range(i, len(pool)):
-                    feats.append(pool[i] * pool[j])
-        if degree >= 3:
-            for i in range(len(pool)):
-                for j in range(i, len(pool)):
-                    for k in range(j, len(pool)):
-                        feats.append(pool[i] * pool[j] * pool[k])
+    feats = [np.ones(columns[0].size)]
+    for d in range(1, degree + 1):
+        feats += [reduce(operator.mul, (columns[i] for i in idx))
+                  for idx in combinations_with_replacement(range(len(columns)), d)]
     return np.column_stack(feats)
 
 
@@ -388,7 +375,7 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
     _require_power(q)
     grid = ensemble.grid
     n, m = ensemble.n_paths, grid.n_nodes
-    if q == 0.0 or spec.kind == "zero":
+    if q == 0.0 or spec.law.null:
         zeros = np.zeros((n, m))
         return SolutionTriple(
             spec=spec, q=q, ensemble=ensemble, psi=zeros, z=zeros.copy(),
@@ -401,7 +388,8 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
                    - 0.5 * q * (fn.int_lam2[:, None] - node_i2))
 
     wiener = ensemble.wiener
-    clock_kind = TRAITS[spec.kind].clock
+    clock_kind = spec.law.clock
+    entry_cols = [] if spec.law.entry is None else [getattr(fn, spec.law.entry[0])]
     first_late = grid.half_index + 1
     u_nodes = grid.clock_nodes
 
@@ -410,11 +398,7 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
         target = value[:, k]
         if clock_kind and k >= first_late:
             alive = fn.u_kill > u_nodes[k - first_late]
-            cols_full = [node_i1[:, k], node_i2[:, k]]
-            if fn.alpha is not None:
-                cols_full.append(fn.alpha)
-            if fn.u_sigma is not None:
-                cols_full.append(fn.u_sigma)
+            cols_full = [node_i1[:, k], node_i2[:, k], *entry_cols]
             psi[:, k] = 0.0  # retired paths: conditional value exactly 1
             if int(alive.sum()) >= 50:
                 cols = [c[alive] for c in cols_full]
@@ -456,10 +440,10 @@ def constant_closed_form_triple(
     Gaussian moment, the log opportunity process is deterministic and linear
     in time, and the martingale representation carries no ``dW`` term.
     """
-    if not TRAITS[spec.kind].bounded:
+    if not spec.law.bounded:
         raise ValueError("closed-form triple exists for the constant and zero kinds")
     _require_power(q)
-    level = spec.c_scale * spec.level if spec.kind == "constant" else 0.0
+    level = spec.law.level(spec)
     grid = ensemble.grid
     psi_curve = -0.5 * q * level**2 * (grid.T - grid.nodes)
     psi = np.broadcast_to(psi_curve, (ensemble.n_paths, grid.n_nodes)).copy()
@@ -595,7 +579,7 @@ def continuum(
     ``E([(1-q)Z^b - q lambda] . W)_T`` per path.
     """
     _require_power(q)
-    if not TRAITS[spec.kind].bounded:
+    if not spec.law.bounded:
         bounded_kinds = tuple(k for k in KINDS if TRAITS[k].bounded)
         raise ValueError(
             f"kind {spec.kind!r} does not have pathwise-bounded quadratic "
@@ -606,7 +590,7 @@ def continuum(
     grid = ensemble.grid
     T = grid.T
     n = ensemble.n_paths
-    level = spec.c_scale * spec.level if spec.kind == "constant" else 0.0
+    level = spec.law.level(spec)
     xi = math.exp(0.5 * q * (q - 1.0) * level**2 * T)
     c = b_offset + xi
     d = math.log(c / xi)

@@ -11,6 +11,7 @@ from scipy import special, stats
 from qbsde import (
     KINDS,
     TRAITS,
+    MprSpec,
     SigmaSampler,
     alpha_from_w_half,
     clock_coefficients,
@@ -96,6 +97,11 @@ def test_with_scale_returns_new_frozen_spec():
         lambda: mpr_sigma_gamma(1.0),
         lambda: mpr_constant(0.5, T=-1.0),
         lambda: mpr_scaled(0.5, 1.0, 1.0),
+        # a field the kind does not read; any kind may carry a q
+        lambda: MprSpec(kind="nosol", q=-1, a=2.0, level=7.0),
+        lambda: MprSpec(kind="zero", q=-1, level=0.0),
+        lambda: MprSpec(kind="tilde", b=0.5, a=1.0),
+        lambda: MprSpec(kind="constant", level=0.5, b=0.5),
     ],
 )
 def test_constructor_domain_validation(build):

@@ -112,6 +112,9 @@ def test_parse_minimal_defaults(tmp_path):
      "cannot parse"),
     ("[run]\nsuite = continuum\n\n[continuum]\nb_offsets = 0 inf\n", 5,
      "cannot parse"),
+    # a [spec] field the kind does not read is named at its own line
+    ("[run]\nsuite = classify\n\n[spec]\nkind = nosol\nq = -1\nlevel = 7\n", 7,
+     "does not read level"),
 ])
 def test_parse_errors_are_located(tmp_path, body, line, fragment):
     path = write_config(tmp_path, body)
@@ -144,6 +147,10 @@ def test_parse_classify_requires_spec_section(tmp_path):
     ("kind = nosol\nq = -inf\n", "cannot parse"),
     ("kind = tilde\nq = -1.0\nb = nan\n", "cannot parse"),
     ("kind = nosol\nq = -1.0\nc = inf\n", "cannot parse"),
+    ("kind = nosol\nq = -1.0\na = 2.0\nlevel = 7.0\n", "does not read level"),
+    ("kind = tilde\nq = -1.0\nb = 0.5\na = 2.0\n", "does not read a"),
+    ("kind = constant\nq = -1.0\nlevel = 0.5\nb = 0.5\n", "does not read b"),
+    ("kind = zero\nq = -1.0\nlevel = 0.5\n", "does not read level"),
 ])
 def test_parse_spec_validation(tmp_path, spec_body, fragment):
     path = write_config(

@@ -8,8 +8,9 @@ function must be set by some call in the package, the benchmark harness or
 the acceptance suite.  A name or option that only its own unit tests reach
 is dead API and should be deleted with those tests.  No public function
 takes a construction twice, as ``(spec, ensemble)`` and again as an
-evaluated or solved record.  The checks parse source files only; they
-import nothing.
+evaluated or solved record.  No module tests a kind's name: what depends on
+the kind is in its law, ``catalog.TRAITS``.  The checks parse source files
+only; they import nothing.
 """
 
 import ast
@@ -169,7 +170,7 @@ def test_every_optional_parameter_has_a_caller():
 
 
 #: Names that build a clock kind's clock, and the modules that may name them:
-#: the engine and the catalog, whose ``_entry_clock`` is every caller's clock.
+#: the engine and the catalog, whose law table holds every kind's clock map.
 CLOCK_BUILDERS = {"simulate_two_sided_exit", "SigmaSampler", "clock_coefficients"}
 CLOCK_MODULES = {"core.py", "catalog.py"}
 
@@ -220,3 +221,88 @@ def test_no_function_takes_a_construction_twice():
             offenders.append(f"{name}: {sorted(names & {'spec', 'ensemble'})} "
                              f"with {sorted(records)}")
     assert not offenders, f"constructions passed twice: {offenders}"
+
+
+#: Modules that never compare a kind with a kind name, and those of them that
+#: never spell one outside the law table ``TRAITS`` and the ``mpr_*``
+#: builders: a formula that depends on the kind belongs in the kind's law.
+KIND_BLIND = {"bmo.py", "solver.py", "catalog.py", "cli.py"}
+KIND_UNSPELLED = {"bmo.py", "solver.py", "catalog.py"}
+
+
+def _is_law_table(node: ast.stmt) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "TRAITS" for t in targets)
+
+
+def _kind_names() -> set[str]:
+    """The keys of ``catalog.TRAITS``, read from its source."""
+    for node in ast.parse((PACKAGE / "catalog.py").read_text()).body:
+        if _is_law_table(node):
+            return {ast.literal_eval(key) for key in node.value.keys}
+    raise AssertionError("no TRAITS table in catalog.py")
+
+
+def _spelled(node: ast.AST, kinds: set[str]) -> list[ast.Constant]:
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value in kinds]
+
+
+def _kind_tests(tree: ast.AST, kinds: set[str]) -> list[str]:
+    """Comparisons of a kind (``x.kind``, ``kind``, ``cfg.spec_kind``) with kind names."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        names = [getattr(s, "attr", getattr(s, "id", "")) for s in sides]
+        if (any(n.endswith("kind") for n in names)
+                and any(_spelled(s, kinds) for s in sides)):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def _kind_literals(tree: ast.Module, kinds: set[str]) -> list[str]:
+    """Kind names spelled outside the law table and the ``mpr_*`` builders."""
+    allowed = set()
+    for node in tree.body:
+        if _is_law_table(node) or (isinstance(node, ast.FunctionDef)
+                                   and node.name.startswith("mpr_")):
+            allowed.update(map(id, ast.walk(node)))
+    return [f"{n.lineno}: {n.value!r}" for n in _spelled(tree, kinds)
+            if id(n) not in allowed]
+
+
+def test_no_module_branches_on_a_kind_name():
+    kinds = _kind_names()
+    assert len(kinds) == 8
+    offenders = {}
+    for name in sorted(KIND_BLIND):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found = _kind_tests(tree, kinds)
+        if name in KIND_UNSPELLED:
+            found += _kind_literals(tree, kinds)
+        if found:
+            offenders[name] = found
+    assert not offenders, f"kind names tested outside the law table: {offenders}"
+
+
+def test_the_kind_guard_sees_every_form():
+    source = """
+TRAITS: dict = {"zero": 1, "tilde": 2}
+def mpr_zero(): return Spec("zero")
+def f(spec, kind, cfg):
+    if spec.kind == "zero": pass
+    if kind != "tilde": pass
+    if "zero" == cfg.spec_kind: pass
+    if spec.kind in ("tilde", "zero"): pass
+    if spec.law.null and kind == other: pass
+    return "tilde"
+"""
+    tree = ast.parse(source)
+    kinds = {"zero", "tilde"}
+    assert [t.split(":")[0] for t in _kind_tests(tree, kinds)] == ["5", "6", "7", "8"]
+    assert sorted(_kind_literals(tree, kinds)) == [
+        "10: 'tilde'", "5: 'zero'", "6: 'tilde'", "7: 'zero'", "8: 'tilde'", "8: 'zero'"]
