@@ -52,8 +52,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
+from qbsde import _special
 from qbsde.core import (
     ClockExits,
     PathEnsemble,
@@ -170,7 +170,7 @@ def _arccos_bound(spec: MprSpec, q: float, w: np.ndarray) -> np.ndarray | None:
     if spec.c_scale != 1.0 or q != spec.q:
         return None
     return (-math.pi * math.sqrt(-q) / 2.0
-            - 0.5 * special.log_ndtr(math.sqrt(2.0 / spec.T) * w)) / (1.0 - q)
+            - 0.5 * _special.log_ndtr(math.sqrt(2.0 / spec.T) * w)) / (1.0 - q)
 
 
 _ARCCOS = ("alpha", "arccos-scale")
@@ -207,11 +207,15 @@ def kq_threshold(q: float) -> float:
 
     For exposure orders strictly above this value there is a BMO risk premium
     whose solution is unbounded; strictly below it every such premium yields
-    a bounded solution.  Defined for finite ``q < 0``.
+    a bounded solution.  Defined for finite ``q < 0`` with a finite
+    ``q^2 - q``, the domain of :func:`~qbsde.bmo.kq_numeric`; from about
+    ``q = -6.7e153`` on the threshold itself is ``inf``.
     """
-    if not -math.inf < q < 0.0:
-        raise ValueError(f"threshold defined for finite q < 0, got {q!r}")
-    return 0.5 * (q - math.sqrt(q * q - q)) ** 2
+    if not (-math.inf < q < 0.0 and math.isfinite(q * q - q)):
+        raise ValueError(f"threshold defined for finite q < 0 with a finite "
+                         f"q^2 - q, got {q!r}")
+    d = q - math.sqrt(q * q - q)
+    return 0.5 * (d * d)
 
 
 @dataclass(frozen=True)
@@ -326,8 +330,9 @@ class SigmaSampler:
     The cut time has density ``f(s) = c0 * exp(-1/(T-s))`` on ``(T/2, T)``;
     the normalizer ``c0`` is the reciprocal of the substituted integral
     ``integral_{2/T}^inf u^-2 exp(-u) du = E_2(2/T) / (2/T)`` in closed form,
-    and the inverse CDF is resolved by bisection to 1e-12 in the time variable.
-    Sampling maps the midpoint state through the Gaussian CDF (a uniform
+    and the inverse CDF is a bisection in ``y = 1/(T-s)`` to 1e-12 in the
+    time variable, whose tests a Newton root of the tail decides away from
+    it.  Sampling maps the midpoint state through the Gaussian CDF (a uniform
     variate by the probability integral transform) and inverts.
     """
 
@@ -343,7 +348,7 @@ class SigmaSampler:
 
     def _tail(self, y: np.ndarray | float) -> np.ndarray | float:
         """``integral_y^inf u^-2 exp(-u) du`` via the exponential integral."""
-        return special.expn(2, y) / y
+        return _special.expn2(y) / y
 
     def cdf(self, s: np.ndarray | float) -> np.ndarray | float:
         """CDF of ``sigma`` on ``(T/2, T)``."""
@@ -353,21 +358,51 @@ class SigmaSampler:
         return 1.0 - self.c0 * self._tail(1.0 / (self.T - s))
 
     def inverse_cdf(self, u: np.ndarray | float) -> np.ndarray:
-        """Inverse CDF by bisection, resolved to 1e-12 in the time variable."""
+        """Inverse CDF by bisection, resolved to 1e-12 in the time variable.
+
+        Each test ``tail(y) > target`` is read off the Newton root where that
+        is certain, so the exact tail is evaluated only next to the root.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails too
             raise ValueError("uniform variates must lie in [0, 1]")
         target = (1.0 - np.clip(u, 0.0, 1.0 - 1e-16)) / self.c0
+        # The root of log tail = log target, by Newton in z = log y on
+        # log(c/y) - y - log target, c = exp(y) E_2(y), whose z-slope is -1/c.
+        # It is concave and falling (c falls), so the iterates fall onto the
+        # root from max(-log target, 1), right of it as tail(y) < exp(-y)/y^2.
+        log_target = np.log(target)
+        root = np.maximum(-log_target, 1.0)
+        for _ in range(100):
+            c = _special.expn2_scaled(root)
+            step = (np.log(c / root) - root - log_target) * c
+            root = root * np.exp(step)
+            if np.max(np.abs(step)) < 1e-9:
+                break
+        # Off the band, tail(y) > target exactly when y < root: the ported
+        # tail is within a few ulps of the true one and the root within about
+        # 1e-15 relative of the true root, while |d log tail/dy| = 1/(y c) > 1
+        # (as E_2(y) < exp(-y)/(y + 1)), so across the band the tail moves by
+        # more than 1e-13 relative.  On the band the exact tail decides.
+        band = 1e-13 * np.maximum(root, 1.0)
+
+        def above(y: np.ndarray) -> np.ndarray:  # self._tail(y) > target
+            out = y < root
+            near = np.abs(y - root) <= band
+            if near.any():
+                out[near] = self._tail(y[near]) > target[near]
+            return out
+
         lo = np.full(u.shape, self.y_lo)
         hi = np.full(u.shape, max(2.0 * self.y_lo, 4.0))
         # Expand until the tail at hi is below every target.
-        while np.any(self._tail(hi) > target):
-            hi = np.where(self._tail(hi) > target, hi * 2.0, hi)
+        while np.any(high := above(hi)):
+            hi = np.where(high, hi * 2.0, hi)
         # Bisect in y = 1/(T-s); |ds| = |dy|/y^2 <= |dy| * (T/2)^2 / ... is
         # controlled by iterating until the s-bracket closes below 1e-12.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            too_high = self._tail(mid) > target  # tail decreasing: move right
+            too_high = above(mid)  # tail decreasing: move right
             lo = np.where(too_high, mid, lo)
             hi = np.where(too_high, hi, mid)
             s_width = np.max(1.0 / lo - 1.0 / hi)
@@ -383,7 +418,7 @@ class SigmaSampler:
         An ensemble keeps its cut with its cut clock, so the bisection runs
         once per ensemble however many ``sigma_gamma`` scales read it.
         """
-        u = special.ndtr(np.sqrt(2.0 / self.T) * np.asarray(w_half, np.float64))
+        u = _special.ndtr(np.sqrt(2.0 / self.T) * np.asarray(w_half, np.float64))
         sigma = self.inverse_cdf(u)
         u_sigma = np.log((self.T / 2.0) / (self.T - sigma))
         return sigma, u_sigma
@@ -395,7 +430,7 @@ def alpha_from_w_half(w_half: np.ndarray, T: float) -> np.ndarray:
     ``alpha = (2/pi) arccos(sqrt(Phi(sqrt(2/T) W_{T/2})))`` — an
     ``F_{T/2}``-measurable deterministic map of the midpoint state.
     """
-    phi = special.ndtr(np.sqrt(2.0 / T) * np.asarray(w_half, np.float64))
+    phi = _special.ndtr(np.sqrt(2.0 / T) * np.asarray(w_half, np.float64))
     return (2.0 / math.pi) * np.arccos(np.sqrt(phi))
 
 
@@ -605,8 +640,8 @@ def _log_exit_moment(a: float, lam: float, u: float) -> float:
     m = max(x[0], 0.0)
     grow = np.exp(x - m)
     # exprel(x) e^{-m}, as e^{x-m} exprel(-x) where x > 0 so nothing overflows.
-    rel = np.where(x > 0.0, grow * special.exprel(-np.maximum(x, 0.0)),
-                   special.exprel(np.minimum(x, 0.0)) * math.exp(-m))
+    rel = np.where(x > 0.0, grow * _special.exprel(-np.maximum(x, 0.0)),
+                   _special.exprel(np.minimum(x, 0.0)) * math.exp(-m))
     terms = np.where(j % 2 == 0, 2.0, -2.0) / k * (
         lam * u * rel - a * a * grow / (a * a + k * k))
     terms[-1] *= 0.5

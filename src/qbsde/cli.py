@@ -307,6 +307,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             default=cfg.continuum_kind)
         cfg.continuum_level = raw.get(
             "continuum", "level", _finite_float, default=cfg.continuum_level)
+        if ("level" not in TRAITS[cfg.continuum_kind].fields
+                and parser.has_option("continuum", "level")):
+            raise raw._err("continuum", "level",
+                           f"kind {cfg.continuum_kind} does not read level")
 
     if suite == "classify":
         if not parser.has_section("spec"):

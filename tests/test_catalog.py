@@ -16,6 +16,7 @@ from qbsde import (
     alpha_from_w_half,
     clock_coefficients,
     evaluate_mpr,
+    kq_numeric,
     kq_threshold,
     lambda_at_nodes,
     mpr_alpha_arccos,
@@ -59,9 +60,14 @@ def test_kq_threshold_rejects_nonnegative_q():
         kq_threshold(0.0)
     with pytest.raises(ValueError):
         kq_threshold(0.5)
-    for q in (-math.inf, math.nan, math.inf):
+    for q in (-math.inf, math.nan, math.inf, -1e200):
         with pytest.raises(ValueError, match="finite q < 0"):
             kq_threshold(q)
+    # q^2 - q is finite at -1e154 but the threshold itself overflows, as the
+    # numeric minimum does; at -1e200 both reject q^2 - q.
+    assert kq_threshold(-1e154) == math.inf == kq_numeric(-1e154)
+    with pytest.raises(ValueError, match="finite q < 0"):
+        kq_numeric(-1e200)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,9 @@ def test_parse_minimal_defaults(tmp_path):
     # a [spec] field the kind does not read is named at its own line
     ("[run]\nsuite = classify\n\n[spec]\nkind = nosol\nq = -1\nlevel = 7\n", 7,
      "does not read level"),
+    # so is a [continuum] level under a kind without one
+    ("[run]\nsuite = continuum\n\n[continuum]\nkind = zero\nlevel = 7\n", 6,
+     "does not read level"),
 ])
 def test_parse_errors_are_located(tmp_path, body, line, fragment):
     path = write_config(tmp_path, body)

@@ -2,10 +2,12 @@
 
 Every ``qbsde run`` and every benchmark iteration starts a new interpreter,
 so the package's import graph is paid on each of them.  The package needs
-numpy and ``scipy.special``; only the numeric cross-check ``kq_numeric``
-needs ``scipy.optimize``, and it loads it on its first call.
+numpy only: its special functions are numpy ports (``qbsde._special``), and
+only the numeric cross-check ``kq_numeric`` needs ``scipy.optimize``, which
+it loads on its first call.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -20,16 +22,28 @@ PROBE = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import qbsde, qbsde.cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 heavy = sorted(m for m in sys.modules if m.startswith({HEAVY!r}))
 from qbsde import kq_numeric, kq_threshold
-print(json.dumps({{"heavy": heavy, "gap": abs(kq_numeric(-1.0) - kq_threshold(-1.0))}}))
+gap = abs(kq_numeric(-1.0) - kq_threshold(-1.0))
+print(json.dumps({{"scipy": scipy, "heavy": heavy, "gap": gap,
+                  "lazy": "scipy.optimize" in sys.modules}}))
 """
 
 
-def test_import_loads_no_optimizer_stack():
+@functools.lru_cache(maxsize=None)
+def probe() -> dict:
     out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True,
                          text=True, check=True, timeout=120)
-    probe = json.loads(out.stdout)
-    assert probe["heavy"] == []
+    return json.loads(out.stdout)
+
+
+def test_import_loads_no_scipy():
+    assert probe()["scipy"] == []
+
+
+def test_import_loads_no_optimizer_stack():
+    assert probe()["heavy"] == []
     # The lazily imported optimizer still gives the closed form.
-    assert probe["gap"] <= 1e-10
+    assert probe()["lazy"]
+    assert probe()["gap"] <= 1e-10
