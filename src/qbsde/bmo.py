@@ -424,8 +424,9 @@ def bmo_norm(
     the restricted stopping family (see :func:`_family_cells`; the clock
     kinds add four clock-line members after the entry), and the max cell
     mean estimates the family sup.  Where the kind's law has an exposure
-    growth rate (the mean-reverting premium), a linear-growth check flags
-    "not BMO".  ``max_bins`` must be a positive integer.
+    growth rate (the mean-reverting premium, whose scaled remaining exposure
+    grows like ``c^2 (T - t) |W_t|``), a linear-growth check flags "not
+    BMO" at any scale ``c``.  ``max_bins`` must be a positive integer.
     """
     if not (isinstance(max_bins, (int, np.integer)) and max_bins >= 1):
         raise ValueError(f"max_bins must be a positive integer, got {max_bins!r}")
@@ -454,7 +455,7 @@ def bmo_norm(
             if fit["slope"] >= rate and rate > 0.0:
                 note = (
                     f"conditional exposure at t={t:.4g} grows with slope "
-                    f"{fit['slope']:.3f} >= (T-t)(1-tol)={rate:.3f} in |W_t|: not BMO"
+                    f"{fit['slope']:.3f} >= c^2 (T-t)(1-tol)={rate:.3f} in |W_t|: not BMO"
                 )
                 return NormEstimate(
                     estimate=math.inf, unbounded=True, cells=cells, growth_note=note,

@@ -104,7 +104,8 @@ class KindTraits:
     ``coeff`` and ``drift(spec, alpha)``: a clock kind's clock map (see
     :func:`clock_coefficients`); ``entry``: its midpoint statistic, as
     ``(MprFunctionals attribute, label)``.  ``growth(spec, t)``: the slope
-    in ``|W_t|`` of the unit-scale remaining exposure on an unbounded state.
+    in ``|W_t|`` of the scaled premium's remaining exposure on an unbounded
+    state.
     ``certificate(spec)``: the tilted exposure order that decides the
     construction at its own ``q``.  ``profile_bound(spec, q, w)``: an
     analytic lower bound of the midpoint profile, or ``None``.  A formula
@@ -182,8 +183,8 @@ TRAITS: dict[str, KindTraits] = {
     "reverting": KindTraits(
         (), premium=lambda spec, ens: spec.c_scale * (
             -np.sign(ens.wiener) * np.sqrt(np.abs(ens.wiener))),
-        # E[int_t^T |W_s| ds | W_t = w] grows like (T - t) |w|.
-        growth=lambda spec, t: spec.T - t),
+        # c^2 E[int_t^T |W_s| ds | W_t = w] grows like c^2 (T - t) |w|.
+        growth=lambda spec, t: spec.c_scale**2 * (spec.T - t)),
     "nosol": KindTraits(("q",), coeff=_critical_coeff),
     "alpha_arccos": KindTraits(
         ("q",), coeff=_critical_coeff, entry=_ARCCOS, profile_bound=_arccos_bound),
@@ -459,11 +460,14 @@ def lambda_at_nodes(spec: MprSpec, ensemble: PathEnsemble) -> np.ndarray:
     Only the grid-resident kinds have a meaningful pointwise value on the
     time grid; the clock constructions are singular at the horizon and all
     of their integrals are computed in the clock, so asking for node values
-    is rejected rather than silently aliased.
+    is rejected rather than silently aliased.  A deterministic level comes
+    back as a read-only broadcast of the one value, shape
+    ``(n_paths, n_nodes)`` with no memory per path; copy it to write.
     """
     law = spec.law
     if law.level is not None:
-        return np.full((ensemble.n_paths, ensemble.grid.n_nodes), law.level(spec))
+        shape = (ensemble.n_paths, ensemble.grid.n_nodes)
+        return np.broadcast_to(np.float64(law.level(spec)), shape)
     if law.premium is None:
         raise ValueError(
             f"kind {spec.kind!r} has no grid-resident pointwise values; its "
@@ -513,18 +517,22 @@ class MprFunctionals:
 
     @cached_property
     def _tracks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(node_int_dw, node_int2)``: the exposure map at each clock node."""
+        """``(node_int_dw, node_int2)``: the exposure map at each clock node.
+
+        Written one clock node at a time straight into the two tracks.
+        """
         if self.clock is None:
             return self._grid_tracks
         grid = self.ensemble.grid
         coeff, drift = clock_coefficients(
-            self.spec, 1.0 if self.alpha is None else self.alpha[:, None])
+            self.spec, 1.0 if self.alpha is None else self.alpha)
         node_int_dw = np.zeros((self.n_paths, grid.n_nodes))
         node_int2 = np.zeros((self.n_paths, grid.n_nodes))
-        u_at = np.minimum(grid.clock_nodes[:, None], self.u_kill[None, :])
         first_late = grid.half_index + 1
-        node_int_dw[:, first_late:], node_int2[:, first_late:] = _exposure(
-            coeff, drift, self.clock.ckpt_pos.T, u_at.T)
+        for j, u_node in enumerate(grid.clock_nodes):
+            u_at = np.minimum(u_node, self.u_kill)
+            node_int_dw[:, first_late + j], node_int2[:, first_late + j] = _exposure(
+                coeff, drift, self.clock.ckpt_pos[j], u_at)
         return node_int_dw, node_int2
 
     @property

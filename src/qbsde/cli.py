@@ -7,10 +7,10 @@ Two commands::
 
 ``run`` executes one experiment suite from a config file and writes its
 artifacts (CSV/JSON) plus a ``manifest.json`` recording the seed, package
-versions and wall time.  ``report`` re-reads an artifact directory and
-prints one pass/fail line per check.  Exit codes: 0 all checks pass, 1 any
-check failed, 2 config/usage error (with a line-located message for
-malformed config files).
+versions, wall time and peak memory.  ``report`` re-reads an artifact
+directory and prints one pass/fail line per check.  Exit codes: 0 all
+checks pass, 1 any check failed, 2 config/usage error (with a line-located
+message for malformed config files).
 
 Config format: flat ``key = value`` lines under ``[section]`` headers (INI
 syntax, parsed by :mod:`configparser`; no nesting, ``;``/``#`` comments).
@@ -64,6 +64,7 @@ import math
 import os
 import platform
 import re
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -393,7 +394,17 @@ def _pmap(fn, tasks: list):
     return [fn(t) for t in tasks]
 
 
+def _peak_rss_mb(who: int) -> float:
+    """Peak resident set size of ``who`` in MB (``ru_maxrss`` is in KiB on Linux)."""
+    return round(resource.getrusage(who).ru_maxrss * 1024 / 1e6, 1)
+
+
 def write_manifest(out: Path, cfg: ExperimentConfig, wall_time: float) -> None:
+    """Write ``manifest.json``; ``peak_rss_mb`` is this process's peak so far.
+
+    With ``QBSDE_WORKERS > 1`` the suite's tasks ran in worker processes, so
+    ``peak_rss_workers_mb`` adds the largest peak among them.
+    """
     import scipy
 
     manifest = {
@@ -411,8 +422,11 @@ def write_manifest(out: Path, cfg: ExperimentConfig, wall_time: float) -> None:
             "qbsde": __version__,
         },
         "wall_time_s": round(wall_time, 3),
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    if manifest["workers"] > 1:
+        manifest["peak_rss_workers_mb"] = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     _write_json(out / "manifest.json", manifest)
 
 
@@ -738,6 +752,10 @@ def report_command(args: argparse.Namespace) -> int:
         print(f"manifest: suite={meta.get('suite')} "
               f"seed={meta.get('seed')} n_paths={meta.get('n_paths')} "
               f"qbsde={meta.get('versions', {}).get('qbsde')}")
+        workers = meta.get("peak_rss_workers_mb")
+        print(f"manifest: wall_time_s={meta.get('wall_time_s')} "
+              f"peak_rss_mb={meta.get('peak_rss_mb')}"
+              + ("" if workers is None else f" peak_rss_workers_mb={workers}"))
     failed = [c for c in checks if not c.passed]
     print(f"report: {len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0

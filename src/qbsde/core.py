@@ -257,14 +257,30 @@ class PathEnsemble:
         w.setflags(write=False)
         return w
 
-    @property
-    def w_half(self) -> np.ndarray:
-        """Path values at the midpoint node ``T/2``."""
-        return self.wiener[:, self.grid.half_index]
+    def _wiener_at(self, k: int) -> np.ndarray:
+        """Read-only path values at node ``k >= 1``.
 
-    @property
+        A column of :attr:`wiener` once that is built; before, the running
+        sum of the first ``k`` increment columns, which has its bits (it too
+        starts from the first column) and needs one column of memory.
+        """
+        if "wiener" in self.__dict__:
+            return self.wiener[:, k]
+        w = self.increments[:, 0].copy()
+        for j in range(1, k):
+            w += self.increments[:, j]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def w_half(self) -> np.ndarray:
+        """Path values at the midpoint node ``T/2``, without building :attr:`wiener`."""
+        return self._wiener_at(self.grid.half_index)
+
+    @cached_property
     def w_terminal(self) -> np.ndarray:
-        return self.wiener[:, -1]
+        """Path values at the last node, without building :attr:`wiener`."""
+        return self._wiener_at(self.grid.n_intervals)
 
     def _clock(self, stream: Sequence, simulate: Callable[[Sequence], tuple]) -> tuple:
         """The clock on ``stream``: ``simulate(stream)`` on first use, then kept.
@@ -325,8 +341,8 @@ def sample_paths(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     _check_n_paths(n_paths)
     _check_seed(seed)
     rng = philox_stream(seed, "increments")
-    z = rng.standard_normal((n_paths, grid.n_intervals))
-    inc = z * np.sqrt(grid.dt)
+    inc = rng.standard_normal((n_paths, grid.n_intervals))
+    inc *= np.sqrt(grid.dt)
     return PathEnsemble(grid=grid, n_paths=int(n_paths), seed=int(seed), increments=inc)
 
 
@@ -371,13 +387,19 @@ def ito_integral(ensemble: PathEnsemble, integrand: np.ndarray) -> PathFunctiona
             f"integrand shape {theta.shape} does not match "
             f"({ensemble.n_paths}, {grid.n_intervals})"
         )
-    if not np.all(np.isfinite(theta)):
+    # min and max propagate NaN, so both are finite iff every value is.
+    if not (np.isfinite(theta.min()) and np.isfinite(theta.max())):
         raise ValueError("integrand must be finite")
 
+    # Products and cumulative sums in place, inside the outputs.
     int_dw = np.zeros((ensemble.n_paths, grid.n_nodes), dtype=np.float64)
     quad_var = np.zeros_like(int_dw)
-    np.cumsum(theta * ensemble.increments, axis=1, out=int_dw[:, 1:])
-    np.cumsum(theta * theta * grid.dt, axis=1, out=quad_var[:, 1:])
+    dw, qv = int_dw[:, 1:], quad_var[:, 1:]
+    np.multiply(theta, ensemble.increments, out=dw)
+    np.cumsum(dw, axis=1, out=dw)
+    np.multiply(theta, theta, out=qv)
+    qv *= grid.dt
+    np.cumsum(qv, axis=1, out=qv)
     return PathFunctionals(grid=grid, int_dw=int_dw, quad_var=quad_var)
 
 

@@ -384,8 +384,6 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
 
     fn = evaluate_mpr(spec, ensemble)
     node_i1, node_i2 = fn.node_int_dw, fn.node_int2
-    value = np.exp(-q * (fn.int_lam_dw[:, None] - node_i1)
-                   - 0.5 * q * (fn.int_lam2[:, None] - node_i2))
 
     wiener = ensemble.wiener
     clock_kind = spec.law.clock
@@ -395,7 +393,9 @@ def psi_path(spec: MprSpec, q: float, ensemble: PathEnsemble) -> SolutionTriple:
 
     psi = np.zeros((n, m))
     for k in range(m - 1):
-        target = value[:, k]
+        # The forward summand from node k, formed when node k is fitted.
+        target = np.exp(-q * (fn.int_lam_dw - node_i1[:, k])
+                        - 0.5 * q * (fn.int_lam2 - node_i2[:, k]))
         if clock_kind and k >= first_late:
             alive = fn.u_kill > u_nodes[k - first_late]
             cols_full = [node_i1[:, k], node_i2[:, k], *entry_cols]
@@ -554,6 +554,9 @@ def mult_rep(
 #: Clock horizon of :func:`continuum`'s line-hit simulation.
 CONTINUUM_V_MAX = 60.0
 
+#: Rows per block of :func:`continuum`'s Gaussian tails.
+_TAIL_ROWS = 4096
+
 
 def continuum(
     spec: MprSpec,
@@ -596,7 +599,6 @@ def continuum(
     d = math.log(c / xi)
     nodes = grid.nodes
     v_nodes = _rho_clock(nodes, T)
-    dt = grid.dt
 
     accrual = 0.5 * q * (q - 1.0) * level**2  # d/dt of the log-functional accrual
 
@@ -635,21 +637,10 @@ def continuum(
     v_star = hits.u_exit
     tau_star = _rho_inverse(np.where(hits.censored, v_max, v_star), T)
 
-    # Node values of the stopped boundary process D(v ^ v*).
-    pos_nodes = np.full((n, grid.n_nodes), -d)
-    pos_nodes[:, in_range] = hits.ckpt_pos.T
-    censor_mask = hits.censored[:, None] & ~ (v_nodes[None, :] < v_max)
-    pos_nodes[censor_mask] = np.broadcast_to(
-        hits.x_exit[:, None], pos_nodes.shape
-    )[censor_mask]
-
-    psi = (math.log(c) + pos_nodes - accrual * nodes[None, :]) / (1.0 - q)
-    alive = v_nodes[None, :] < v_star[:, None]
-    z = np.where(alive, (1.0 / (T - nodes))[None, :] / (1.0 - q), 0.0)
-
-    # Brownian increments: clock-accumulated within [t_k, t_{k+1}] while the
-    # path lives, fresh Gaussians for the remainder (independent of the
-    # frozen construction by the strong Markov property).
+    # Every (n, n_nodes) array below is an output, built in place or one
+    # node at a time.  Brownian increments: clock-accumulated within
+    # [t_k, t_{k+1}] while the path lives, fresh Gaussians for the remainder
+    # (independent of the frozen construction by the strong Markov property).
     d_w = np.zeros((n, grid.n_intervals))
     idx = np.flatnonzero(in_range)
     for j, col in enumerate(idx[:-1]):
@@ -658,13 +649,35 @@ def continuum(
         last = idx[-1]
         if last < grid.n_intervals:
             d_w[:, last] = hits.ckpt_wsum[idx.size]
+    hits.ckpt_wsum = None
+
+    # psi from the node values of the stopped boundary process D(v ^ v*);
+    # past the clock horizon a censored path keeps its state there.
+    psi = np.full((n, grid.n_nodes), -d)
+    psi[:, in_range] = hits.ckpt_pos.T
+    hits.ckpt_pos = hits.ckpt_alive = None
+    x_censored = hits.x_exit[hits.censored]
+    for k in np.flatnonzero(~in_range):
+        psi[hits.censored, k] = x_censored
+    psi += math.log(c)
+    psi -= accrual * nodes
+    psi /= 1.0 - q
+    z = np.zeros((n, grid.n_nodes))
+    z_alive = (1.0 / (T - nodes)) / (1.0 - q)
+    for k in range(grid.n_nodes):
+        z[v_nodes[k] < v_star, k] = z_alive[k]
+
+    # The tails come from one (n, n_intervals) Gaussian draw, taken in row
+    # blocks: a row block of a Philox draw has the one-shot draw's bits.
     rng = philox_stream(ensemble.seed, "continuum-tails", b_offset, level, q)
     t_cross = np.minimum(tau_star, T)
-    gauss = rng.standard_normal((n, grid.n_intervals))
-    for k in range(grid.n_intervals):
-        t0, t1 = nodes[k], nodes[k + 1]
-        remaining = np.clip(t1 - np.maximum(t_cross, t0), 0.0, None)
-        d_w[:, k] += np.sqrt(remaining) * gauss[:, k]
+    for r0 in range(0, n, _TAIL_ROWS):
+        rows = slice(r0, min(r0 + _TAIL_ROWS, n))
+        gauss = rng.standard_normal((rows.stop - r0, grid.n_intervals))
+        for k in range(grid.n_intervals):
+            t0, t1 = nodes[k], nodes[k + 1]
+            remaining = np.clip(t1 - np.maximum(t_cross[rows], t0), 0.0, None)
+            d_w[rows, k] += np.sqrt(remaining) * gauss[:, k]
 
     # Martingale statistic E([(1-q)Z - q lambda] . W)_T.  With the snapped
     # crossing state the clock part telescopes exactly:
@@ -702,19 +715,23 @@ def driver_residual(triple: SolutionTriple) -> ResidualReport:
     absolute gap per path with median / 95th-percentile summaries.  Works
     for any triple whose premium has grid-resident values (zero, constant,
     reverting); the continuum triple carries its own reconstructed
-    increments in ``d_w``.
+    increments in ``d_w``.  The sum runs one node at a time from the first
+    gap, so it keeps the bits of a whole-matrix cumulative sum with one
+    column of memory.
     """
     grid = triple.ensemble.grid
     lam = lambda_at_nodes(triple.spec, triple.ensemble)
-    dt = grid.dt[None, :]
-    z = triple.z[:, :-1]
-    gaps = (
-        np.diff(triple.psi, axis=1)
-        - z * triple.d_w
-        - bsde_drift(triple.q, z, lam[:, :-1]) * dt
-    )
-    cum = np.cumsum(gaps, axis=1)
-    per_path = np.max(np.abs(cum), axis=1)
+    psi, z, d_w = triple.psi, triple.z, triple.d_w
+
+    def gap(k: int) -> np.ndarray:
+        return ((psi[:, k + 1] - psi[:, k]) - z[:, k] * d_w[:, k]
+                - bsde_drift(triple.q, z[:, k], lam[:, k]) * grid.dt[k])
+
+    cum = gap(0)
+    per_path = np.abs(cum)
+    for k in range(1, grid.n_intervals):
+        cum += gap(k)
+        np.maximum(per_path, np.abs(cum), out=per_path)
     return ResidualReport(
         per_path=per_path,
         median=float(np.median(per_path)),

@@ -30,6 +30,7 @@ from qbsde import (
     mpr_zero,
     reverse_holder,
     reverting_rh_lower,
+    sample_paths,
     scaled_params,
     scaled_tilted_order,
     sigma_cut_lower_bound,
@@ -363,3 +364,15 @@ def test_profile_growth_margin_is_exact(spec, scale, ratio):
     else:
         assert abs(detail["edge_over_median"] - ratio) <= 1e-6
     assert grows == (ratio >= STATE_GROWTH_RATIO)
+
+
+@pytest.mark.parametrize("seed", [20240817, 555])
+def test_scaled_reverting_is_not_bmo_at_any_scale(grid, seed):
+    # The scaled premium's remaining exposure grows like c^2 (T - t) |W_t|,
+    # so the growth checks must fire below unit scale too.
+    ens = sample_paths(grid, 20000, seed=seed)
+    for scale in (0.5, 0.75):
+        spec = mpr_reverting().with_scale(scale)
+        est = bmo_norm(spec, ens)
+        assert est.unbounded and math.isinf(est.estimate)
+        assert reverse_holder(spec, -1.0, ens).verdict == "Unbounded"

@@ -8,6 +8,7 @@ at production path counts.
 
 import json
 import math
+import resource
 from pathlib import Path
 
 import pytest
@@ -319,7 +320,7 @@ def test_check_continuum_flags_closed_form_gap():
 
 MANIFEST_KEYS = {
     "suite", "config_path", "config_sha256", "n_paths", "seed", "seeds",
-    "workers", "versions", "wall_time_s", "timestamp_utc",
+    "workers", "versions", "wall_time_s", "peak_rss_mb", "timestamp_utc",
 }
 
 
@@ -391,6 +392,32 @@ def test_continuum_small_run_report_and_determinism(tmp_path, capsys,
 
     assert run_cli(["report", outs[0]]) == 0
     assert "4/4 checks passed" in capsys.readouterr().out
+
+
+def test_manifest_records_peak_memory(tmp_path, capsys, monkeypatch):
+    # The process's own peak, and with worker processes also theirs; the
+    # report prints both next to the wall time.
+    cfg = write_config(tmp_path, CONTINUUM_SMALL)
+    rss_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "one"]) == 0
+    monkeypatch.setenv("QBSDE_WORKERS", "2")
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "two"]) == 0
+    monkeypatch.delenv("QBSDE_WORKERS")
+    capsys.readouterr()
+
+    one = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    two = json.loads((tmp_path / "two" / "manifest.json").read_text())
+    assert set(one) == MANIFEST_KEYS
+    assert set(two) == MANIFEST_KEYS | {"peak_rss_workers_mb"}
+    assert one["peak_rss_mb"] >= round(rss_now, 1) > 0.0
+    assert two["peak_rss_mb"] >= one["peak_rss_mb"]  # a running peak
+    assert two["peak_rss_workers_mb"] > 0.0
+
+    assert run_cli(["report", tmp_path / "two"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (f"manifest: wall_time_s={two['wall_time_s']} "
+            f"peak_rss_mb={two['peak_rss_mb']} "
+            f"peak_rss_workers_mb={two['peak_rss_workers_mb']}") in lines
 
 
 def test_classify_small_run(tmp_path, capsys):
